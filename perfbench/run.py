@@ -32,7 +32,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 WORK_ROOT = os.path.join(ROOT, ".perfbench_work")
-SETUP_SAMPLES = 3
+SETUP_SHARE = 0.4
+SETUP_MIN_SAMPLES = 5
 SETUP_TIMEOUT_S = 120
 METHODS = ("gep", "bgep", "gp")
 END_TO_END_UNITS = {
@@ -88,16 +89,13 @@ def setup_child(args) -> None:
     print(json.dumps({"setup_s": time.perf_counter() - t0}))
 
 
-def setup_samples(args, ctx: dict) -> list[float]:
-    """Set-up seconds measured in fresh interpreters, one after another."""
+def setup_sample(args, ctx: dict) -> float:
+    """Set-up seconds measured in a fresh interpreter."""
     cmd = [sys.executable, os.path.abspath(__file__), "--workload", args.workload,
            "--seed", str(args.seed), "--setup-ctx", json.dumps(ctx)]
-    samples = []
-    for _ in range(SETUP_SAMPLES):
-        done = subprocess.run(cmd, capture_output=True, text=True, timeout=SETUP_TIMEOUT_S,
-                              check=True, cwd=ROOT)
-        samples.append(json.loads(done.stdout.strip().splitlines()[-1])["setup_s"])
-    return samples
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=SETUP_TIMEOUT_S,
+                          check=True, cwd=ROOT)
+    return json.loads(done.stdout.strip().splitlines()[-1])["setup_s"]
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +110,15 @@ def tail_percentile(n: int) -> str:
     return ""
 
 
+def median(values: list[float]) -> float:
+    return statistics.median(values) if values else 0.0
+
+
 def describe(values: list[float]) -> str:
-    """Sample count, median and the highest percentile the count supports."""
+    """Sample count, median, minimum and the highest percentile the count supports."""
     if not values:
         return "no samples"
-    text = f"{len(values)} samples, median {statistics.median(values):.6g}"
+    text = f"{len(values)} samples, median {median(values):.6g}, min {min(values):.6g}"
     pct = tail_percentile(len(values))
     if pct:
         q = statistics.quantiles(values, n=100)[int(pct[1:]) - 1]
@@ -211,17 +213,32 @@ def end_to_end(args, wl, ctx: dict, state: dict, gep) -> None:
     ledger = Ledger()
     failures = wl.release_check(state)
     ledger.add(2, failures, failures)
-    setup = setup_samples(args, ctx)
 
     # Reference sweeps first (they give the accuracy), then sweeps at the
     # workload's own seeds until time is up, then a repeat of the first.
+    # Set-up samples are interleaved with the sweeps, taking SETUP_SHARE of
+    # the window, so that both see the same machine.
     steps = wl.steps_per_method(state)
     refs = wl.reference_seeds
+    setup: list[float] = []
+    setup_wall = 0.0
+    outcomes = []
     start = time.perf_counter()
-    outcomes = [wl.sweep(state, seed, f"ref{j}") for j, seed in enumerate(refs)]
-    while time.perf_counter() - start < args.seconds:
-        index = len(outcomes) - len(refs)
-        outcomes.append(wl.sweep(state, workloads.workload_seed(args.seed, index), str(index)))
+    while True:
+        elapsed = time.perf_counter() - start
+        if setup_wall <= SETUP_SHARE * elapsed or (
+            elapsed >= args.seconds and len(setup) < SETUP_MIN_SAMPLES
+        ):
+            t0 = time.perf_counter()
+            setup.append(setup_sample(args, ctx))
+            setup_wall += time.perf_counter() - t0
+        elif len(outcomes) < len(refs):
+            outcomes.append(wl.sweep(state, refs[len(outcomes)], f"ref{len(outcomes)}"))
+        elif elapsed < args.seconds:
+            index = len(outcomes) - len(refs)
+            outcomes.append(wl.sweep(state, workloads.workload_seed(args.seed, index), str(index)))
+        else:
+            break
     outcomes.append(wl.sweep(state, refs[0], "repeat"))
     elapsed = time.perf_counter() - start
     for outcome in outcomes:
@@ -229,13 +246,11 @@ def end_to_end(args, wl, ctx: dict, state: dict, gep) -> None:
     check_repeat(outcomes[-1], outcomes[0], ledger,
                  "repeating a run with the same seed changed its output")
 
-    # Best of the run's calls: contention on a shared machine only ever
-    # slows a call down, so the minimum is the steadiest estimate of cost.
     ms = {m: [o.seconds[m] * 1e3 / steps for o in outcomes if m in o.seconds] for m in METHODS}
     grids = [sum(o.seconds.values()) for o in outcomes if len(o.seconds) == len(METHODS)]
-    metrics = {f"{m}.ms_per_step": min(ms[m], default=0.0) for m in METHODS}
-    metrics["setup_s"] = statistics.median(setup)
-    metrics["grid_s"] = min(grids, default=0.0)
+    metrics = {f"{m}.ms_per_step": median(ms[m]) for m in METHODS}
+    metrics["setup_s"] = median(setup)
+    metrics["grid_s"] = median(grids)
     metrics["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     for m in METHODS:
         accuracies = [o.accuracy[m] for o in outcomes[: len(refs)] if m in o.accuracy]
@@ -243,9 +258,9 @@ def end_to_end(args, wl, ctx: dict, state: dict, gep) -> None:
 
     lines = [f"workload {args.workload}  seed {args.seed}  "
              f"{len(outcomes)} sweeps of {steps} steps per method in {elapsed:.1f} s"]
-    notes = {f"{m}.ms_per_step": "min; " + describe(ms[m]) for m in METHODS}
-    notes["setup_s"] = "median; " + describe(setup)
-    notes["grid_s"] = "min; " + describe(grids)
+    notes = {f"{m}.ms_per_step": describe(ms[m]) for m in METHODS}
+    notes["setup_s"] = describe(setup)
+    notes["grid_s"] = describe(grids)
     notes.update({f"{m}.eval_accuracy": f"mean over the {len(refs)} reference sweeps"
                   for m in METHODS})
     for name, unit in END_TO_END_UNITS.items():
@@ -292,11 +307,9 @@ def traced(args, wl, ctx: dict, state: dict, gep) -> None:
         pairs += 1
 
     overhead = (walls["traced"] / walls["untraced"] - 1.0) * 100.0
-    metrics = tracer.layer_metrics(steps, overhead)
+    metrics = tracer.layer_metrics(steps, walls["traced"], overhead)
     total = metrics["trace.wall_ms_per_step"]
     self_sum = sum(v for k, v in metrics.items() if k.endswith(".self_ms"))
-    if tracer.min_self_seconds() < -1e-9:
-        ledger.add(0, ["nesting"], ["trace: a span's children outlast it"])
 
     os.makedirs(WORK_ROOT, exist_ok=True)
     trace_path = os.path.join(WORK_ROOT, f"trace-{args.workload}-seed{args.seed}.jsonl")
@@ -307,7 +320,7 @@ def traced(args, wl, ctx: dict, state: dict, gep) -> None:
     lines = [f"workload {args.workload}  seed {args.seed}  traced: {pairs} sweeps of "
              f"{steps} steps per method, spans in {trace_path}",
              f"  self times sum to {self_sum:.6g} ms per step; traced wall "
-             f"{total:.6g} ms per step"]
+             f"{total:.6g} ms per step; {total - self_sum:.6g} ms outside every span"]
     lines += [f"  {name:44s} {metrics[name]:.6g} {unit}" for name, unit in units.items()]
     lines.append(f"  absent (no such function): {', '.join(absent) or 'none'}")
     lines.append(f"  not exercised on this workload: {', '.join(idle) or 'none'}")

@@ -1,6 +1,6 @@
 """Run every workload of the gep benchmark, each in a fresh process.
 
-    python3 perfbench/run_all.py [--seed N] [--seconds S] [--trace] [--out PATH]
+    python3 perfbench/run_all.py [--seed N] [--trace] [--out PATH]
 
 Workloads and the run length come from BENCHMARK.json.  Each workload's
 report is printed as it finishes; all results, with the environment
@@ -27,7 +27,6 @@ def main(argv=None) -> int:
         bench = json.load(handle)
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
     parser.add_argument("--trace", action="store_true", help="also make the traced runs")
     parser.add_argument("--out", default=os.path.join(ROOT, ".perfbench_work", "results.json"))
     args = parser.parse_args(argv)
@@ -37,7 +36,7 @@ def main(argv=None) -> int:
     for workload in bench["workloads"]:
         for trace in (0, 1) if args.trace else (0,):
             cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload["name"],
-                   "--seed", str(args.seed), "--seconds", str(args.seconds),
+                   "--seed", str(args.seed), "--seconds", str(bench["run_seconds"]),
                    "--trace", str(trace)]
             done = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT,
                                   timeout=RUN_TIMEOUT_S)

@@ -78,6 +78,7 @@ def layer_units() -> dict[str, str]:
         "release.k_effective_ratio": "ratio",
         "linalg.macs_per_step": "count",
         "trace.wall_ms_per_step": "ms",
+        "trace.unattributed_pct": "%",
         "trace.overhead_pct": "%",
     })
     return units
@@ -192,33 +193,26 @@ class Tracer:
         return [(name, (t1 - t0) - child[i])
                 for i, (name, t0, t1, _, _) in enumerate(self.spans[start:stop], start)]
 
-    def min_self_seconds(self) -> float:
-        """Smallest self time of any traced span; negative if spans overlap."""
-        return min((seconds for start, stop, _, _ in self._sweeps
-                    for _, seconds in self._self_seconds(start, stop)), default=0.0)
-
-    def layer_metrics(self, steps_per_method: int, overhead_pct: float) -> dict[str, float]:
+    def layer_metrics(self, steps_per_method: int, wall_s: float,
+                      overhead_pct: float) -> dict[str, float]:
         """Per-layer values over the traced sweeps; see ``layer_units``.
 
-        Self times are ms per step per method, so all of them together
-        add up to ``trace.wall_ms_per_step``: the traced sweeps' wall time
-        over the same steps.
+        Self times are ms per step per method.  ``wall_s`` is the traced
+        sweeps' wall time from the sweeps' own timers; the share of it
+        that no span covers is ``trace.unattributed_pct``.
         """
         n = len(self._sweeps)
         per_step = 1e3 / (steps_per_method * n)
         setup_stop, setup_counts = self._setup_end
         self_s: dict[str, float] = defaultdict(float)
-        root_s = 0.0
         sweep_calls: Counter = Counter()
         sweep_counts: Counter = Counter()
         macs = 0
         for start, stop, counts, sweep_macs in self._sweeps:
             for name, seconds in self._self_seconds(start, stop):
                 self_s[name] += seconds
-            for name, t0, t1, parent, _ in self.spans[start:stop]:
+            for name, *_ in self.spans[start:stop]:
                 sweep_calls[name] += 1
-                if parent < start:
-                    root_s += t1 - t0
             sweep_counts += counts
             macs += sweep_macs or 0
         setup_calls = Counter(s[0] for s in self.spans[:setup_stop])
@@ -235,7 +229,8 @@ class Tracer:
         out["models.per_sample_gradients.out_mb"] = max(out_mb, default=0.0)
         out["release.k_effective_ratio"] = sum(ratios) / len(ratios) if ratios else 0.0
         out["linalg.macs_per_step"] = macs / (steps_per_method * n)
-        out["trace.wall_ms_per_step"] = root_s * per_step
+        out["trace.wall_ms_per_step"] = wall_s * per_step
+        out["trace.unattributed_pct"] = (1.0 - sum(self_s.values()) / wall_s) * 100.0
         out["trace.overhead_pct"] = overhead_pct
         return out
 

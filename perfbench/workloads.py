@@ -216,7 +216,9 @@ POISSON_Q05 = TrainWorkload(
     name="poisson-q05",
     task=_logistic_task,
     gep_cfg=_logistic_gep,
-    steps=20,
+    # Long enough that the accountant's once-per-call epsilon schedule
+    # (about 30 ms at q=0.05) is a small share of each step.
+    steps=200,
     toy_steps=4,
     train={**_LOGISTIC_TRAIN, "batch": "poisson", "q": 0.05},
 )
