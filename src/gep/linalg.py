@@ -113,9 +113,7 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    if m.shape[1] == 0:
-        return np.zeros(m.shape[0])
-    return np.linalg.norm(m, axis=1)
+    return np.sqrt(np.einsum("ij,ij->i", m, m))
 
 
 def orthonormalize_rows(
@@ -236,7 +234,7 @@ def clip_rows(m: np.ndarray, s: float) -> np.ndarray:
     m = _as_matrix(m, "m")
     if m.shape[1] == 0:
         return m.copy()
-    norms = np.linalg.norm(m, axis=1)
+    norms = row_norms(m)
     scale = np.ones_like(norms)
     over = norms > s
     scale[over] = s / norms[over]

@@ -1,18 +1,44 @@
 """Private gradient releases built on anchor-subspace embeddings.
 
-One release turns a matrix of per-sample gradients into a single private
-estimate of the batch gradient:
+One release turns a matrix of per-sample gradients ``G`` (n x p) into a
+single private estimate of the batch gradient:
 
-1. project each gradient onto an orthonormal basis estimated from
-   non-sensitive anchor gradients, giving a low-dimensional embedding and
-   a (typically small-norm) residual;
+1. project each gradient onto an orthonormal basis ``B`` estimated from
+   non-sensitive anchor gradients, giving a low-dimensional embedding
+   ``w_i = B g_i`` and a (typically small-norm) residual
+   ``r_i = g_i - B^T w_i``;
 2. clip embedding rows at one threshold and residual rows at another,
    which fixes the sensitivity of their sums;
 3. perturb the two sums with Gaussian noise and recombine.
 
 Releasing both parts keeps the estimate unbiased (up to clipping); the
 ``bgep`` variant drops the residual and trades a systematic error for less
-noise, and ``gp`` is the classic full-dimensional baseline.
+noise, and ``gp`` is the classic full-dimensional baseline, the residual
+release of an empty basis.  All three run through one kernel,
+``_release``.
+
+The kernel never forms an n x p matrix.  Per parameter group it builds
+only the n x k embedding ``W = G B^T`` and relies on three identities that
+hold because ``B`` has orthonormal rows, with ``P v = v - B^T (B v)`` the
+projection of a single p-vector off the basis:
+
+* residual norms by Pythagoras: ``||r_i||^2 = ||g_i||^2 - ||w_i||^2``;
+* the clipped residual sum: ``sum_i b_i r_i = P(G^T b)``, where ``b``
+  holds the residual clip scales, so one 2 x n product ``[1; b]^T G``
+  yields it together with the batch sum;
+* the projection-error diagnostic: ``sum_i r_i = P(G^T 1)``.
+
+Cancellation guard: the difference ``||g_i||^2 - ||w_i||^2`` carries an
+error of a few ulps of ``||g_i||^2``, and ``P(G^T b)`` one of a few ulps
+of ``b_i ||g_i||``, both large next to ``||r_i||`` when the residual is
+small.  Rows whose Pythagorean residual keeps less than
+``RESIDUAL_GUARD`` of ``||g_i||^2`` (residual below 10 % of the gradient
+norm) therefore have their residuals recomputed explicitly, in chunks of
+bounded size, and their clipped residuals summed directly.  Every other
+row's residual norm is then accurate to about ``10 * eps / RESIDUAL_GUARD``
+(2e-13) relative, and its share of the rounding in ``P(G^T b)`` is at most
+``1 / sqrt(RESIDUAL_GUARD)`` = 10 ulps of ``s2``, so the ``s2``
+sensitivity bound holds to rounding.
 """
 
 from __future__ import annotations
@@ -24,12 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    clip_rows,
     gaussian_noise,
     orthonormalize_rows,
     power_iteration_basis,
     project_split,
-    row_norms,
 )
 from .models import GroupLayout, ParamGroup
 
@@ -43,10 +67,17 @@ __all__ = [
     "bgep_release",
     "gp_release",
     "projection_error_rate",
+    "noise_multipliers",
 ]
 
 RELEASE_MODES = ("joint", "separate")
 BASIS_MODES = ("power", "random")
+
+# Rows with ||r||^2 < RESIDUAL_GUARD * ||g||^2 get explicit residuals; see
+# the module docstring.
+RESIDUAL_GUARD = 1e-2
+# Explicit residuals are built this many matrix entries (1 MiB) at a time.
+_CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -237,19 +268,173 @@ def build_anchor_basis(
     return AnchorBasis(layout, blocks)
 
 
-def _clip_stats(rows: np.ndarray, threshold: float) -> float:
-    if rows.shape[0] == 0:
-        return math.nan
-    return float(np.mean(row_norms(rows) > threshold))
+def noise_multipliers(
+    sigma: float, release_mode: str, parts: int
+) -> tuple[float, float]:
+    """Per-block and per-step noise multipliers of a release of ``parts`` sums.
+
+    Each released sum gets Gaussian noise of standard deviation
+    ``block * threshold``.  Perturbing ``parts`` sums that way is a single
+    unit-sensitivity Gaussian release at ``step = block / sqrt(parts)``,
+    which is the multiplier the accountant composes.  In ``joint`` mode
+    ``sigma`` is the step multiplier (``block = sigma * sqrt(parts)``); in
+    ``separate`` mode it is the block multiplier.  One-part releases (bgep,
+    gp) have ``block = step = sigma`` in both modes.
+    """
+    if release_mode not in RELEASE_MODES:
+        raise ValueError(f"unknown release mode {release_mode!r}")
+    root = math.sqrt(parts)
+    if release_mode == "joint":
+        return sigma * root, sigma
+    return sigma, sigma / root
 
 
-def _raw_error_rate(g: np.ndarray, r: np.ndarray) -> float:
-    n = g.shape[0]
-    g_bar = g.sum(axis=0) / n
-    g_norm = float(np.linalg.norm(g_bar))
+def _clip_scales(
+    sq_norms: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scales that clip rows of these squared norms, and the clipped-row mask."""
+    norms = np.sqrt(sq_norms)
+    over = norms > threshold
+    scales = np.ones_like(norms)
+    scales[over] = threshold / norms[over]
+    return scales, over
+
+
+def _project_out(blocks: list[tuple[slice, np.ndarray]], v: np.ndarray) -> np.ndarray:
+    """``v`` minus its projection onto every basis block (one p-vector)."""
+    if not blocks:
+        return v
+    out = v.copy()
+    for cols, block in blocks:
+        out[cols] -= (block @ v[cols]) @ block
+    return out
+
+
+def _error_rate(blocks: list[tuple[slice, np.ndarray]], g_sum: np.ndarray) -> float:
+    g_norm = float(np.linalg.norm(g_sum))
     if g_norm == 0.0:
         return math.nan
-    return float(np.linalg.norm(r.sum(axis=0) / n)) / g_norm
+    return float(np.linalg.norm(_project_out(blocks, g_sum))) / g_norm
+
+
+def _active_blocks(basis: AnchorBasis) -> list[tuple[slice, np.ndarray]]:
+    return [
+        (slice(group.offset, group.offset + group.length), block)
+        for group, block, _ in basis._spans()
+        if block.shape[0]
+    ]
+
+
+def _perturb(
+    total: np.ndarray, std: float, rng: np.random.Generator | None
+) -> np.ndarray:
+    if std == 0.0:
+        return total
+    return total + gaussian_noise(total.shape, std, rng)
+
+
+def _release(
+    g: np.ndarray,
+    basis: AnchorBasis | None,
+    embedding: tuple[float, float] | None,
+    residual: tuple[float, float] | None,
+    rng: np.random.Generator | None,
+) -> PrivateRelease:
+    """The one release mechanism behind gep, bgep and gp.
+
+    ``embedding`` and ``residual`` give ``(threshold, noise std)`` for each
+    released part, or None for a part left out.  ``basis=None`` means no
+    basis: every row is all residual and no projection diagnostic is
+    computed.  Noise is drawn from ``rng`` for the embedding, then for the
+    residual; a part with noise std 0 draws none.  See the module docstring
+    for the matrix-free identities and the cancellation guard.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    if g.ndim != 2:
+        raise ValueError("per-sample gradients must form a matrix")
+    n, p = g.shape
+    if n == 0:
+        raise ValueError("cannot release an empty batch")
+    if basis is not None and p != basis.dim:
+        raise ValueError(f"gradients have {p} columns, basis spans {basis.dim}")
+    sq = np.einsum("ij,ij->i", g, g)
+    if not np.all(np.isfinite(sq)):
+        if not np.all(np.isfinite(g)):
+            raise ValueError("per-sample gradients contain non-finite entries")
+        raise ValueError("per-sample gradient row norms overflow float64")
+
+    blocks = [] if basis is None else _active_blocks(basis)
+    w_parts = [g[:, cols] @ block.T for cols, block in blocks]
+    sq_w = np.zeros(n)
+    for w in w_parts:
+        sq_w += np.einsum("ij,ij->i", w, w)
+
+    w_tilde = None
+    clip1 = math.nan
+    if embedding is not None:
+        s1, std1 = embedding
+        b1, over1 = _clip_scales(sq_w, s1)
+        w_sum = np.concatenate([b1 @ w for w in w_parts]) if w_parts else np.zeros(0)
+        w_tilde = _perturb(w_sum, std1, rng)
+        clip1 = float(np.mean(over1))
+
+    r_tilde = None
+    clip2 = math.nan
+    g_sum = None
+    if residual is not None:
+        s2, std2 = residual
+        sq_r = np.maximum(sq - sq_w, 0.0)
+        explicit = np.flatnonzero(sq_r < RESIDUAL_GUARD * sq)
+        explicit_sum = np.zeros(p)
+        chunk = max(1, _CHUNK_ELEMENTS // p)
+        for start in range(0, len(explicit), chunk):
+            rows = explicit[start : start + chunk]
+            r = g[rows]
+            for (cols, block), w in zip(blocks, w_parts):
+                r[:, cols] -= w[rows] @ block
+            sq_r[rows] = np.einsum("ij,ij->i", r, r)
+            explicit_sum += _clip_scales(sq_r[rows], s2)[0] @ r
+        b2, over2 = _clip_scales(sq_r, s2)
+        clip2 = float(np.mean(over2))
+        if len(explicit) == 0 and not over2.any():
+            # every weight is one: the plain column sum, bitwise G.sum(axis=0)
+            g_sum = g.sum(axis=0)
+            weighted = g_sum
+        else:
+            b2[explicit] = 0.0
+            if basis is None:
+                weighted = b2 @ g
+            else:
+                g_sum, weighted = np.stack((np.ones(n), b2)) @ g
+        r_sum = _project_out(blocks, weighted)
+        if len(explicit):
+            r_sum = r_sum + explicit_sum
+        r_tilde = _perturb(r_sum, std2, rng)
+
+    error_rate = math.nan
+    if basis is not None:
+        error_rate = _error_rate(blocks, g.sum(axis=0) if g_sum is None else g_sum)
+
+    v_tilde = np.zeros(p)
+    if w_tilde is not None:
+        offset = 0
+        for cols, block in blocks:
+            k_g = block.shape[0]
+            v_tilde[cols] = w_tilde[offset : offset + k_g] @ block
+            offset += k_g
+    if r_tilde is not None:
+        v_tilde += r_tilde
+    v_tilde /= n
+
+    return PrivateRelease(
+        v_tilde=v_tilde,
+        w_tilde=w_tilde,
+        r_tilde=r_tilde,
+        k_effective=0 if basis is None else basis.k_effective,
+        clip_fraction_s1=clip1,
+        clip_fraction_s2=clip2,
+        projection_error_rate=error_rate,
+    )
 
 
 def gep_release(
@@ -265,38 +450,9 @@ def gep_release(
     rows at ``s1`` and residual rows at ``s2``, then perturb the two sums
     and recombine into ``v_tilde = (reconstruct(w_tilde) + r_tilde) / n``.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 2:
-        raise ValueError("per-sample gradients must form a matrix")
-    if g.shape[1] != basis.dim:
-        raise ValueError(f"gradients have {g.shape[1]} columns, basis spans {basis.dim}")
-    n = g.shape[0]
-    if n == 0:
-        raise ValueError("cannot release an empty batch")
-
-    w, r = basis.split(g)
-    w_hat = clip_rows(w, cfg.s1)
-    r_hat = clip_rows(r, cfg.s2)
-    w_sum = w_hat.sum(axis=0)
-    r_sum = r_hat.sum(axis=0)
-
-    block_mult = cfg.sigma * (math.sqrt(2.0) if cfg.release_mode == "joint" else 1.0)
-    w_tilde = w_sum + gaussian_noise(w_sum.shape, block_mult * cfg.s1, rng)
-    r_tilde = r_sum + gaussian_noise(r_sum.shape, block_mult * cfg.s2, rng)
-
-    if basis.k_effective == 0:
-        v_tilde = r_tilde / n
-    else:
-        v_tilde = (basis.reconstruct(w_tilde) + r_tilde) / n
-
-    return PrivateRelease(
-        v_tilde=v_tilde,
-        w_tilde=w_tilde,
-        r_tilde=r_tilde,
-        k_effective=basis.k_effective,
-        clip_fraction_s1=_clip_stats(w, cfg.s1),
-        clip_fraction_s2=_clip_stats(r, cfg.s2),
-        projection_error_rate=_raw_error_rate(g, r),
+    block, _ = noise_multipliers(cfg.sigma, cfg.release_mode, 2)
+    return _release(
+        g, basis, (cfg.s1, block * cfg.s1), (cfg.s2, block * cfg.s2), rng
     )
 
 
@@ -313,33 +469,8 @@ def bgep_release(
     the residual is dropped, so the estimate converges to the batch
     gradient minus the mean residual rather than the batch gradient.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 2:
-        raise ValueError("per-sample gradients must form a matrix")
-    if g.shape[1] != basis.dim:
-        raise ValueError(f"gradients have {g.shape[1]} columns, basis spans {basis.dim}")
-    n = g.shape[0]
-    if n == 0:
-        raise ValueError("cannot release an empty batch")
-
-    w, r = basis.split(g)
-    w_hat = clip_rows(w, cfg.s1)
-    w_sum = w_hat.sum(axis=0)
-    w_tilde = w_sum + gaussian_noise(w_sum.shape, cfg.sigma * cfg.s1, rng)
-    if basis.k_effective == 0:
-        u_tilde = np.zeros(basis.dim)
-    else:
-        u_tilde = basis.reconstruct(w_tilde) / n
-
-    return PrivateRelease(
-        v_tilde=u_tilde,
-        w_tilde=w_tilde,
-        r_tilde=None,
-        k_effective=basis.k_effective,
-        clip_fraction_s1=_clip_stats(w, cfg.s1),
-        clip_fraction_s2=math.nan,
-        projection_error_rate=_raw_error_rate(g, r),
-    )
+    block, _ = noise_multipliers(cfg.sigma, cfg.release_mode, 1)
+    return _release(g, basis, (cfg.s1, block * cfg.s1), None, rng)
 
 
 def gp_release(
@@ -349,17 +480,12 @@ def gp_release(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Classic gradient perturbation: clip rows, sum, add isotropic noise."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 2:
-        raise ValueError("per-sample gradients must form a matrix")
-    n = g.shape[0]
-    if n == 0:
-        raise ValueError("cannot release an empty batch")
+    if s <= 0:
+        raise ValueError(f"clipping threshold must be positive, got {s}")
     if sigma < 0:
         raise ValueError("sigma must be calibrated to a value >= 0")
-    clipped = clip_rows(g, s)
-    total = clipped.sum(axis=0)
-    return (total + gaussian_noise(total.shape, sigma * s, rng)) / n
+    block, _ = noise_multipliers(sigma, "joint", 1)
+    return _release(g, None, None, (s, block * s), rng).v_tilde
 
 
 def projection_error_rate(g: np.ndarray, basis: AnchorBasis) -> float:
@@ -371,8 +497,11 @@ def projection_error_rate(g: np.ndarray, basis: AnchorBasis) -> float:
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError("per-sample gradients must form a matrix")
-    _, r = basis.split(g)
-    rate = _raw_error_rate(g, r)
+    if g.shape[1] != basis.dim:
+        raise ValueError(
+            f"gradients have {g.shape[1]} columns, basis spans {basis.dim}"
+        )
+    rate = _error_rate(_active_blocks(basis), g.sum(axis=0))
     if math.isnan(rate):
         raise ValueError("projection error rate is undefined for a zero mean gradient")
     return rate

@@ -23,14 +23,15 @@ from .accounting import (
     subsampled_gaussian_curve,
 )
 from .data import Dataset
-from .linalg import RandomStream, row_norms, stable_rank
+from .linalg import RandomStream, stable_rank
 from .models import ModelSpec, evaluate, make_group_layout, per_sample_gradients
 from .release import (
     GepConfig,
+    _release,
     bgep_release,
     build_anchor_basis,
     gep_release,
-    gp_release,
+    noise_multipliers,
 )
 
 __all__ = [
@@ -170,10 +171,9 @@ def optimizer_step(
     return theta, velocity
 
 
-def _single_release_method(cfg: TrainConfig) -> bool:
-    if cfg.method in ("gp", "bgep"):
-        return True
-    return cfg.gep.release_mode == "joint"
+def _released_parts(cfg: TrainConfig) -> int:
+    """Sums perturbed per step: embedding and residual for gep, one otherwise."""
+    return 2 if cfg.method in ("gep", "random-basis-gep") else 1
 
 
 def effective_step_multiplier(cfg: TrainConfig, sigma: float) -> float:
@@ -182,20 +182,17 @@ def effective_step_multiplier(cfg: TrainConfig, sigma: float) -> float:
     A step that makes two separate releases at multiplier ``sigma`` is the
     same Gaussian mechanism as a single normalized release at
     ``sigma / sqrt(2)``; single-release methods (gp, bgep, joint-mode gep)
-    spend ``sigma`` directly.
+    spend ``sigma`` directly.  See :func:`gep.release.noise_multipliers`.
     """
-    if _single_release_method(cfg):
-        return sigma
-    return sigma / math.sqrt(2.0)
+    return noise_multipliers(sigma, cfg.gep.release_mode, _released_parts(cfg))[1]
 
 
 def calibrate_noise_multiplier(cfg: TrainConfig) -> float:
     """Smallest noise multiplier that keeps the whole run within budget."""
     q = cfg.q if cfg.batch == "poisson" else 1.0
     step_sigma = calibrate_sigma_search(cfg.budget, q, max(cfg.steps, 1))
-    if _single_release_method(cfg):
-        return step_sigma
-    return math.sqrt(2.0) * step_sigma
+    # the step multiplier is linear in sigma: invert it at sigma = 1
+    return step_sigma / effective_step_multiplier(cfg, 1.0)
 
 
 def _epsilon_schedule(cfg: TrainConfig, sigma: float) -> list[float]:
@@ -290,8 +287,13 @@ def dp_train(
             grads = per_sample_gradients(model_t, batch)
             noise_rng = stream.generator(t, PURPOSE_NOISE)
             if cfg.method == "gp":
-                update = gp_release(grads, gep_cfg.s1, sigma, noise_rng)
-                clip1 = float(np.mean(row_norms(grads) > gep_cfg.s1))
+                # gp clips whole rows at s1: the residual release of no basis
+                block, _ = noise_multipliers(sigma, gep_cfg.release_mode, 1)
+                rel = _release(
+                    grads, None, None, (gep_cfg.s1, block * gep_cfg.s1), noise_rng
+                )
+                update = rel.v_tilde
+                clip1 = rel.clip_fraction_s2
                 if cfg.track_spectra:
                     sr_g = stable_rank(grads)
             else:
@@ -344,9 +346,9 @@ def gd_train(
 ) -> tuple[ModelSpec, list[StepMetrics]]:
     """Non-private full-batch gradient descent with the same optimizer.
 
-    The batch gradient is the mean of the per-sample rows, computed as
-    their sum divided by the batch size, which is exactly what the
-    noiseless private path reduces to.
+    The batch gradient is the mean of the per-sample rows, computed by
+    the private release kernel with no clipping and no noise, so it is
+    exactly what the noiseless private path reduces to.
     """
     theta = cfg.model.theta.copy()
     velocity = np.zeros_like(theta)
@@ -355,7 +357,7 @@ def gd_train(
     for t in range(cfg.steps):
         model_t = cfg.model.with_theta(theta)
         grads = per_sample_gradients(model_t, private)
-        update = grads.sum(axis=0) / private.n
+        update = _release(grads, None, None, (math.inf, 0.0), None).v_tilde
         theta, velocity = optimizer_step(
             theta, velocity, update, _lr_at(cfg, t), cfg.momentum, cfg.weight_decay
         )

@@ -1,12 +1,21 @@
 """Release mechanism tests: basis construction, perturbation, baselines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gep.linalg import RandomStream, clip_rows, orthonormalize_rows, row_norms
-from gep.models import GroupLayout, ParamGroup, per_sample_gradients
+from gep.linalg import (
+    RandomStream,
+    clip_rows,
+    gaussian_noise,
+    orthonormalize_rows,
+    row_norms,
+)
+from gep.models import GroupLayout, ParamGroup, make_group_layout, per_sample_gradients
 from gep.release import (
     AnchorBasis,
     GepConfig,
@@ -14,10 +23,11 @@ from gep.release import (
     build_anchor_basis,
     gep_release,
     gp_release,
+    noise_multipliers,
     projection_error_rate,
     single_group_layout,
 )
-from gep.tasks import lowrank_regression_task
+from gep.tasks import logistic_mixture_task, lowrank_regression_task, mlp_cluster_task
 
 
 def make_cfg(**kwargs):
@@ -362,3 +372,165 @@ def test_release_validation_errors():
         GepConfig(k=2, m=4, sigma=-1.0)
     with pytest.raises(ValueError):
         gp_release(np.ones((2, 3)), 1.0, -0.5, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        gp_release(np.ones((2, 3)), 0.0, 1.0, np.random.default_rng(0))
+    bad = np.ones((3, 10))
+    bad[1, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        gep_release(bad, basis, cfg, np.random.default_rng(0))
+    bad[1, 4] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        gp_release(bad, 1.0, 0.0, np.random.default_rng(0))
+
+
+def test_noise_multipliers():
+    root2 = math.sqrt(2.0)
+    assert noise_multipliers(1.5, "joint", 2) == (1.5 * root2, 1.5)
+    assert noise_multipliers(1.5, "separate", 2) == (1.5, 1.5 / root2)
+    for mode in ("joint", "separate"):
+        assert noise_multipliers(1.5, mode, 1) == (1.5, 1.5)
+    with pytest.raises(ValueError):
+        noise_multipliers(1.0, "both", 2)
+
+
+def oracle_release(g, basis, cfg, rng, with_residual):
+    """Explicit split, clip, sum and noise: the reference for the kernel."""
+    w, r = basis.split(g)
+    block = cfg.sigma
+    if with_residual and cfg.release_mode == "joint":
+        block *= math.sqrt(2.0)
+    w_sum = clip_rows(w, cfg.s1).sum(axis=0)
+    v = basis.reconstruct(w_sum + gaussian_noise(w_sum.shape, block * cfg.s1, rng))
+    if with_residual:
+        r_sum = clip_rows(r, cfg.s2).sum(axis=0)
+        v = v + r_sum + gaussian_noise(r_sum.shape, block * cfg.s2, rng)
+    return v / g.shape[0]
+
+
+MODEL_TASKS = {
+    "logistic": lambda: logistic_mixture_task(
+        3, n=120, input_dim=29, m_aux=40, n_eval=10
+    ),
+    "linear": lambda: lowrank_regression_task(
+        3, n=120, input_dim=39, rank=4, tail=0.3, m_aux=40
+    ),
+    "mlp": lambda: mlp_cluster_task(
+        3, n=120, input_dim=8, classes=3, hidden_dim=12, m_aux=40
+    ),
+}
+
+
+@pytest.mark.parametrize("release_fn", [gep_release, bgep_release])
+@pytest.mark.parametrize("kind", sorted(MODEL_TASKS))
+def test_release_matches_explicit_oracle(kind, release_fn):
+    task = MODEL_TASKS[kind]()
+    assert task.model.kind == kind
+    g = per_sample_gradients(task.model, task.private)
+    anchor = per_sample_gradients(task.model, task.aux)
+    layout = make_group_layout(task.model, 6)
+    basis = build_anchor_basis(
+        anchor, layout, make_cfg(k=6, m=40, t=2), np.random.default_rng(40)
+    )
+    w, r = basis.split(g)
+    # thresholds at the median row norms: about half the rows clip
+    s1 = float(np.median(row_norms(w)))
+    s2 = float(np.median(row_norms(r)))
+    cfg = make_cfg(k=6, m=40, t=2, s1=s1, s2=s2, sigma=0.3)
+    with_residual = release_fn is gep_release
+
+    rel = release_fn(g, basis, cfg, np.random.default_rng(41))
+    expected = oracle_release(g, basis, cfg, np.random.default_rng(41), with_residual)
+    assert np.linalg.norm(rel.v_tilde - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert rel.clip_fraction_s1 == np.mean(row_norms(w) > s1)
+    if with_residual:
+        assert rel.clip_fraction_s2 == np.mean(row_norms(r) > s2)
+    g_bar = g.sum(axis=0)
+    assert rel.projection_error_rate == pytest.approx(
+        np.linalg.norm(r.sum(axis=0)) / np.linalg.norm(g_bar), rel=1e-10
+    )
+
+
+def test_tiny_residual_rows_clip_within_s2():
+    # residuals 1e-6 of the gradient norm: Pythagoras alone keeps only a
+    # few digits of ||r||^2, so these rows must go the explicit way
+    rng = np.random.default_rng(42)
+    g, anchor = exact_rank_gradients(rng, 40, 12, 60, 4)
+    layout = single_group_layout(60, 4)
+    basis = build_anchor_basis(
+        anchor, layout, make_cfg(k=4, m=12), np.random.default_rng(43)
+    )
+    noise = rng.standard_normal(g.shape)
+    noise -= basis.reconstruct(basis.project(noise))
+    g = g + 1e-6 * noise * (row_norms(g) / row_norms(noise))[:, None]
+    _, r = basis.split(g)
+    s2 = 0.5 * float(np.median(row_norms(r)))
+    cfg = make_cfg(k=4, m=12, s1=1e12, s2=s2, sigma=0.0)
+
+    for i in range(g.shape[0]):
+        row = gep_release(g[i : i + 1], basis, cfg, np.random.default_rng(0))
+        assert np.linalg.norm(row.r_tilde) <= s2 * (1 + 1e-12)
+    rel = gep_release(g, basis, cfg, np.random.default_rng(0))
+    expected = clip_rows(r, s2).sum(axis=0)
+    assert np.linalg.norm(rel.r_tilde - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert rel.clip_fraction_s2 == np.mean(row_norms(r) > s2)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        single_group_layout(400, 6),
+        GroupLayout((ParamGroup("a", 0, 300, 4), ParamGroup("b", 300, 100, 2))),
+    ],
+    ids=["one-group", "two-groups"],
+)
+def test_gep_release_builds_no_n_by_p_matrix(layout):
+    rng = np.random.default_rng(44)
+    g = rng.standard_normal((2000, 400))
+    # rows have norm ~20 with embeddings ~2.4: both thresholds clip
+    cfg = make_cfg(k=6, m=40, s1=2.0, s2=19.0, sigma=1.0)
+    basis = build_anchor_basis(
+        rng.standard_normal((40, 400)), layout, cfg, np.random.default_rng(45)
+    )
+    tracemalloc.start()
+    try:
+        rel = gep_release(g, basis, cfg, np.random.default_rng(46))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < rel.clip_fraction_s1 < 1.0 and 0.0 < rel.clip_fraction_s2 < 1.0
+    assert peak < 0.25 * g.nbytes
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    resid_log10=st.floats(-8.0, 1.0),
+    clip_q=st.floats(0.1, 0.9),
+)
+def test_one_row_moves_clipped_sums_by_at_most_threshold(seed, n, resid_log10, clip_q):
+    rng = np.random.default_rng(seed)
+    p, k = 30, 3
+    g, anchor = exact_rank_gradients(rng, n + 1, 10, p, k)
+    g *= 10.0 ** rng.uniform(-2.0, 2.0, size=(n + 1, 1))
+    # residual rows of relative size 10**resid_log10 around the rank-k part
+    scale = 10.0**resid_log10 / math.sqrt(p)
+    g += scale * row_norms(g)[:, None] * rng.standard_normal(g.shape)
+    layout = single_group_layout(p, k)
+    basis = build_anchor_basis(
+        anchor, layout, make_cfg(k=k, m=10), np.random.default_rng(seed)
+    )
+    w, r = basis.split(g)
+    s1 = float(np.quantile(row_norms(w), clip_q))
+    s2 = float(np.quantile(row_norms(r), clip_q))
+    s = float(np.quantile(row_norms(g), clip_q))
+    cfg = make_cfg(k=k, m=10, s1=s1, s2=s2, sigma=0.0)
+    full = gep_release(g, basis, cfg, np.random.default_rng(0))
+    gp_full = gp_release(g, s, 0.0, np.random.default_rng(0)) * (n + 1)
+    for i in range(n + 1):
+        rest = np.delete(g, i, axis=0)
+        reduced = gep_release(rest, basis, cfg, np.random.default_rng(0))
+        assert np.linalg.norm(full.w_tilde - reduced.w_tilde) <= s1 * (1 + 1e-12)
+        assert np.linalg.norm(full.r_tilde - reduced.r_tilde) <= s2 * (1 + 1e-12)
+        gp_reduced = gp_release(rest, s, 0.0, np.random.default_rng(0)) * n
+        assert np.linalg.norm(gp_full - gp_reduced) <= s * (1 + 1e-12)
