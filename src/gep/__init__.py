@@ -23,6 +23,8 @@ from .accounting import (
 )
 from .data import CsvParseError, Dataset, ingest_csv, synth_dataset
 from .linalg import (
+    FactoredGradients,
+    GradientPiece,
     RandomStream,
     clip_rows,
     count_flops,
@@ -39,6 +41,7 @@ from .models import (
     evaluate,
     init_model,
     make_group_layout,
+    per_sample_factors,
     per_sample_gradients,
 )
 from .release import (
@@ -71,7 +74,9 @@ __all__ = [
     "Dataset",
     "DivergenceError",
     "DpBudget",
+    "FactoredGradients",
     "GepConfig",
+    "GradientPiece",
     "GroupLayout",
     "MechanismSpec",
     "ModelSpec",
@@ -100,6 +105,7 @@ __all__ = [
     "make_group_layout",
     "optimizer_step",
     "orthonormalize_rows",
+    "per_sample_factors",
     "per_sample_gradients",
     "power_iteration_basis",
     "project_split",

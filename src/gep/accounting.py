@@ -8,6 +8,7 @@ regardless of ``s``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -186,13 +187,54 @@ def rdp_subsampled_gaussian(order: int, q: float, sigma: float) -> float:
     return float(logsumexp(log_terms)) / (a - 1)
 
 
+@functools.lru_cache(maxsize=8)
+def _log_binomials(orders: tuple[int, ...]) -> np.ndarray:
+    """``log C(a, j)`` for each order ``a`` (rows) and ``j = 0 .. max a``.
+
+    Entries with ``j > a`` are ``-inf``.  The table is read-only and cached
+    per order grid, which rarely changes.
+    """
+    a = np.asarray(orders, dtype=np.float64)[:, None]
+    j = np.arange(max(orders) + 1, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        table = gammaln(a + 1) - gammaln(j + 1) - gammaln(a - j + 1)
+    table[j > a] = -np.inf
+    table.flags.writeable = False
+    return table
+
+
 def subsampled_gaussian_curve(
     orders: Sequence[float], q: float, sigma: float
 ) -> RdpCurve:
-    """Subsampled-Gaussian cost across a grid (plain Gaussian when q == 1)."""
+    """Subsampled-Gaussian cost across a grid (plain Gaussian when q == 1).
+
+    Evaluates the bound of :func:`rdp_subsampled_gaussian` at every order
+    at once: one masked order x ``j`` table of log terms and one
+    ``logsumexp`` per row.
+    """
     if q == 1.0:
         return gaussian_curve(orders, 1.0, sigma)
-    return RdpCurve(orders, [rdp_subsampled_gaussian(o, q, sigma) for o in orders])
+    grid = np.asarray(orders, dtype=np.float64)
+    if grid.ndim != 1 or not np.all(np.equal(np.mod(grid, 1), 0)) or np.any(grid < 2):
+        raise ValueError(f"subsampled bound needs integer orders >= 2, got {orders}")
+    if not 0 <= q <= 1:
+        raise ValueError(f"sampling rate must lie in [0, 1], got {q}")
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
+    if q == 0:
+        return RdpCurve(grid, np.zeros(grid.size))
+    if sigma == 0:
+        return RdpCurve(grid, np.full(grid.size, math.inf))
+    log_binom = _log_binomials(tuple(int(a) for a in grid))
+    j = np.arange(log_binom.shape[1], dtype=np.float64)
+    a = grid[:, None]
+    log_terms = (
+        log_binom
+        + (a - j) * math.log1p(-q)
+        + j * math.log(q)
+        + j * (j - 1) / (2.0 * sigma * sigma)
+    )
+    return RdpCurve(grid, logsumexp(log_terms, axis=1) / (grid - 1))
 
 
 def rdp_compose(curves: Iterable[RdpCurve]) -> RdpCurve:

@@ -316,9 +316,13 @@ def train_command(
     os.makedirs(out_dir, exist_ok=True)
     runs = expand_runs(cfg)
     results = []
+    # the data config is fixed for the whole sweep: one task per aux.m
+    tasks: dict[int, TaskBundle] = {}
     try:
         for run in runs:
-            task = build_task(cfg.updated({"aux.m": run.m}), run.m)
+            if run.m not in tasks:
+                tasks[run.m] = build_task(cfg.updated({"aux.m": run.m}), run.m)
+            task = tasks[run.m]
             train_cfg = _train_config(cfg, run, task)
             model, steps = dp_train(train_cfg, task.private, task.eval)
             rows = [_record(run, step) for step in steps]

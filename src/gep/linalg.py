@@ -1,16 +1,23 @@
-"""Dense matrix kernels shared by the rest of the library.
+"""Matrix kernels shared by the rest of the library.
 
 All functions are pure: outputs depend only on explicit inputs, including
 the random generator handed in, so every caller can reproduce results
 bit-for-bit from a seed.  Matrices are plain float64 numpy arrays with one
 row per sample / basis vector.
+
+Per-sample gradients travel as :class:`FactoredGradients`: every block of
+a gradient row is an outer product ``delta_i (x) a_i`` of a backpropagated
+error and a layer input, so the kernels work on the factors and never
+form the n x p gradient matrix.  A dense matrix is the trivial case of one
+piece with ``a = 1`` (see :func:`as_factors`).
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import warnings
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,6 +25,9 @@ __all__ = [
     "RandomStream",
     "FlopCounter",
     "count_flops",
+    "GradientPiece",
+    "FactoredGradients",
+    "as_factors",
     "orthonormalize_rows",
     "power_iteration_basis",
     "project_split",
@@ -116,6 +126,204 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", m, m))
 
 
+class GradientPiece(NamedTuple):
+    """One outer-product block of a batch of per-sample gradients.
+
+    Row ``i`` of the block is ``delta[i] (x) act[i]``, the ``c x a`` outer
+    product flattened row-major into the ``c * a`` columns starting at
+    ``offset``.  ``act=None`` stands for ``a = 1``: the block is ``delta``
+    itself (bias vectors, or a dense matrix).
+    """
+
+    offset: int
+    delta: np.ndarray
+    act: np.ndarray | None = None
+
+    @property
+    def width(self) -> int:
+        a = 1 if self.act is None else self.act.shape[1]
+        return self.delta.shape[1] * a
+
+
+class FactoredGradients:
+    """An n x p matrix of per-sample gradients held as outer-product pieces.
+
+    The pieces tile the columns ``0 .. p`` in order.  Every kernel below
+    works piece by piece through these identities, where ``g_i`` is row
+    ``i`` and ``M_j`` is row ``j`` of a basis restricted to a piece and
+    reshaped to ``c x a``:
+
+    * squared norms: ``||g_i||^2 = sum over pieces of ||delta_i||^2 ||a_i||^2``;
+    * embedding: ``(G B^T)_ij = sum over pieces of delta_i^T M_j a_i``;
+    * weighted sums: ``sum_i b_i g_i = (delta o b)^T a`` per piece;
+    * back-projection: ``(W^T G)_j = sum_i W_ij delta_i (x) a_i`` per piece.
+
+    The embedding and the back-projection each run as one GEMM that
+    contracts the larger of ``c`` and ``a``, with an ``n x k x min(c, a)``
+    temporary, and count ``n * k * c * a`` multiply-adds, the same as the
+    dense product.
+    """
+
+    def __init__(self, pieces: Sequence[GradientPiece], p: int):
+        pieces = tuple(pieces)
+        if not pieces:
+            raise ValueError("factored gradients need at least one piece")
+        n = pieces[0].delta.shape[0]
+        offset = 0
+        for piece in pieces:
+            if piece.delta.ndim != 2 or piece.delta.shape[0] != n:
+                raise ValueError(f"piece delta must be {n} x c, got {piece.delta.shape}")
+            if piece.act is not None and (piece.act.ndim != 2 or piece.act.shape[0] != n):
+                raise ValueError(f"piece act must be {n} x a, got {piece.act.shape}")
+            if piece.offset != offset:
+                raise ValueError("pieces must tile the columns in order")
+            offset += piece.width
+        if offset != p:
+            raise ValueError(f"pieces cover {offset} columns, expected {p}")
+        self.pieces = pieces
+        self.n = n
+        self.p = p
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n, self.p
+
+    def sq_norms(self) -> np.ndarray:
+        """``||g_i||^2`` for every row; ValueError unless all are finite.
+
+        A non-finite factor entry makes its rows' norms non-finite, so this
+        is the one finiteness check an entry point needs.
+        """
+        sq = np.zeros(self.n)
+        for piece in self.pieces:
+            part = np.einsum("ij,ij->i", piece.delta, piece.delta)
+            if piece.act is not None:
+                part *= np.einsum("ij,ij->i", piece.act, piece.act)
+            sq += part
+        if not np.all(np.isfinite(sq)):
+            for piece in self.pieces:
+                for factor in (piece.delta, piece.act):
+                    if factor is not None and not np.all(np.isfinite(factor)):
+                        raise ValueError("per-sample gradients contain non-finite entries")
+            raise ValueError("per-sample gradient row norms overflow float64")
+        return sq
+
+    def columns(self, lo: int, hi: int) -> FactoredGradients:
+        """The gradients restricted to columns ``lo .. hi``.
+
+        A cut may fall anywhere in an ``a = 1`` piece and only between
+        rows of the ``c x a`` block otherwise.
+        """
+        out = []
+        for piece in self.pieces:
+            start = max(lo, piece.offset)
+            stop = min(hi, piece.offset + piece.width)
+            if start >= stop:
+                continue
+            a = 1 if piece.act is None else piece.act.shape[1]
+            first, cut_lo = divmod(start - piece.offset, a)
+            last, cut_hi = divmod(stop - piece.offset, a)
+            if cut_lo or cut_hi:
+                raise ValueError(
+                    f"columns {lo}:{hi} cut through a row of the "
+                    f"{piece.delta.shape[1]} x {a} gradient piece at {piece.offset}"
+                )
+            out.append(GradientPiece(start - lo, piece.delta[:, first:last], piece.act))
+        return FactoredGradients(out, hi - lo)
+
+    def embed(self, basis: np.ndarray) -> np.ndarray:
+        """``G B^T`` (n x k) for a ``k x p`` basis."""
+        w = None
+        for piece in self.pieces:
+            part = _embed_piece(piece, basis[:, piece.offset : piece.offset + piece.width])
+            w = part if w is None else w + part
+        return w
+
+    def back_project(self, w: np.ndarray) -> np.ndarray:
+        """``W^T G`` (k x p) for an ``n x k`` matrix ``w``."""
+        out = np.empty((w.shape[1], self.p))
+        for piece in self.pieces:
+            out[:, piece.offset : piece.offset + piece.width] = _back_project_piece(piece, w)
+        return out
+
+    def weighted_sum(self, weights: np.ndarray | None = None) -> np.ndarray:
+        """``sum_i weights_i g_i``; with no weights the plain column sum.
+
+        The plain sum of an ``a = 1`` piece is bitwise ``delta.sum(axis=0)``,
+        so a wrapped dense matrix sums exactly as ``G.sum(axis=0)``.
+        """
+        out = np.empty(self.p)
+        for piece in self.pieces:
+            cols = slice(piece.offset, piece.offset + piece.width)
+            if piece.act is None:
+                out[cols] = piece.delta.sum(axis=0) if weights is None else weights @ piece.delta
+            else:
+                delta = piece.delta if weights is None else piece.delta * weights[:, None]
+                out[cols] = (delta.T @ piece.act).ravel()
+        return out
+
+    def dense(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The gradient matrix, or only the given rows of it."""
+        pick = slice(None) if rows is None else rows
+        count = self.n if rows is None else len(rows)
+        out = np.empty((count, self.p))
+        for piece in self.pieces:
+            block = out[:, piece.offset : piece.offset + piece.width]
+            delta = piece.delta[pick]
+            if piece.act is None:
+                block[...] = delta
+            else:
+                act = piece.act[pick]
+                shape = (count, delta.shape[1], act.shape[1])
+                np.multiply(delta[:, :, None], act[:, None, :], out=block.reshape(shape))
+        return out
+
+
+def _embed_piece(piece: GradientPiece, basis: np.ndarray) -> np.ndarray:
+    # w_ij = delta_i^T M_j a_i: one GEMM contracting the larger side, then a
+    # row-wise reduction over the smaller one.
+    delta, act = piece.delta, piece.act
+    if act is None:
+        return _matmul(delta, basis.T)
+    n, c = delta.shape
+    a = act.shape[1]
+    k = basis.shape[0]
+    m = basis.reshape(k, c, a)
+    if a >= c:
+        t = _matmul(act, m.reshape(k * c, a).T)
+        return np.einsum("nkc,nc->nk", t.reshape(n, k, c), delta)
+    t = _matmul(delta, m.transpose(1, 0, 2).reshape(c, k * a))
+    return np.einsum("nka,na->nk", t.reshape(n, k, a), act)
+
+
+def _back_project_piece(piece: GradientPiece, w: np.ndarray) -> np.ndarray:
+    # (W^T G)_j = sum_i w_ij delta_i (x) a_i: scale the smaller factor by w,
+    # then one GEMM against the larger.
+    delta, act = piece.delta, piece.act
+    if act is None:
+        return _matmul(w.T, delta)
+    n, c = delta.shape
+    a = act.shape[1]
+    k = w.shape[1]
+    if a >= c:
+        u = (w[:, :, None] * delta[:, None, :]).reshape(n, k * c)
+        return _matmul(u.T, act).reshape(k, c * a)
+    v = (w[:, :, None] * act[:, None, :]).reshape(n, k * a)
+    out = _matmul(delta.T, v).reshape(c, k, a)
+    return out.transpose(1, 0, 2).reshape(k, c * a)
+
+
+def as_factors(g: np.ndarray | FactoredGradients) -> FactoredGradients:
+    """Factored gradients as given, or a dense matrix through the trivial
+    wrap: one piece with ``a = 1``."""
+    if isinstance(g, FactoredGradients):
+        return g
+    g = np.asarray(g, dtype=np.float64)
+    if g.ndim != 2:
+        raise ValueError(f"per-sample gradients must form a matrix, got shape {g.shape}")
+    return FactoredGradients((GradientPiece(0, g),), g.shape[1])
+
+
 def orthonormalize_rows(
     m: np.ndarray, tol: float = DEFAULT_ORTHO_TOL
 ) -> tuple[np.ndarray, int]:
@@ -126,39 +334,43 @@ def orthonormalize_rows(
     component orthogonal to the previously accepted rows has norm below
     ``tol`` (scaled by the row's own norm when that exceeds one) is
     dropped.  Returns the orthonormal matrix and the number of surviving
-    rows.
+    rows.  A row with a non-finite norm raises ValueError.
     """
-    m = _as_matrix(m, "m")
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"m must be 2-dimensional, got shape {m.shape}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n_rows, n_cols = m.shape
     if n_rows == 0 or n_cols == 0:
         return np.zeros((0, n_cols)), 0
 
-    accepted: list[np.ndarray] = []
+    # accepted rows fill q from the top; CGS2 runs against the prefix
+    q = np.empty((n_rows, n_cols))
+    count = 0
     for i in range(n_rows):
         v = m[i].copy()
         _macs(2 * n_cols)
         scale = float(np.linalg.norm(v))
+        if not math.isfinite(scale):
+            raise ValueError(f"row {i} of m is not finite or its norm overflows")
         for _ in range(2):
-            if accepted:
-                q = np.array(accepted)
-                coeffs = _matmul(q, v)
-                v = v - _matmul(q.T, coeffs)
+            if count:
+                prefix = q[:count]
+                coeffs = _matmul(prefix, v)
+                v = v - _matmul(prefix.T, coeffs)
         _macs(2 * n_cols)
         norm = float(np.linalg.norm(v))
         if norm < tol * max(1.0, scale):
             continue
         _macs(n_cols)
-        accepted.append(v / norm)
-
-    if not accepted:
-        return np.zeros((0, n_cols)), 0
-    return np.array(accepted), len(accepted)
+        q[count] = v / norm
+        count += 1
+    return q[:count], count
 
 
 def power_iteration_basis(
-    g_a: np.ndarray,
+    g_a: np.ndarray | FactoredGradients,
     k: int,
     t: int,
     rng: np.random.Generator,
@@ -166,16 +378,18 @@ def power_iteration_basis(
 ) -> np.ndarray:
     """Estimate an orthonormal basis of the top-``k`` right singular subspace.
 
-    Runs ``t`` rounds of subspace iteration on ``g_a`` (rows are samples):
-    starting from a Gaussian ``k x p`` matrix ``b``, repeat
-    ``b <- (g_a b^T)^T g_a`` followed by row orthonormalization.  Rows that
-    collapse during orthonormalization are dropped, so the returned basis
-    may have fewer than ``k`` rows when ``g_a`` is rank deficient.
+    Runs ``t`` rounds of subspace iteration on ``g_a`` (rows are samples,
+    factored or dense): starting from a Gaussian ``k x p`` matrix ``b``,
+    repeat ``b <- (g_a b^T)^T g_a`` followed by row orthonormalization.
+    Rows that collapse during orthonormalization are dropped, so the
+    returned basis may have fewer than ``k`` rows when ``g_a`` is rank
+    deficient.  The input is validated once, from its row norms.
 
     ``k`` larger than ``min(m, p)`` is clamped with a warning; an all-zero
     input yields an empty basis.
     """
-    g_a = _as_matrix(g_a, "g_a")
+    g_a = as_factors(g_a)
+    sq = g_a.sq_norms()
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if t < 1:
@@ -189,13 +403,12 @@ def power_iteration_basis(
             stacklevel=2,
         )
         k = k_max
-    if k == 0 or not np.any(g_a):
+    if k == 0 or not np.any(sq):
         return np.zeros((0, p))
 
     basis = rng.standard_normal((k, p))
     for _ in range(t):
-        a = _matmul(g_a, basis.T)
-        basis = _matmul(a.T, g_a)
+        basis = g_a.back_project(g_a.embed(basis))
         basis, rank = orthonormalize_rows(basis, tol)
         if rank == 0:
             break

@@ -11,6 +11,12 @@ Three model families are supported, all over a flat parameter vector:
 
 The tanh activation keeps every loss smooth, so gradients can be checked
 against central finite differences.
+
+Every per-sample gradient block of these models is an outer product
+``delta_i (x) a_i`` of the backpropagated error at a layer's output and
+that layer's input (``a = 1`` for a bias vector), so the backward pass
+returns the factors (:func:`per_sample_factors`) and the n x p matrix is
+only formed on request (:func:`per_sample_gradients`).
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
+from .linalg import FactoredGradients, GradientPiece
 
 __all__ = [
     "ModelSpec",
@@ -28,6 +35,7 @@ __all__ = [
     "GroupLayout",
     "param_count",
     "init_model",
+    "per_sample_factors",
     "per_sample_gradients",
     "evaluate",
     "allocate_basis_counts",
@@ -177,11 +185,19 @@ def _mlp_unpack(model: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return w1, b1, w2, b2
 
 
-def per_sample_gradients(model: ModelSpec, batch: Dataset) -> np.ndarray:
-    """Gradient of each sample's loss w.r.t. the flat parameters.
+def per_sample_factors(model: ModelSpec, batch: Dataset) -> FactoredGradients:
+    """Per-sample gradients w.r.t. the flat parameters, as outer products.
 
-    Returns an ``n x p`` matrix whose row mean equals the gradient of the
-    mean batch loss.
+    The pieces, in parameter order:
+
+    * ``linear``: ``resid (x) [x, 1]``;
+    * ``logistic``: ``(probs - onehot) (x) [x, 1]``, a ``c x (d + 1)`` block;
+    * ``mlp``: ``delta1 (x) x`` and ``delta1`` for the first layer, then
+      ``delta2 (x) hidden`` and ``delta2`` for the second, where
+      ``delta2 = probs - onehot`` and
+      ``delta1 = (delta2 W2) * (1 - hidden^2)``.
+
+    Each piece lies inside one group of :func:`make_group_layout`.
     """
     _check_batch(model, batch)
     x = batch.features
@@ -191,32 +207,43 @@ def per_sample_gradients(model: ModelSpec, batch: Dataset) -> np.ndarray:
         x1 = _augment(x)
         y = np.asarray(batch.labels, dtype=np.float64)
         resid = x1 @ model.theta - y
-        return resid[:, None] * x1
+        return FactoredGradients((GradientPiece(0, resid[:, None], x1),), model.p)
 
     if model.kind == "logistic":
         x1 = _augment(x)
         y = _class_labels(model, batch)
         c = model.output_dim
         w = model.theta.reshape(c, model.input_dim + 1)
-        probs = _softmax(x1 @ w.T)
-        delta = probs.copy()
+        delta = _softmax(x1 @ w.T)
         delta[np.arange(n), y] -= 1.0
-        grads = np.einsum("nc,nd->ncd", delta, x1)
-        return grads.reshape(n, -1)
+        return FactoredGradients((GradientPiece(0, delta, x1),), model.p)
 
     # mlp
     y = _class_labels(model, batch)
     w1, b1, w2, b2 = _mlp_unpack(model)
     hidden = np.tanh(x @ w1.T + b1)
-    probs = _softmax(hidden @ w2.T + b2)
-    delta2 = probs.copy()
+    delta2 = _softmax(hidden @ w2.T + b2)
     delta2[np.arange(n), y] -= 1.0
-    grad_w2 = np.einsum("nc,nh->nch", delta2, hidden)
     delta1 = (delta2 @ w2) * (1.0 - hidden * hidden)
-    grad_w1 = np.einsum("nh,nd->nhd", delta1, x)
-    return np.concatenate(
-        [grad_w1.reshape(n, -1), delta1, grad_w2.reshape(n, -1), delta2], axis=1
+    h, d = w1.shape
+    second = h * d + h
+    pieces = (
+        GradientPiece(0, delta1, x),
+        GradientPiece(h * d, delta1),
+        GradientPiece(second, delta2, hidden),
+        GradientPiece(second + delta2.shape[1] * h, delta2),
     )
+    return FactoredGradients(pieces, model.p)
+
+
+def per_sample_gradients(model: ModelSpec, batch: Dataset) -> np.ndarray:
+    """Gradient of each sample's loss w.r.t. the flat parameters.
+
+    Returns an ``n x p`` matrix whose row mean equals the gradient of the
+    mean batch loss: the dense form of :func:`per_sample_factors`, kept as
+    the reference that tests check against finite differences.
+    """
+    return per_sample_factors(model, batch).dense()
 
 
 def evaluate(model: ModelSpec, data: Dataset) -> tuple[float, float]:

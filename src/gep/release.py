@@ -1,6 +1,6 @@
 """Private gradient releases built on anchor-subspace embeddings.
 
-One release turns a matrix of per-sample gradients ``G`` (n x p) into a
+One release turns a batch of per-sample gradients ``G`` (n x p) into a
 single private estimate of the batch gradient:
 
 1. project each gradient onto an orthonormal basis ``B`` estimated from
@@ -17,15 +17,21 @@ noise, and ``gp`` is the classic full-dimensional baseline, the residual
 release of an empty basis.  All three run through one kernel,
 ``_release``.
 
-The kernel never forms an n x p matrix.  Per parameter group it builds
-only the n x k embedding ``W = G B^T`` and relies on three identities that
-hold because ``B`` has orthonormal rows, with ``P v = v - B^T (B v)`` the
-projection of a single p-vector off the basis:
+The kernel takes the gradients in factored form
+(:class:`gep.linalg.FactoredGradients`): each block of ``g_i`` is an
+outer product ``delta_i (x) a_i``, and a dense matrix enters as the
+trivial wrap with ``a = 1``.  It never forms an n x p matrix.  Row norms
+come from ``||delta_i||^2 ||a_i||^2``, weighted sums from
+``(delta o b)^T a``, and per parameter group it builds only the n x k
+embedding ``W = G B^T``, as one GEMM per piece that contracts the larger
+of ``delta``'s and ``a``'s widths and then reduces over the smaller.  The
+rest follows from three identities that hold because ``B`` has
+orthonormal rows, with ``P v = v - B^T (B v)`` the projection of a single
+p-vector off the basis:
 
 * residual norms by Pythagoras: ``||r_i||^2 = ||g_i||^2 - ||w_i||^2``;
 * the clipped residual sum: ``sum_i b_i r_i = P(G^T b)``, where ``b``
-  holds the residual clip scales, so one 2 x n product ``[1; b]^T G``
-  yields it together with the batch sum;
+  holds the residual clip scales;
 * the projection-error diagnostic: ``sum_i r_i = P(G^T 1)``.
 
 Cancellation guard: the difference ``||g_i||^2 - ||w_i||^2`` carries an
@@ -33,10 +39,11 @@ error of a few ulps of ``||g_i||^2``, and ``P(G^T b)`` one of a few ulps
 of ``b_i ||g_i||``, both large next to ``||r_i||`` when the residual is
 small.  Rows whose Pythagorean residual keeps less than
 ``RESIDUAL_GUARD`` of ``||g_i||^2`` (residual below 10 % of the gradient
-norm) therefore have their residuals recomputed explicitly, in chunks of
-bounded size, and their clipped residuals summed directly.  Every other
-row's residual norm is then accurate to about ``10 * eps / RESIDUAL_GUARD``
-(2e-13) relative, and its share of the rounding in ``P(G^T b)`` is at most
+norm) therefore have their gradient rows materialized and their residuals
+recomputed explicitly, in chunks of bounded size, and their clipped
+residuals summed directly.  Every other row's residual norm is then
+accurate to about ``10 * eps / RESIDUAL_GUARD`` (2e-13) relative, and its
+share of the rounding in ``P(G^T b)`` is at most
 ``1 / sqrt(RESIDUAL_GUARD)`` = 10 ulps of ``s2``, so the ``s2``
 sensitivity bound holds to rounding.
 """
@@ -50,6 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    FactoredGradients,
+    as_factors,
     gaussian_noise,
     orthonormalize_rows,
     power_iteration_basis,
@@ -226,7 +235,7 @@ def single_group_layout(p: int, k: int, name: str = "all") -> GroupLayout:
 
 
 def build_anchor_basis(
-    anchor_grads: np.ndarray,
+    anchor_grads: np.ndarray | FactoredGradients,
     layout: GroupLayout,
     cfg: GepConfig,
     rng: np.random.Generator,
@@ -234,18 +243,18 @@ def build_anchor_basis(
     """Estimate one orthonormal basis per parameter group.
 
     With ``basis_mode="power"`` each group runs ``cfg.t`` rounds of power
-    iteration on its column slice of the anchor gradients; with
-    ``"random"`` the blocks are orthonormalized Gaussian draws (the
-    random-projection baseline).  The anchor gradients are not needed
-    after this call and may be discarded by the caller.
+    iteration on its columns of the anchor gradients (factored, or a dense
+    ``m x p`` matrix); with ``"random"`` the blocks are orthonormalized
+    Gaussian draws (the random-projection baseline).  The anchor gradients
+    are not needed after this call and may be discarded by the caller.
     """
-    anchor_grads = np.asarray(anchor_grads, dtype=np.float64)
-    if anchor_grads.ndim != 2 or anchor_grads.shape[1] != layout.dim:
+    anchor_grads = as_factors(anchor_grads)
+    if anchor_grads.p != layout.dim:
         raise ValueError(
             f"anchor gradients have shape {anchor_grads.shape}, expected "
             f"(m, {layout.dim})"
         )
-    m = anchor_grads.shape[0]
+    m = anchor_grads.n
     max_quota = max(g.k_alloc for g in layout.groups)
     if cfg.basis_mode == "power" and m < max_quota:
         warnings.warn(
@@ -256,10 +265,12 @@ def build_anchor_basis(
         )
     blocks = []
     for group in layout.groups:
-        cols = slice(group.offset, group.offset + group.length)
         if cfg.basis_mode == "power":
             block = power_iteration_basis(
-                anchor_grads[:, cols], group.k_alloc, cfg.t, rng
+                anchor_grads.columns(group.offset, group.offset + group.length),
+                group.k_alloc,
+                cfg.t,
+                rng,
             )
         else:
             k_g = min(group.k_alloc, group.length)
@@ -334,7 +345,7 @@ def _perturb(
 
 
 def _release(
-    g: np.ndarray,
+    g: FactoredGradients,
     basis: AnchorBasis | None,
     embedding: tuple[float, float] | None,
     residual: tuple[float, float] | None,
@@ -347,24 +358,17 @@ def _release(
     basis: every row is all residual and no projection diagnostic is
     computed.  Noise is drawn from ``rng`` for the embedding, then for the
     residual; a part with noise std 0 draws none.  See the module docstring
-    for the matrix-free identities and the cancellation guard.
+    for the factored identities and the cancellation guard.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 2:
-        raise ValueError("per-sample gradients must form a matrix")
     n, p = g.shape
     if n == 0:
         raise ValueError("cannot release an empty batch")
     if basis is not None and p != basis.dim:
         raise ValueError(f"gradients have {p} columns, basis spans {basis.dim}")
-    sq = np.einsum("ij,ij->i", g, g)
-    if not np.all(np.isfinite(sq)):
-        if not np.all(np.isfinite(g)):
-            raise ValueError("per-sample gradients contain non-finite entries")
-        raise ValueError("per-sample gradient row norms overflow float64")
+    sq = g.sq_norms()
 
     blocks = [] if basis is None else _active_blocks(basis)
-    w_parts = [g[:, cols] @ block.T for cols, block in blocks]
+    w_parts = [g.columns(cols.start, cols.stop).embed(block) for cols, block in blocks]
     sq_w = np.zeros(n)
     for w in w_parts:
         sq_w += np.einsum("ij,ij->i", w, w)
@@ -389,7 +393,7 @@ def _release(
         chunk = max(1, _CHUNK_ELEMENTS // p)
         for start in range(0, len(explicit), chunk):
             rows = explicit[start : start + chunk]
-            r = g[rows]
+            r = g.dense(rows)
             for (cols, block), w in zip(blocks, w_parts):
                 r[:, cols] -= w[rows] @ block
             sq_r[rows] = np.einsum("ij,ij->i", r, r)
@@ -397,15 +401,12 @@ def _release(
         b2, over2 = _clip_scales(sq_r, s2)
         clip2 = float(np.mean(over2))
         if len(explicit) == 0 and not over2.any():
-            # every weight is one: the plain column sum, bitwise G.sum(axis=0)
-            g_sum = g.sum(axis=0)
+            # every weight is one: the plain column sum
+            g_sum = g.weighted_sum()
             weighted = g_sum
         else:
             b2[explicit] = 0.0
-            if basis is None:
-                weighted = b2 @ g
-            else:
-                g_sum, weighted = np.stack((np.ones(n), b2)) @ g
+            weighted = g.weighted_sum(b2)
         r_sum = _project_out(blocks, weighted)
         if len(explicit):
             r_sum = r_sum + explicit_sum
@@ -413,7 +414,7 @@ def _release(
 
     error_rate = math.nan
     if basis is not None:
-        error_rate = _error_rate(blocks, g.sum(axis=0) if g_sum is None else g_sum)
+        error_rate = _error_rate(blocks, g.weighted_sum() if g_sum is None else g_sum)
 
     v_tilde = np.zeros(p)
     if w_tilde is not None:
@@ -438,7 +439,7 @@ def _release(
 
 
 def gep_release(
-    g: np.ndarray,
+    g: np.ndarray | FactoredGradients,
     basis: AnchorBasis,
     cfg: GepConfig,
     rng: np.random.Generator,
@@ -449,15 +450,16 @@ def gep_release(
     residual is taken against the unclipped embedding), clip the embedding
     rows at ``s1`` and residual rows at ``s2``, then perturb the two sums
     and recombine into ``v_tilde = (reconstruct(w_tilde) + r_tilde) / n``.
+    ``g`` is factored or a dense ``n x p`` matrix.
     """
     block, _ = noise_multipliers(cfg.sigma, cfg.release_mode, 2)
     return _release(
-        g, basis, (cfg.s1, block * cfg.s1), (cfg.s2, block * cfg.s2), rng
+        as_factors(g), basis, (cfg.s1, block * cfg.s1), (cfg.s2, block * cfg.s2), rng
     )
 
 
 def bgep_release(
-    g: np.ndarray,
+    g: np.ndarray | FactoredGradients,
     basis: AnchorBasis,
     cfg: GepConfig,
     rng: np.random.Generator,
@@ -470,11 +472,11 @@ def bgep_release(
     gradient minus the mean residual rather than the batch gradient.
     """
     block, _ = noise_multipliers(cfg.sigma, cfg.release_mode, 1)
-    return _release(g, basis, (cfg.s1, block * cfg.s1), None, rng)
+    return _release(as_factors(g), basis, (cfg.s1, block * cfg.s1), None, rng)
 
 
 def gp_release(
-    g: np.ndarray,
+    g: np.ndarray | FactoredGradients,
     s: float,
     sigma: float,
     rng: np.random.Generator,
@@ -485,23 +487,21 @@ def gp_release(
     if sigma < 0:
         raise ValueError("sigma must be calibrated to a value >= 0")
     block, _ = noise_multipliers(sigma, "joint", 1)
-    return _release(g, None, None, (s, block * s), rng).v_tilde
+    return _release(as_factors(g), None, None, (s, block * s), rng).v_tilde
 
 
-def projection_error_rate(g: np.ndarray, basis: AnchorBasis) -> float:
+def projection_error_rate(
+    g: np.ndarray | FactoredGradients, basis: AnchorBasis
+) -> float:
     """Norm of the mean residual relative to the mean gradient.
 
     Uses unclipped embeddings and residuals; raises when the mean gradient
     vanishes.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 2:
-        raise ValueError("per-sample gradients must form a matrix")
-    if g.shape[1] != basis.dim:
-        raise ValueError(
-            f"gradients have {g.shape[1]} columns, basis spans {basis.dim}"
-        )
-    rate = _error_rate(_active_blocks(basis), g.sum(axis=0))
+    g = as_factors(g)
+    if g.p != basis.dim:
+        raise ValueError(f"gradients have {g.p} columns, basis spans {basis.dim}")
+    rate = _error_rate(_active_blocks(basis), g.weighted_sum())
     if math.isnan(rate):
         raise ValueError("projection error rate is undefined for a zero mean gradient")
     return rate

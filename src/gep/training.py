@@ -24,7 +24,13 @@ from .accounting import (
 )
 from .data import Dataset
 from .linalg import RandomStream, stable_rank
-from .models import ModelSpec, evaluate, make_group_layout, per_sample_gradients
+from .models import (
+    ModelSpec,
+    evaluate,
+    make_group_layout,
+    per_sample_factors,
+    per_sample_gradients,
+)
 from .release import (
     GepConfig,
     _release,
@@ -284,7 +290,7 @@ def dp_train(
 
         if batch.n > 0:
             model_t = cfg.model.with_theta(theta)
-            grads = per_sample_gradients(model_t, batch)
+            grads = per_sample_factors(model_t, batch)
             noise_rng = stream.generator(t, PURPOSE_NOISE)
             if cfg.method == "gp":
                 # gp clips whole rows at s1: the residual release of no basis
@@ -295,10 +301,10 @@ def dp_train(
                 update = rel.v_tilde
                 clip1 = rel.clip_fraction_s2
                 if cfg.track_spectra:
-                    sr_g = stable_rank(grads)
+                    sr_g = stable_rank(grads.dense())
             else:
                 anchor = _anchor_batch(cfg, stream, t)
-                anchor_grads = per_sample_gradients(model_t, anchor)
+                anchor_grads = per_sample_factors(model_t, anchor)
                 basis = build_anchor_basis(
                     anchor_grads, layout, gep_cfg, stream.generator(t, PURPOSE_BASIS)
                 )
@@ -310,8 +316,9 @@ def dp_train(
                 clip1 = rel.clip_fraction_s1
                 clip2 = rel.clip_fraction_s2
                 if cfg.track_spectra:
-                    sr_g = stable_rank(grads)
-                    _, resid = basis.split(grads)
+                    dense = grads.dense()
+                    sr_g = stable_rank(dense)
+                    _, resid = basis.split(dense)
                     sr_r = stable_rank(resid)
             theta, velocity = optimizer_step(
                 theta, velocity, update, lr, cfg.momentum, cfg.weight_decay
@@ -356,7 +363,7 @@ def gd_train(
     metrics: list[StepMetrics] = []
     for t in range(cfg.steps):
         model_t = cfg.model.with_theta(theta)
-        grads = per_sample_gradients(model_t, private)
+        grads = per_sample_factors(model_t, private)
         update = _release(grads, None, None, (math.inf, 0.0), None).v_tilde
         theta, velocity = optimizer_step(
             theta, velocity, update, _lr_at(cfg, t), cfg.momentum, cfg.weight_decay

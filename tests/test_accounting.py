@@ -239,3 +239,37 @@ def test_subsampled_curve_helper():
     np.testing.assert_allclose(curve.costs, gaussian_curve(orders, 1.0, 2.0).costs)
     curve_sub = subsampled_gaussian_curve(orders, 0.1, 2.0)
     assert np.all(curve_sub.costs <= curve.costs + 1e-15)
+
+
+def per_order_curve(orders, q, sigma):
+    """The reference: one ``rdp_subsampled_gaussian`` call per order."""
+    if q == 1.0:
+        return gaussian_curve(orders, 1.0, sigma)
+    return RdpCurve(orders, [rdp_subsampled_gaussian(o, q, sigma) for o in orders])
+
+
+@pytest.mark.parametrize("q", [0.001, 0.05, 0.3, 0.99])
+@pytest.mark.parametrize("sigma", [0.5, 1.1, 4.0, 100.0])
+def test_subsampled_curve_matches_per_order_reference(q, sigma):
+    orders = default_orders()
+    costs = subsampled_gaussian_curve(orders, q, sigma).costs
+    expected = per_order_curve(orders, q, sigma).costs
+    # Both take log(1 + x) of a sum near one: below about 1e-3 the costs
+    # carry an absolute rounding floor of a few 1e-16, not a relative one.
+    np.testing.assert_allclose(costs, expected, rtol=1e-12, atol=1e-15)
+    meaningful = expected > 1e-3
+    np.testing.assert_allclose(costs[meaningful], expected[meaningful], rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "epsilon, q, steps",
+    [(8.0, 1.0, 5), (8.0, 1.0, 1), (8.0, 0.05, 200), (2.0, 1.0, 4), (8.0, 1.0, 4)],
+    ids=["logreg-full", "mlp-wide", "poisson-q05", "cli-grid-eps2", "cli-grid-eps8"],
+)
+def test_calibrated_sigma_unchanged_by_vectorized_curve(monkeypatch, epsilon, q, steps):
+    import gep.accounting
+
+    budget = DpBudget(epsilon, 1e-5)
+    sigma = calibrate_sigma_search(budget, q, steps)
+    monkeypatch.setattr(gep.accounting, "subsampled_gaussian_curve", per_order_curve)
+    assert calibrate_sigma_search(budget, q, steps) == sigma

@@ -153,6 +153,31 @@ def test_train_command_is_byte_deterministic(tmp_path):
     assert first == second
 
 
+def test_train_command_builds_one_task_per_anchor_count(tmp_path, monkeypatch):
+    import gep.harness
+
+    calls = []
+    real_build = gep.harness.build_task
+
+    def counting_build(cfg, m_aux):
+        calls.append(m_aux)
+        return real_build(cfg, m_aux)
+
+    monkeypatch.setattr(gep.harness, "build_task", counting_build)
+    out = tmp_path / "runs"
+    text = BASE_CONFIG.replace("method = gp", "method = gep, gp").replace(
+        "seeds = 0", "seeds = 0, 1"
+    )
+    cfg_path = write_config(tmp_path, text + "sweep.m = 8, 10\n" + f"out = {out}\n")
+    assert main(["train", "--config", cfg_path]) == 0
+    assert sorted(calls) == [8, 10]
+    # a run on a shared task writes the same bytes as the run on its own
+    alone = tmp_path / "alone"
+    assert main(["train", "--config", cfg_path, "--seed", "1", "--out", str(alone)]) == 0
+    for path in sorted(alone.glob("*.metrics.jsonl")):
+        assert path.read_bytes() == (out / path.name).read_bytes()
+
+
 def test_train_command_rejects_unknown_key(tmp_path, capsys):
     cfg_path = write_config(tmp_path, BASE_CONFIG + "train.warmup = 5\n")
     assert main(["train", "--config", cfg_path]) == 2

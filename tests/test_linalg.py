@@ -5,7 +5,10 @@ import pytest
 import scipy.linalg
 
 from gep.linalg import (
+    FactoredGradients,
+    GradientPiece,
     RandomStream,
+    as_factors,
     clip_rows,
     count_flops,
     gaussian_noise,
@@ -47,6 +50,42 @@ def test_orthonormalize_rejects_bad_input():
         orthonormalize_rows(np.array([[np.nan, 1.0]]))
     with pytest.raises(ValueError):
         orthonormalize_rows(np.eye(2), tol=0.0)
+
+
+def reference_cgs2(m, tol=1e-10):
+    """CGS2 against a list of accepted rows, restacked for every new row."""
+    accepted = []
+    for row in m:
+        v = row.copy()
+        scale = float(np.linalg.norm(v))
+        for _ in range(2):
+            if accepted:
+                q = np.array(accepted)
+                v = v - q.T @ (q @ v)
+        norm = float(np.linalg.norm(v))
+        if norm >= tol * max(1.0, scale):
+            accepted.append(v / norm)
+    return np.array(accepted).reshape(len(accepted), m.shape[1])
+
+
+def test_orthonormalize_matches_reference_bitwise():
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((12, 300))
+    m[5] = m[2] + m[3]  # dependent: dropped
+    q, rank = orthonormalize_rows(m)
+    assert rank == 11
+    np.testing.assert_array_equal(q, reference_cgs2(m))
+    # multiply-adds per row: two norms, two passes of two products against
+    # the rows accepted so far, and the scaling of an accepted row
+    expected, count = 0, 0
+    for i in range(12):
+        expected += 4 * 300 + 2 * 2 * count * 300
+        if i != 5:
+            expected += 300
+            count += 1
+    with count_flops() as counter:
+        orthonormalize_rows(m)
+    assert counter.macs == expected
 
 
 def test_orthonormalize_scale_invariant_rank():
@@ -224,3 +263,44 @@ def test_flop_counter_counts_power_iteration():
     # two matmuls dominate: 2 * m * k * p
     assert counter.macs >= 2 * 50 * 10 * 200
     assert counter.macs <= 1.5 * (2 * 50 * 10 * 200 + 200 * 10 * 10)
+
+
+def test_factored_gradients_validation():
+    rng = np.random.default_rng(13)
+    delta, act = rng.standard_normal((5, 3)), rng.standard_normal((5, 4))
+    f = FactoredGradients([GradientPiece(0, delta, act), GradientPiece(12, delta)], 15)
+    assert as_factors(f) is f
+    with pytest.raises(ValueError, match="tile"):
+        FactoredGradients([GradientPiece(1, delta, act)], 13)
+    with pytest.raises(ValueError, match="cover"):
+        FactoredGradients([GradientPiece(0, delta, act)], 13)
+    with pytest.raises(ValueError):
+        FactoredGradients([GradientPiece(0, delta, act[:4])], 12)
+    with pytest.raises(ValueError):
+        as_factors(np.ones(4))
+    # cuts between rows of the 3 x 4 block, or anywhere in delta alone
+    np.testing.assert_array_equal(f.columns(4, 14).dense(), f.dense()[:, 4:14])
+    with pytest.raises(ValueError, match="cut through"):
+        f.columns(2, 14)
+    # a non-finite factor entry poisons its rows' norms: caught at entry
+    bad = act.copy()
+    bad[2, 1] = np.inf
+    poisoned = FactoredGradients([GradientPiece(0, delta, bad)], 12)
+    with pytest.raises(ValueError, match="non-finite"):
+        poisoned.sq_norms()
+    with pytest.raises(ValueError, match="non-finite"):
+        power_iteration_basis(poisoned, 2, 1, np.random.default_rng(0))
+    huge = FactoredGradients([GradientPiece(0, delta * 1e160, act * 1e160)], 12)
+    with pytest.raises(ValueError, match="overflow"):
+        huge.sq_norms()
+
+
+def test_power_iteration_runs_the_dense_products_on_a_dense_matrix():
+    # the trivial wrap of a dense matrix computes exactly b <- (g b^T)^T g
+    g = np.random.default_rng(14).standard_normal((30, 80))
+    rng = np.random.default_rng(15)
+    expected = rng.standard_normal((5, 80))
+    for _ in range(2):
+        expected, _ = orthonormalize_rows((g @ expected.T).T @ g)
+    basis = power_iteration_basis(g, 5, 2, np.random.default_rng(15))
+    np.testing.assert_array_equal(basis, expected)

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from gep.data import Dataset, synth_dataset
-from gep.linalg import stable_rank
+from gep.linalg import count_flops, stable_rank
 from gep.models import (
     allocate_basis_counts,
     evaluate,
     init_model,
     make_group_layout,
     param_count,
+    per_sample_factors,
     per_sample_gradients,
 )
 from gep.tasks import mlp_cluster_task
@@ -198,3 +199,36 @@ def test_mlp_gradient_matrix_is_redundant():
     rows = per_sample_gradients(task.model, task.private)
     n, p = rows.shape
     assert stable_rank(rows) <= 0.2 * min(n, p)
+
+
+@pytest.mark.parametrize("kind", ["linear", "logistic", "mlp"])
+def test_factored_identities_match_dense(kind):
+    # norms, embedding, back-projection and weighted sums computed from the
+    # outer-product factors agree with the dense gradient matrix
+    rng = np.random.default_rng(8)
+    model, data = random_model_and_data(kind, rng, n=15)
+    factors = per_sample_factors(model, data)
+    g = per_sample_gradients(model, data)
+    assert factors.shape == g.shape
+    np.testing.assert_array_equal(factors.dense(), g)
+    np.testing.assert_array_equal(factors.dense(np.array([4, 0, 4])), g[[4, 0, 4]])
+
+    def close(x, y):
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+    close(factors.sq_norms(), np.einsum("ij,ij->i", g, g))
+    basis = rng.standard_normal((3, g.shape[1]))
+    w = rng.standard_normal((data.n, 3))
+    with count_flops() as counter:
+        close(factors.embed(basis), g @ basis.T)
+        close(factors.back_project(w), w.T @ g)
+    assert counter.macs == 2 * 3 * g.shape[0] * g.shape[1]
+    weights = rng.random(data.n)
+    close(factors.weighted_sum(weights), weights @ g)
+    close(factors.weighted_sum(), g.sum(axis=0))
+    # every piece lies inside one basis group
+    for group in make_group_layout(model, 2).groups:
+        cols = slice(group.offset, group.offset + group.length)
+        np.testing.assert_array_equal(
+            factors.columns(cols.start, cols.stop).dense(), g[:, cols]
+        )

@@ -8,26 +8,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gep import DpBudget, TrainConfig
 from gep.linalg import (
+    FactoredGradients,
+    GradientPiece,
     RandomStream,
     clip_rows,
     gaussian_noise,
     orthonormalize_rows,
     row_norms,
 )
-from gep.models import GroupLayout, ParamGroup, make_group_layout, per_sample_gradients
+from gep.models import (
+    GroupLayout,
+    ParamGroup,
+    make_group_layout,
+    per_sample_factors,
+    per_sample_gradients,
+)
 from gep.release import (
     AnchorBasis,
     GepConfig,
     bgep_release,
     build_anchor_basis,
     gep_release,
+    RESIDUAL_GUARD,
     gp_release,
     noise_multipliers,
     projection_error_rate,
     single_group_layout,
 )
 from gep.tasks import logistic_mixture_task, lowrank_regression_task, mlp_cluster_task
+from gep.training import dp_train
 
 
 def make_cfg(**kwargs):
@@ -534,3 +545,172 @@ def test_one_row_moves_clipped_sums_by_at_most_threshold(seed, n, resid_log10, c
         assert np.linalg.norm(full.r_tilde - reduced.r_tilde) <= s2 * (1 + 1e-12)
         gp_reduced = gp_release(rest, s, 0.0, np.random.default_rng(0)) * n
         assert np.linalg.norm(gp_full - gp_reduced) <= s * (1 + 1e-12)
+
+
+def gp_oracle(g, s, sigma, rng):
+    total = clip_rows(g, s).sum(axis=0)
+    return (total + gaussian_noise(total.shape, sigma * s, rng)) / g.shape[0]
+
+
+@pytest.mark.parametrize("method", ["gep", "bgep", "gp"])
+@pytest.mark.parametrize("kind", sorted(MODEL_TASKS))
+def test_factored_release_matches_dense_and_oracle(kind, method):
+    task = MODEL_TASKS[kind]()
+    factors = per_sample_factors(task.model, task.private)
+    if kind == "mlp":
+        assert any(piece.act is None for piece in factors.pieces)  # bias pieces
+    assert any(piece.act is not None for piece in factors.pieces)
+    g = factors.dense()
+    layout = make_group_layout(task.model, 6)
+    basis = build_anchor_basis(
+        per_sample_factors(task.model, task.aux),
+        layout,
+        make_cfg(k=6, m=40, t=2),
+        np.random.default_rng(40),
+    )
+    w, r = basis.split(g)
+    if method == "gp":
+        s = float(np.median(row_norms(g)))
+        released = [gp_release(x, s, 0.3, np.random.default_rng(41)) for x in (factors, g)]
+        expected = gp_oracle(g, s, 0.3, np.random.default_rng(41))
+    else:
+        cfg = make_cfg(
+            k=6, m=40, t=2, sigma=0.3,
+            s1=float(np.median(row_norms(w))), s2=float(np.median(row_norms(r))),
+        )
+        release_fn = gep_release if method == "gep" else bgep_release
+        rels = [release_fn(x, basis, cfg, np.random.default_rng(41)) for x in (factors, g)]
+        assert rels[0].clip_fraction_s1 == rels[1].clip_fraction_s1
+        assert rels[0].clip_fraction_s2 == rels[1].clip_fraction_s2 or method == "bgep"
+        released = [rel.v_tilde for rel in rels]
+        expected = oracle_release(
+            g, basis, cfg, np.random.default_rng(41), method == "gep"
+        )
+    scale = np.linalg.norm(expected)
+    assert np.linalg.norm(released[0] - released[1]) <= 1e-12 * scale
+    assert np.linalg.norm(released[0] - expected) <= 1e-12 * scale
+
+
+def low_rank_factors(rng, n, c, a, rank, noise):
+    """Pieces ``delta (x) act`` and ``delta`` whose rows lie within ``noise``
+    (relative) of a ``rank^2 + rank`` dimensional subspace."""
+    u = rng.standard_normal((rank, c))
+    v = rng.standard_normal((rank, a))
+    delta = rng.standard_normal((n, rank)) @ u
+    act = rng.standard_normal((n, rank)) @ v
+    delta += noise * np.abs(delta).max() * rng.standard_normal(delta.shape)
+    act += noise * np.abs(act).max() * rng.standard_normal(act.shape)
+    pieces = (GradientPiece(0, delta, act), GradientPiece(c * a, delta))
+    return FactoredGradients(pieces, c * a + c)
+
+
+def test_factored_release_with_small_residuals_uses_the_guard():
+    # residuals of a few percent of the gradient norm: most rows fall under
+    # the cancellation guard and are materialized from their factors.  (At
+    # residuals of 1e-6 the oracle's own g - W B keeps only 1e-10 relative,
+    # so the one-row property test below checks that regime instead.)
+    c, a, rank = 5, 7, 2
+    factors = low_rank_factors(np.random.default_rng(48), 40, c, a, rank, 1e-2)
+    anchor = low_rank_factors(np.random.default_rng(48), 30, c, a, rank, 0.0)
+    k = rank * rank + rank
+    basis = build_anchor_basis(
+        anchor, single_group_layout(factors.p, k), make_cfg(k=k, m=30, t=4),
+        np.random.default_rng(47),
+    )
+    assert basis.k_effective == k
+    g = factors.dense()
+    w, r = basis.split(g)
+    guarded = row_norms(r) ** 2 < RESIDUAL_GUARD * row_norms(g) ** 2
+    assert 0.5 < np.mean(guarded) < 1.0
+    s1 = float(np.median(row_norms(w)))
+    s2 = 0.5 * float(np.median(row_norms(r)))
+    cfg = make_cfg(k=k, m=30, s1=s1, s2=s2, sigma=0.0)
+    rel = gep_release(factors, basis, cfg, np.random.default_rng(0))
+    expected_r = clip_rows(r, s2).sum(axis=0)
+    assert np.linalg.norm(rel.r_tilde - expected_r) <= 1e-12 * np.linalg.norm(expected_r)
+    expected = oracle_release(g, basis, cfg, np.random.default_rng(0), True)
+    assert np.linalg.norm(rel.v_tilde - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert rel.clip_fraction_s2 == np.mean(row_norms(r) > s2)
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_TASKS))
+def test_factored_power_iteration_basis_matches_dense(kind):
+    task = MODEL_TASKS[kind]()
+    anchor = per_sample_factors(task.model, task.aux)
+    layout = make_group_layout(task.model, 6)
+    cfg = make_cfg(k=6, m=40, t=2)
+    factored = build_anchor_basis(anchor, layout, cfg, np.random.default_rng(49))
+    dense = build_anchor_basis(anchor.dense(), layout, cfg, np.random.default_rng(49))
+    assert factored.k_effective == dense.k_effective == 6
+    for block_f, block_d in zip(factored.blocks, dense.blocks):
+        assert np.max(np.abs(block_f - block_d)) <= 1e-12
+
+
+def drop_row(factors, i):
+    return FactoredGradients(
+        [
+            GradientPiece(
+                piece.offset,
+                np.delete(piece.delta, i, axis=0),
+                None if piece.act is None else np.delete(piece.act, i, axis=0),
+            )
+            for piece in factors.pieces
+        ],
+        factors.p,
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 16),
+    resid_log10=st.floats(-8.0, 0.0),
+    clip_q=st.floats(0.1, 0.9),
+)
+def test_one_row_moves_factored_sums_by_at_most_threshold(seed, n, resid_log10, clip_q):
+    rng = np.random.default_rng(seed)
+    c, a, rank = 4, 6, 2
+    factors = low_rank_factors(rng, n + 1, c, a, rank, 10.0**resid_log10)
+    factors.pieces[0].delta[:] *= 10.0 ** rng.uniform(-2.0, 2.0, size=(n + 1, 1))
+    anchor = low_rank_factors(rng, 12, c, a, rank, 0.0)
+    k = rank * rank
+    basis = build_anchor_basis(
+        anchor, single_group_layout(factors.p, k), make_cfg(k=k, m=12), rng
+    )
+    g = factors.dense()
+    w, r = basis.split(g)
+    s1 = float(np.quantile(row_norms(w), clip_q))
+    s2 = float(np.quantile(row_norms(r), clip_q))
+    s = float(np.quantile(row_norms(g), clip_q))
+    cfg = make_cfg(k=k, m=12, s1=s1, s2=s2, sigma=0.0)
+    full = gep_release(factors, basis, cfg, np.random.default_rng(0))
+    gp_full = gp_release(factors, s, 0.0, np.random.default_rng(0)) * (n + 1)
+    for i in range(n + 1):
+        rest = drop_row(factors, i)
+        reduced = gep_release(rest, basis, cfg, np.random.default_rng(0))
+        assert np.linalg.norm(full.w_tilde - reduced.w_tilde) <= s1 * (1 + 1e-12)
+        assert np.linalg.norm(full.r_tilde - reduced.r_tilde) <= s2 * (1 + 1e-12)
+        gp_reduced = gp_release(rest, s, 0.0, np.random.default_rng(0)) * n
+        assert np.linalg.norm(gp_full - gp_reduced) <= s * (1 + 1e-12)
+
+
+def test_gep_training_step_builds_no_n_by_p_matrix():
+    # an MLP whose layer blocks are wider than 4 k_g: the release and the
+    # basis temporaries stay below a quarter of the G they replace
+    task = mlp_cluster_task(0, n=600, input_dim=48, classes=6, hidden_dim=96, m_aux=200)
+    cfg = TrainConfig(
+        model=task.model,
+        gep=make_cfg(k=16, m=200, t=1, s1=1.0, s2=0.1),
+        budget=DpBudget(8.0, 1e-5),
+        steps=1,
+        aux_data=task.aux,
+        sigma_override=1.0,
+    )
+    tracemalloc.start()
+    try:
+        _, metrics = dp_train(cfg, task.private, task.eval)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert metrics[0].clip_fraction_s1 > 0.0 and metrics[0].clip_fraction_s2 > 0.0
+    assert peak < 0.25 * task.private.n * task.model.p * 8
