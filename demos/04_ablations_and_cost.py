@@ -37,8 +37,9 @@ for k in (10, 20, 40, 80):
         basis = build_anchor_basis(
             anchor_grads,
             single_group_layout(100, k),
-            GepConfig(k=k, m=200, t=2, basis_mode=mode),
+            GepConfig(k=k, m=200, t=2),
             stream.generator(0, k),
+            basis_mode=mode,
         )
         errs[mode] = projection_error_rate(grads, basis)
     print(f"{k:>4d} {errs['power']:>10.4f} {errs['random']:>10.4f} "

@@ -11,7 +11,6 @@ experiment harness.
 from .accounting import (
     CalibrationError,
     DpBudget,
-    MechanismSpec,
     RdpCurve,
     calibrate_sigma_closed_form,
     calibrate_sigma_search,
@@ -78,7 +77,6 @@ __all__ = [
     "GepConfig",
     "GradientPiece",
     "GroupLayout",
-    "MechanismSpec",
     "ModelSpec",
     "ParamGroup",
     "PrivateRelease",

@@ -19,7 +19,6 @@ from scipy.special import gammaln, logsumexp
 __all__ = [
     "RdpCurve",
     "DpBudget",
-    "MechanismSpec",
     "CalibrationError",
     "default_orders",
     "rdp_gaussian",
@@ -54,26 +53,6 @@ class DpBudget:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-
-@dataclass(frozen=True)
-class MechanismSpec:
-    """A repeated noisy release: sensitivity, multiplier, sampling, count."""
-
-    sensitivity: float
-    sigma: float
-    q: float = 1.0
-    invocations: int = 1
-
-    def __post_init__(self) -> None:
-        if self.sensitivity < 0:
-            raise ValueError("sensitivity must be non-negative")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if not 0 <= self.q <= 1:
-            raise ValueError(f"sampling rate must lie in [0, 1], got {self.q}")
-        if self.invocations < 1:
-            raise ValueError("invocations must be >= 1")
 
 
 class RdpCurve:
@@ -321,8 +300,10 @@ def calibrate_sigma_search(
     """Smallest multiplier meeting the budget for repeated subsampled releases.
 
     Bisects on sigma using the monotonicity of the spent epsilon;
-    ``invocations`` counts unit-sensitivity releases (one per step for a
-    joint release, two per step for separate embedding/residual releases).
+    ``invocations`` counts unit-sensitivity releases.  A training run
+    makes one per step, whatever the method: a gep step's two perturbed
+    sums together form one release at this multiplier (see
+    :func:`gep.release.noise_multipliers`).
     """
     if not 0 < q <= 1:
         raise ValueError(f"sampling rate must lie in (0, 1], got {q}")

@@ -13,6 +13,8 @@ import os
 from dataclasses import dataclass
 from typing import Mapping
 
+from .release import METHODS
+
 __all__ = ["ConfigError", "RunConfig", "parse_config", "emit_config", "load_config", "SCHEMA"]
 
 
@@ -58,8 +60,6 @@ SCHEMA: dict[str, _Spec] = {
     "gep.t": _Spec("int", 1),
     "gep.s1": _Spec("float", 10.0),
     "gep.s2": _Spec("float", 2.0),
-    "gep.release_mode": _Spec("str", "joint"),
-    "gep.basis_mode": _Spec("str", "power"),
     "train.steps": _Spec("int", 100),
     "train.batch": _Spec("str", "full"),
     "train.q": _Spec("float", 0.1),
@@ -81,12 +81,8 @@ _VALID_CHOICES = {
     "data.kind": ("csv", "gaussian-mixture", "separable", "lowrank-gradient-task", "split-signal"),
     "data.normalize": ("none", "per-feature-standardize"),
     "aux.source": ("heldout-random", "heldout-correct", "synthetic"),
-    "gep.release_mode": ("joint", "separate"),
-    "gep.basis_mode": ("power", "random"),
     "train.batch": ("full", "poisson"),
 }
-
-_VALID_METHODS = ("gep", "bgep", "gp", "random-basis-gep")
 
 
 def _parse_scalar(key: str, kind: str, raw: str) -> object:
@@ -178,9 +174,9 @@ def _check_choices(values: Mapping[str, object]) -> None:
                 f"key {key!r}: {values[key]!r} is not one of {choices}"
             )
     for method in values["method"]:
-        if method not in _VALID_METHODS:
+        if method not in METHODS:
             raise ConfigError(
-                f"key 'method': {method!r} is not one of {_VALID_METHODS}"
+                f"key 'method': {method!r} is not one of {tuple(METHODS)}"
             )
 
 

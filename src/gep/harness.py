@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,13 @@ from .accounting import (
     rdp_to_dp,
 )
 from .config import ConfigError, RunConfig, load_config
-from .data import Dataset, ingest_csv, standardize_stats, synth_dataset
+from .data import (
+    Dataset,
+    _apply_standardize,
+    ingest_csv,
+    standardize_stats,
+    synth_dataset,
+)
 from .linalg import RandomStream, count_flops
 from .models import (
     GroupLayout,
@@ -182,14 +188,8 @@ def build_task(cfg: RunConfig, m_aux: int) -> TaskBundle:
         perm = stream.generator(_SPLIT).permutation(full.n)
         full = full.subset(perm)
         if str(cfg["data.normalize"]) == "per-feature-standardize":
-            train_part = full.features[n_eval + n_holdout :]
-            stats = standardize_stats(train_part)
-            features = full.features.copy()
-            mean, std = stats
-            features -= mean
-            nonzero = std > 0
-            features[:, nonzero] /= std[nonzero]
-            features[:, ~nonzero] = 0.0
+            stats = standardize_stats(full.features[n_eval + n_holdout :])
+            features = _apply_standardize(full.features, stats)
             full = Dataset(features, full.labels, full.name)
     else:
         total = n + n_eval + n_holdout
@@ -235,8 +235,6 @@ def _train_config(cfg: RunConfig, run: RunSpec, task: TaskBundle) -> TrainConfig
         t=int(cfg["gep.t"]),
         s1=float(cfg["gep.s1"]),
         s2=float(cfg["gep.s2"]),
-        release_mode=str(cfg["gep.release_mode"]),
-        basis_mode=str(cfg["gep.basis_mode"]),
     )
     return TrainConfig(
         model=task.model,
@@ -522,9 +520,9 @@ def project_error_command(
             row = [basis_mode.ljust(8) + source_name.ljust(18)]
             for k in ks:
                 layout = make_group_layout(model, k)
-                cfg = GepConfig(k=k, m=m_aux, t=5, s1=1.0, s2=1.0, basis_mode=basis_mode)
+                cfg = GepConfig(k=k, m=m_aux, t=5, s1=1.0, s2=1.0)
                 basis = build_anchor_basis(
-                    anchor_grads, layout, cfg, stream.generator(12, k)
+                    anchor_grads, layout, cfg, stream.generator(12, k), basis_mode
                 )
                 rate = projection_error_rate(grads, basis)
                 row.append(f"{rate:.4g}".ljust(12))

@@ -14,8 +14,16 @@ single private estimate of the batch gradient:
 Releasing both parts keeps the estimate unbiased (up to clipping); the
 ``bgep`` variant drops the residual and trades a systematic error for less
 noise, and ``gp`` is the classic full-dimensional baseline, the residual
-release of an empty basis.  All three run through one kernel,
-``_release``.
+release of an empty basis.  :data:`METHODS` says, for every training
+method, which basis it builds and which sums it releases; all of them run
+through one kernel, ``_release``.
+
+Noise convention: ``sigma`` is the unit-sensitivity multiplier of one
+step, the one the accountant composes.  A step that perturbs ``parts``
+sums, each clipped at its own threshold, is one release of sensitivity
+``sqrt(parts)`` after normalizing each sum by its threshold, so every sum
+gets noise of std ``sigma * sqrt(parts) * threshold``
+(:func:`noise_multipliers`).
 
 The kernel takes the gradients in factored form
 (:class:`gep.linalg.FactoredGradients`): each block of ``g_i`` is an
@@ -52,7 +60,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,6 +75,8 @@ from .linalg import (
 from .models import GroupLayout, ParamGroup
 
 __all__ = [
+    "METHODS",
+    "Method",
     "GepConfig",
     "AnchorBasis",
     "PrivateRelease",
@@ -79,7 +89,6 @@ __all__ = [
     "noise_multipliers",
 ]
 
-RELEASE_MODES = ("joint", "separate")
 BASIS_MODES = ("power", "random")
 
 # Rows with ||r||^2 < RESIDUAL_GUARD * ||g||^2 get explicit residuals; see
@@ -90,16 +99,40 @@ _CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
+class Method:
+    """How a training method releases one step's gradient.
+
+    ``basis`` is the anchor basis it builds, ``"power"`` or ``"random"``,
+    or None for no basis, in which case every row is all residual and is
+    clipped at ``s1``.  ``residual`` says whether the residual sum is
+    released; with a basis the embedding sum always is.
+    """
+
+    basis: str | None
+    residual: bool
+
+    @property
+    def parts(self) -> int:
+        """Sums perturbed per step."""
+        return (self.basis is not None) + self.residual
+
+
+METHODS: dict[str, Method] = {
+    "gep": Method("power", residual=True),
+    "bgep": Method("power", residual=False),
+    "gp": Method(None, residual=True),
+    "random-basis-gep": Method("random", residual=True),
+}
+
+
+@dataclass(frozen=True)
 class GepConfig:
     """Anchor-subspace release configuration.
 
-    ``sigma`` is the noise multiplier on a unit-sensitivity release.  In
-    ``separate`` mode each of the two sums is perturbed at ``sigma`` times
-    its own threshold; in ``joint`` mode the two sums are treated as one
-    normalized, concatenated release of sensitivity sqrt(2), which works
-    out to per-block noise ``sigma * sqrt(2)`` times the threshold.  The
-    two modes describe the same mechanism under matched calibration: a
-    joint multiplier ``s`` equals a separate multiplier ``s * sqrt(2)``.
+    ``k`` basis directions are estimated from ``m`` anchor gradients with
+    ``t`` rounds of power iteration; embedding rows are clipped at ``s1``
+    and residual rows at ``s2``.  ``sigma`` is the per-step
+    unit-sensitivity noise multiplier (see :func:`noise_multipliers`).
     """
 
     k: int
@@ -107,8 +140,6 @@ class GepConfig:
     t: int = 1
     s1: float = 10.0
     s2: float = 2.0
-    release_mode: str = "joint"
-    basis_mode: str = "power"
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
@@ -120,10 +151,6 @@ class GepConfig:
             raise ValueError("t must be >= 1")
         if self.s1 <= 0 or self.s2 <= 0:
             raise ValueError("clipping thresholds must be positive")
-        if self.release_mode not in RELEASE_MODES:
-            raise ValueError(f"unknown release mode {self.release_mode!r}")
-        if self.basis_mode not in BASIS_MODES:
-            raise ValueError(f"unknown basis mode {self.basis_mode!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be calibrated to a value >= 0")
 
@@ -239,6 +266,7 @@ def build_anchor_basis(
     layout: GroupLayout,
     cfg: GepConfig,
     rng: np.random.Generator,
+    basis_mode: str = "power",
 ) -> AnchorBasis:
     """Estimate one orthonormal basis per parameter group.
 
@@ -248,6 +276,8 @@ def build_anchor_basis(
     Gaussian draws (the random-projection baseline).  The anchor gradients
     are not needed after this call and may be discarded by the caller.
     """
+    if basis_mode not in BASIS_MODES:
+        raise ValueError(f"unknown basis mode {basis_mode!r}")
     anchor_grads = as_factors(anchor_grads)
     if anchor_grads.p != layout.dim:
         raise ValueError(
@@ -256,7 +286,7 @@ def build_anchor_basis(
         )
     m = anchor_grads.n
     max_quota = max(g.k_alloc for g in layout.groups)
-    if cfg.basis_mode == "power" and m < max_quota:
+    if basis_mode == "power" and m < max_quota:
         warnings.warn(
             f"only {m} anchor gradients for a basis quota of {max_quota}; "
             "the estimated subspace will be rank deficient",
@@ -265,7 +295,7 @@ def build_anchor_basis(
         )
     blocks = []
     for group in layout.groups:
-        if cfg.basis_mode == "power":
+        if basis_mode == "power":
             block = power_iteration_basis(
                 anchor_grads.columns(group.offset, group.offset + group.length),
                 group.k_alloc,
@@ -279,25 +309,17 @@ def build_anchor_basis(
     return AnchorBasis(layout, blocks)
 
 
-def noise_multipliers(
-    sigma: float, release_mode: str, parts: int
-) -> tuple[float, float]:
-    """Per-block and per-step noise multipliers of a release of ``parts`` sums.
+def noise_multipliers(sigma: float, parts: int) -> float:
+    """Per-sum noise multiplier of a step that perturbs ``parts`` sums.
 
-    Each released sum gets Gaussian noise of standard deviation
-    ``block * threshold``.  Perturbing ``parts`` sums that way is a single
-    unit-sensitivity Gaussian release at ``step = block / sqrt(parts)``,
-    which is the multiplier the accountant composes.  In ``joint`` mode
-    ``sigma`` is the step multiplier (``block = sigma * sqrt(parts)``); in
-    ``separate`` mode it is the block multiplier.  One-part releases (bgep,
-    gp) have ``block = step = sigma`` in both modes.
+    ``sigma`` is the step's unit-sensitivity multiplier.  Each released
+    sum gets Gaussian noise of standard deviation
+    ``sigma * sqrt(parts) * threshold``: dividing every sum by its
+    threshold makes the step one release of sensitivity ``sqrt(parts)``
+    at noise std ``sigma * sqrt(parts)``.  One-part releases (bgep, gp)
+    spend ``sigma`` as is.
     """
-    if release_mode not in RELEASE_MODES:
-        raise ValueError(f"unknown release mode {release_mode!r}")
-    root = math.sqrt(parts)
-    if release_mode == "joint":
-        return sigma * root, sigma
-    return sigma, sigma / root
+    return sigma * math.sqrt(parts)
 
 
 def _clip_scales(
@@ -438,6 +460,42 @@ def _release(
     )
 
 
+def _method_release(
+    method: str,
+    g: np.ndarray | FactoredGradients,
+    basis: AnchorBasis | None,
+    s1: float,
+    s2: float,
+    sigma: float,
+    rng: np.random.Generator | None,
+) -> PrivateRelease:
+    """Release one step's gradient estimate the way ``method`` does.
+
+    ``basis`` is the one :data:`METHODS` asks ``method`` to build (None for
+    ``gp``).  The embedding is clipped at ``s1``, the residual at ``s2``,
+    and whole rows, when there is no basis, at ``s1``; that clip fraction
+    is reported as ``clip_fraction_s1``.  Every released sum gets noise std
+    ``noise_multipliers(sigma, parts) * threshold``.
+    """
+    spec = METHODS[method]
+    if (basis is None) != (spec.basis is None):
+        expected = f"a {spec.basis}" if spec.basis else "no"
+        raise ValueError(f"method {method!r} expects {expected} basis")
+    if s1 <= 0 or s2 <= 0:
+        raise ValueError("clipping thresholds must be positive")
+    if sigma < 0:
+        raise ValueError("sigma must be calibrated to a value >= 0")
+    block = noise_multipliers(sigma, spec.parts)
+    g = as_factors(g)
+    if basis is None:
+        rel = _release(g, None, None, (s1, block * s1), rng)
+        return replace(
+            rel, clip_fraction_s1=rel.clip_fraction_s2, clip_fraction_s2=math.nan
+        )
+    residual = (s2, block * s2) if spec.residual else None
+    return _release(g, basis, (s1, block * s1), residual, rng)
+
+
 def gep_release(
     g: np.ndarray | FactoredGradients,
     basis: AnchorBasis,
@@ -449,13 +507,11 @@ def gep_release(
     Follows the three-stage recipe: split against the anchor basis (the
     residual is taken against the unclipped embedding), clip the embedding
     rows at ``s1`` and residual rows at ``s2``, then perturb the two sums
-    and recombine into ``v_tilde = (reconstruct(w_tilde) + r_tilde) / n``.
-    ``g`` is factored or a dense ``n x p`` matrix.
+    (each at ``sigma * sqrt(2)`` times its threshold) and recombine into
+    ``v_tilde = (reconstruct(w_tilde) + r_tilde) / n``.  ``g`` is factored
+    or a dense ``n x p`` matrix.
     """
-    block, _ = noise_multipliers(cfg.sigma, cfg.release_mode, 2)
-    return _release(
-        as_factors(g), basis, (cfg.s1, block * cfg.s1), (cfg.s2, block * cfg.s2), rng
-    )
+    return _method_release("gep", g, basis, cfg.s1, cfg.s2, cfg.sigma, rng)
 
 
 def bgep_release(
@@ -467,12 +523,11 @@ def bgep_release(
     """Embedding-only release: cheaper noise, systematically biased.
 
     Only the clipped embedding sum is perturbed (a single release at
-    multiplier ``sigma * s1``, regardless of release mode) and mapped back;
-    the residual is dropped, so the estimate converges to the batch
-    gradient minus the mean residual rather than the batch gradient.
+    noise std ``sigma * s1``) and mapped back; the residual is dropped, so
+    the estimate converges to the batch gradient minus the mean residual
+    rather than the batch gradient.
     """
-    block, _ = noise_multipliers(cfg.sigma, cfg.release_mode, 1)
-    return _release(as_factors(g), basis, (cfg.s1, block * cfg.s1), None, rng)
+    return _method_release("bgep", g, basis, cfg.s1, cfg.s2, cfg.sigma, rng)
 
 
 def gp_release(
@@ -481,13 +536,8 @@ def gp_release(
     sigma: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Classic gradient perturbation: clip rows, sum, add isotropic noise."""
-    if s <= 0:
-        raise ValueError(f"clipping threshold must be positive, got {s}")
-    if sigma < 0:
-        raise ValueError("sigma must be calibrated to a value >= 0")
-    block, _ = noise_multipliers(sigma, "joint", 1)
-    return _release(as_factors(g), None, None, (s, block * s), rng).v_tilde
+    """Classic gradient perturbation: clip rows at ``s``, sum, add noise ``sigma * s``."""
+    return _method_release("gp", g, None, s, s, sigma, rng).v_tilde
 
 
 def projection_error_rate(

@@ -10,7 +10,7 @@ model inherits the release's privacy guarantee under composition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,31 +31,20 @@ from .models import (
     per_sample_factors,
     per_sample_gradients,
 )
-from .release import (
-    GepConfig,
-    _release,
-    bgep_release,
-    build_anchor_basis,
-    gep_release,
-    noise_multipliers,
-)
+from .release import METHODS, GepConfig, _method_release, _release, build_anchor_basis
 
 __all__ = [
     "TrainConfig",
     "StepMetrics",
     "DivergenceError",
-    "METHODS",
     "dp_train",
     "gd_train",
     "optimizer_step",
     "calibrate_noise_multiplier",
-    "effective_step_multiplier",
     "UtilityPoint",
     "convex_utility_experiment",
     "nonprivate_optimum",
 ]
-
-METHODS = ("gep", "bgep", "gp", "random-basis-gep")
 
 # Substream purposes; one substream per (step, purpose) pair.
 PURPOSE_BATCH = 0
@@ -77,7 +66,7 @@ class TrainConfig:
     budget: DpBudget
     steps: int
     aux_data: Dataset
-    method: str = "gep"
+    method: str = "gep"  # a key of gep.release.METHODS
     batch: str = "full"  # "full" or "poisson"
     q: float = 1.0  # Poisson inclusion probability
     lr: float = 0.1
@@ -177,40 +166,26 @@ def optimizer_step(
     return theta, velocity
 
 
-def _released_parts(cfg: TrainConfig) -> int:
-    """Sums perturbed per step: embedding and residual for gep, one otherwise."""
-    return 2 if cfg.method in ("gep", "random-basis-gep") else 1
-
-
-def effective_step_multiplier(cfg: TrainConfig, sigma: float) -> float:
-    """Unit-sensitivity multiplier of one step's combined release.
-
-    A step that makes two separate releases at multiplier ``sigma`` is the
-    same Gaussian mechanism as a single normalized release at
-    ``sigma / sqrt(2)``; single-release methods (gp, bgep, joint-mode gep)
-    spend ``sigma`` directly.  See :func:`gep.release.noise_multipliers`.
-    """
-    return noise_multipliers(sigma, cfg.gep.release_mode, _released_parts(cfg))[1]
-
-
 def calibrate_noise_multiplier(cfg: TrainConfig) -> float:
-    """Smallest noise multiplier that keeps the whole run within budget."""
+    """Smallest per-step noise multiplier that keeps the run within budget.
+
+    Every method spends one unit-sensitivity release per step at this
+    multiplier, however many sums it perturbs (see
+    :func:`gep.release.noise_multipliers`), so all methods calibrate alike.
+    """
     q = cfg.q if cfg.batch == "poisson" else 1.0
-    step_sigma = calibrate_sigma_search(cfg.budget, q, max(cfg.steps, 1))
-    # the step multiplier is linear in sigma: invert it at sigma = 1
-    return step_sigma / effective_step_multiplier(cfg, 1.0)
+    return calibrate_sigma_search(cfg.budget, q, max(cfg.steps, 1))
 
 
 def _epsilon_schedule(cfg: TrainConfig, sigma: float) -> list[float]:
     """Budget spent after each step, via the accountant."""
     if cfg.steps == 0:
         return []
-    sigma_eff = effective_step_multiplier(cfg, sigma)
-    if sigma_eff == 0:
+    if sigma == 0:
         return [math.inf] * cfg.steps
     q = cfg.q if cfg.batch == "poisson" else 1.0
     orders = default_orders(cfg.budget, include_analytic=(q == 1.0))
-    per_step = subsampled_gaussian_curve(orders, q, sigma_eff)
+    per_step = subsampled_gaussian_curve(orders, q, sigma)
     return [
         rdp_to_dp(rdp_scale(per_step, t + 1), cfg.budget.delta)[0]
         for t in range(cfg.steps)
@@ -262,12 +237,8 @@ def dp_train(
         if cfg.sigma_override is not None
         else calibrate_noise_multiplier(cfg)
     )
-    gep_cfg = replace(
-        cfg.gep,
-        sigma=sigma,
-        basis_mode="random" if cfg.method == "random-basis-gep" else cfg.gep.basis_mode,
-    )
-    layout = make_group_layout(cfg.model, gep_cfg.k)
+    method = METHODS[cfg.method]
+    layout = make_group_layout(cfg.model, cfg.gep.k)
     eps_schedule = _epsilon_schedule(cfg, sigma)
 
     theta_sum = np.zeros_like(theta)
@@ -291,37 +262,36 @@ def dp_train(
         if batch.n > 0:
             model_t = cfg.model.with_theta(theta)
             grads = per_sample_factors(model_t, batch)
-            noise_rng = stream.generator(t, PURPOSE_NOISE)
-            if cfg.method == "gp":
-                # gp clips whole rows at s1: the residual release of no basis
-                block, _ = noise_multipliers(sigma, gep_cfg.release_mode, 1)
-                rel = _release(
-                    grads, None, None, (gep_cfg.s1, block * gep_cfg.s1), noise_rng
-                )
-                update = rel.v_tilde
-                clip1 = rel.clip_fraction_s2
-                if cfg.track_spectra:
-                    sr_g = stable_rank(grads.dense())
-            else:
+            basis = None
+            if method.basis is not None:
                 anchor = _anchor_batch(cfg, stream, t)
-                anchor_grads = per_sample_factors(model_t, anchor)
                 basis = build_anchor_basis(
-                    anchor_grads, layout, gep_cfg, stream.generator(t, PURPOSE_BASIS)
+                    per_sample_factors(model_t, anchor),
+                    layout,
+                    cfg.gep,
+                    stream.generator(t, PURPOSE_BASIS),
+                    basis_mode=method.basis,
                 )
-                release_fn = bgep_release if cfg.method == "bgep" else gep_release
-                rel = release_fn(grads, basis, gep_cfg, noise_rng)
-                update = rel.v_tilde
-                proj_rate = rel.projection_error_rate
-                k_eff = rel.k_effective
-                clip1 = rel.clip_fraction_s1
-                clip2 = rel.clip_fraction_s2
-                if cfg.track_spectra:
-                    dense = grads.dense()
-                    sr_g = stable_rank(dense)
-                    _, resid = basis.split(dense)
-                    sr_r = stable_rank(resid)
+            rel = _method_release(
+                cfg.method,
+                grads,
+                basis,
+                cfg.gep.s1,
+                cfg.gep.s2,
+                sigma,
+                stream.generator(t, PURPOSE_NOISE),
+            )
+            proj_rate = rel.projection_error_rate
+            k_eff = rel.k_effective
+            clip1 = rel.clip_fraction_s1
+            clip2 = rel.clip_fraction_s2
+            if cfg.track_spectra:
+                dense = grads.dense()
+                sr_g = stable_rank(dense)
+                if basis is not None:
+                    sr_r = stable_rank(basis.split(dense)[1])
             theta, velocity = optimizer_step(
-                theta, velocity, update, lr, cfg.momentum, cfg.weight_decay
+                theta, velocity, rel.v_tilde, lr, cfg.momentum, cfg.weight_decay
             )
 
         theta_sum += theta

@@ -319,8 +319,9 @@ def test_criterion_07_random_basis_ablation():
                 basis = build_anchor_basis(
                     anchor_grads,
                     single_group_layout(100, k),
-                    GepConfig(k=k, m=100, t=2, basis_mode=mode),
+                    GepConfig(k=k, m=100, t=2),
                     RandomStream(seed).generator(6, k),
+                    basis_mode=mode,
                 )
                 errs[mode].append(projection_error_rate(grads, basis))
         ratio = float(np.mean(errs["random"])) / float(np.mean(errs["power"]))

@@ -8,7 +8,6 @@ import pytest
 from gep.accounting import (
     CalibrationError,
     DpBudget,
-    MechanismSpec,
     RdpCurve,
     SIGMA_BRACKET,
     calibrate_sigma_closed_form,
@@ -225,12 +224,6 @@ def test_mechanism_and_budget_validation():
         DpBudget(0.0, 1e-5)
     with pytest.raises(ValueError):
         DpBudget(1.0, 0.0)
-    with pytest.raises(ValueError):
-        MechanismSpec(sensitivity=-1.0, sigma=1.0)
-    with pytest.raises(ValueError):
-        MechanismSpec(sensitivity=1.0, sigma=1.0, q=1.5)
-    spec = MechanismSpec(sensitivity=2.0, sigma=1.0, q=0.5, invocations=3)
-    assert spec.invocations == 3
 
 
 def test_subsampled_curve_helper():

@@ -73,8 +73,11 @@ def test_choice_validation():
         parse_config("model.kind = resnet\n")
     with pytest.raises(ConfigError, match="method"):
         parse_config("method = sgd\n")
-    with pytest.raises(ConfigError, match="gep.release_mode"):
-        parse_config("gep.release_mode = both\n")
+    with pytest.raises(ConfigError, match="train.batch"):
+        parse_config("train.batch = minibatch\n")
+    for removed in ("gep.release_mode = joint\n", "gep.basis_mode = power\n"):
+        with pytest.raises(ConfigError, match="unknown configuration key"):
+            parse_config(removed)
 
 
 def test_load_config_path_resolution(tmp_path):

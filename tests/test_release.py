@@ -26,12 +26,14 @@ from gep.models import (
     per_sample_gradients,
 )
 from gep.release import (
+    METHODS,
     AnchorBasis,
     GepConfig,
     bgep_release,
     build_anchor_basis,
     gep_release,
     RESIDUAL_GUARD,
+    _method_release,
     gp_release,
     noise_multipliers,
     projection_error_rate,
@@ -70,8 +72,9 @@ def test_random_basis_is_orthonormal():
     basis = build_anchor_basis(
         np.zeros((10, 40)),
         layout,
-        make_cfg(k=6, basis_mode="random"),
+        make_cfg(k=6),
         np.random.default_rng(3),
+        basis_mode="random",
     )
     block = basis.blocks[0]
     assert block.shape == (6, 40)
@@ -351,7 +354,7 @@ def test_noise_energy_ordering_vs_gp():
     g = np.zeros((n, p))
     anchor = rng.standard_normal((2 * k, p))
     layout = single_group_layout(p, k)
-    cfg = make_cfg(k=k, m=2 * k, s1=s1, s2=s2, sigma=sigma, release_mode="joint")
+    cfg = make_cfg(k=k, m=2 * k, s1=s1, s2=s2, sigma=sigma)
     basis = build_anchor_basis(anchor, layout, cfg, np.random.default_rng(31))
     stream = RandomStream(11)
     gep_measured = np.mean(
@@ -395,21 +398,42 @@ def test_release_validation_errors():
 
 
 def test_noise_multipliers():
-    root2 = math.sqrt(2.0)
-    assert noise_multipliers(1.5, "joint", 2) == (1.5 * root2, 1.5)
-    assert noise_multipliers(1.5, "separate", 2) == (1.5, 1.5 / root2)
-    for mode in ("joint", "separate"):
-        assert noise_multipliers(1.5, mode, 1) == (1.5, 1.5)
-    with pytest.raises(ValueError):
-        noise_multipliers(1.0, "both", 2)
+    assert noise_multipliers(1.5, 2) == 1.5 * math.sqrt(2.0)
+    assert noise_multipliers(1.5, 1) == 1.5
+    assert noise_multipliers(0.0, 2) == 0.0
+
+
+def test_method_table():
+    assert {name: (m.basis, m.parts) for name, m in METHODS.items()} == {
+        "gep": ("power", 2),
+        "bgep": ("power", 1),
+        "gp": (None, 1),
+        "random-basis-gep": ("random", 2),
+    }
+    with pytest.raises(ValueError, match="basis mode"):
+        build_anchor_basis(
+            np.zeros((4, 10)),
+            single_group_layout(10, 2),
+            make_cfg(k=2),
+            np.random.default_rng(0),
+            basis_mode="none",
+        )
+    g = np.ones((3, 10))
+    basis = AnchorBasis(single_group_layout(10, 2), [np.zeros((0, 10))])
+    with pytest.raises(ValueError, match="expects a power basis"):
+        _method_release("gep", g, None, 1.0, 1.0, 0.0, None)
+    with pytest.raises(ValueError, match="expects no basis"):
+        _method_release("gp", g, basis, 1.0, 1.0, 0.0, None)
 
 
 def oracle_release(g, basis, cfg, rng, with_residual):
-    """Explicit split, clip, sum and noise: the reference for the kernel."""
+    """Explicit split, clip, sum and noise: the reference for the kernel.
+
+    ``sigma`` is the step multiplier: each of the two sums of a gep step
+    gets ``sigma * sqrt(2)`` times its threshold.
+    """
     w, r = basis.split(g)
-    block = cfg.sigma
-    if with_residual and cfg.release_mode == "joint":
-        block *= math.sqrt(2.0)
+    block = cfg.sigma * math.sqrt(2.0) if with_residual else cfg.sigma
     w_sum = clip_rows(w, cfg.s1).sum(axis=0)
     v = basis.reconstruct(w_sum + gaussian_noise(w_sum.shape, block * cfg.s1, rng))
     if with_residual:

@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gep.accounting import DpBudget, epsilon_for_sigma
+from gep.accounting import DpBudget, calibrate_sigma_search, epsilon_for_sigma
 from gep.models import evaluate, per_sample_gradients
-from gep.release import GepConfig
+from gep.release import METHODS, GepConfig
 from gep.tasks import logistic_mixture_task, toy_regression_task
 from gep.training import (
     DivergenceError,
@@ -16,7 +16,6 @@ from gep.training import (
     calibrate_noise_multiplier,
     convex_utility_experiment,
     dp_train,
-    effective_step_multiplier,
     gd_train,
     optimizer_step,
 )
@@ -180,38 +179,48 @@ def test_epsilon_spent_within_budget_and_recomputable():
     model, metrics = dp_train(cfg, task.private, task.eval)
     assert metrics[-1].epsilon_spent <= budget.epsilon + 1e-12
     # independent recomputation through the accountant
-    recomputed, _ = epsilon_for_sigma(
-        effective_step_multiplier(cfg, sigma), budget.delta, cfg.q, cfg.steps
-    )
+    recomputed, _ = epsilon_for_sigma(sigma, budget.delta, cfg.q, cfg.steps)
     assert metrics[-1].epsilon_spent == pytest.approx(recomputed, rel=1e-12)
     eps = [m.epsilon_spent for m in metrics]
     assert all(b >= a for a, b in zip(eps, eps[1:]))
 
 
-def test_release_mode_calibration_equivalence():
-    # separate-mode multiplier is sqrt(2) times the joint one, which makes
-    # the actual per-block noise identical
+def test_every_method_calibrates_to_the_same_step_multiplier():
+    # sigma is the per-step unit-sensitivity multiplier for every method;
+    # how many sums a step perturbs only changes the per-sum noise std
     task = logistic_mixture_task(9, n=100, input_dim=19, m_aux=30, n_eval=30)
-    cfg_joint = toy_cfg(
-        task,
-        method="gep",
-        gep=GepConfig(k=4, m=30, release_mode="joint"),
-        steps=10,
-        sigma_override=None,
+    budget = DpBudget(2.0, 1e-5)
+    for batch, q in (("full", 1.0), ("poisson", 0.2)):
+        cfg = toy_cfg(
+            task, gep=GepConfig(k=4, m=30), steps=10, budget=budget,
+            batch=batch, q=q, sigma_override=None,
+        )
+        expected = calibrate_sigma_search(budget, q, 10)
+        for method in METHODS:
+            assert calibrate_noise_multiplier(replace(cfg, method=method)) == expected
+
+
+@pytest.mark.parametrize("method", ["gep", "gp"])
+def test_track_spectra_reports_ranks_and_changes_nothing_else(method):
+    task = logistic_mixture_task(4, n=80, input_dim=9, m_aux=20, n_eval=20)
+    cfg = toy_cfg(
+        task, method=method, gep=GepConfig(k=3, m=20, s1=1.0, s2=0.5),
+        steps=4, sigma_override=0.7,
     )
-    cfg_sep = replace(
-        cfg_joint, gep=replace(cfg_joint.gep, release_mode="separate")
-    )
-    sigma_joint = calibrate_noise_multiplier(cfg_joint)
-    sigma_sep = calibrate_noise_multiplier(cfg_sep)
-    assert sigma_sep == pytest.approx(math.sqrt(2.0) * sigma_joint, rel=1e-12)
-    assert effective_step_multiplier(cfg_sep, sigma_sep) == pytest.approx(
-        effective_step_multiplier(cfg_joint, sigma_joint), rel=1e-12
-    )
-    # same seeds, matched calibration: identical released trajectories
-    model_j, _ = dp_train(cfg_joint, task.private, task.eval)
-    model_s, _ = dp_train(cfg_sep, task.private, task.eval)
-    np.testing.assert_allclose(model_j.theta, model_s.theta, rtol=1e-12)
+    model_off, off = dp_train(cfg, task.private, task.eval)
+    model_on, on = dp_train(replace(cfg, track_spectra=True), task.private, task.eval)
+    assert model_on.theta.tobytes() == model_off.theta.tobytes()
+    bound = min(task.private.n, task.model.p)
+    for a, b in zip(off, on):
+        assert (a.train_loss, a.eval_loss, a.eval_accuracy) == (
+            b.train_loss, b.eval_loss, b.eval_accuracy,
+        )
+        assert math.isnan(a.stable_rank_g) and math.isnan(a.stable_rank_r)
+        assert 1.0 <= b.stable_rank_g <= bound
+        if method == "gp":
+            assert math.isnan(b.stable_rank_r)
+        else:
+            assert 1.0 <= b.stable_rank_r <= bound
 
 
 def test_iterate_averaging_returns_mean_iterate():
