@@ -127,8 +127,25 @@ def rdp_gaussian(order: float, s: float, sigma: float) -> float:
 
 
 def gaussian_curve(orders: Sequence[float], s: float, sigma: float) -> RdpCurve:
-    """Gaussian-mechanism cost evaluated across a grid of orders."""
-    return RdpCurve(orders, [rdp_gaussian(o, s, sigma) for o in orders])
+    """Gaussian-mechanism cost evaluated across a grid of orders.
+
+    One array expression in the operation order of :func:`rdp_gaussian`,
+    which stays the per-order reference: the costs are bitwise equal.
+    """
+    orders = np.asarray(orders, dtype=np.float64)
+    low = orders[orders <= 1]
+    if low.size:
+        raise ValueError(f"order must exceed 1, got {low[0]}")
+    if s < 0:
+        raise ValueError("sensitivity must be non-negative")
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
+    if s == 0:
+        return RdpCurve(orders, np.zeros_like(orders))
+    if sigma == 0:
+        # RdpCurve rejects the infinite costs, as for the per-order path
+        return RdpCurve(orders, np.full_like(orders, math.inf))
+    return RdpCurve(orders, orders * s * s / (2.0 * sigma * sigma))
 
 
 def rdp_subsampled_gaussian(order: int, q: float, sigma: float) -> float:

@@ -149,7 +149,8 @@ def ingest_csv(
         raise CsvParseError(f"{path}: no data rows")
     features = np.asarray(rows, dtype=np.float64)
     label_arr = np.asarray(labels, dtype=np.float64)
-    if np.allclose(label_arr, np.rint(label_arr)):
+    # exact integrality: a tolerance would round large regression labels
+    if np.all(np.isfinite(label_arr)) and np.all(label_arr == np.rint(label_arr)):
         label_arr = np.rint(label_arr).astype(np.int64)
 
     if normalize == "per-feature-standardize":

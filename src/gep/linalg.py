@@ -28,7 +28,10 @@ __all__ = [
     "GradientPiece",
     "FactoredGradients",
     "as_factors",
+    "AnchorCoefficients",
+    "gram_path_pays",
     "orthonormalize_rows",
+    "orthonormalize_coefficients",
     "power_iteration_basis",
     "project_split",
     "clip_rows",
@@ -36,6 +39,7 @@ __all__ = [
     "stable_rank",
     "gaussian_noise",
     "DEFAULT_ORTHO_TOL",
+    "GRAM_ORTHO_BOUND",
     "SPECTRAL_TOL",
 ]
 
@@ -43,6 +47,10 @@ __all__ = [
 DEFAULT_ORTHO_TOL = 1e-10
 # Relative tolerance for the spectral-norm power iteration.
 SPECTRAL_TOL = 1e-6
+# Largest estimated orthogonality loss u ||K||_F ||C||_2^2 a basis held as
+# anchor coefficients may carry; see power_iteration_basis.
+GRAM_ORTHO_BOUND = 1e-13
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 _MASK64 = (1 << 64) - 1
 
@@ -156,12 +164,14 @@ class FactoredGradients:
     * squared norms: ``||g_i||^2 = sum over pieces of ||delta_i||^2 ||a_i||^2``;
     * embedding: ``(G B^T)_ij = sum over pieces of delta_i^T M_j a_i``;
     * weighted sums: ``sum_i b_i g_i = (delta o b)^T a`` per piece;
-    * back-projection: ``(W^T G)_j = sum_i W_ij delta_i (x) a_i`` per piece.
+    * back-projection: ``(W^T G)_j = sum_i W_ij delta_i (x) a_i`` per piece;
+    * cross Gram against a batch ``H`` of the same pieces:
+      ``G H^T = sum over pieces of (delta delta_h^T) o (a a_h^T)``.
 
     The embedding and the back-projection each run as one GEMM that
     contracts the larger of ``c`` and ``a``, with an ``n x k x min(c, a)``
     temporary, and count ``n * k * c * a`` multiply-adds, the same as the
-    dense product.
+    dense product.  The cross Gram costs ``n * m * (c + a)`` per piece.
     """
 
     def __init__(self, pieces: Sequence[GradientPiece], p: int):
@@ -231,8 +241,11 @@ class FactoredGradients:
             out.append(GradientPiece(start - lo, piece.delta[:, first:last], piece.act))
         return FactoredGradients(out, hi - lo)
 
-    def embed(self, basis: np.ndarray) -> np.ndarray:
-        """``G B^T`` (n x k) for a ``k x p`` basis."""
+    def embed(self, basis: np.ndarray | AnchorCoefficients) -> np.ndarray:
+        """``G B^T`` (n x k) for a ``k x p`` basis, dense or held as anchor
+        coefficients."""
+        if isinstance(basis, AnchorCoefficients):
+            return basis.embed(self)
         w = None
         for piece in self.pieces:
             part = _embed_piece(piece, basis[:, piece.offset : piece.offset + piece.width])
@@ -244,6 +257,30 @@ class FactoredGradients:
         out = np.empty((w.shape[1], self.p))
         for piece in self.pieces:
             out[:, piece.offset : piece.offset + piece.width] = _back_project_piece(piece, w)
+        return out
+
+    def cross_gram(self, other: FactoredGradients) -> np.ndarray:
+        """``G H^T`` (n x m) against a batch ``H`` of the same columns.
+
+        When the two batches have pieces of the same shapes, each piece
+        adds ``(delta delta_h^T) o (a a_h^T)``, and pieces that share a
+        ``delta`` buffer on both sides (a weight block and its bias) share
+        its product.  Otherwise ``H`` is materialized and embedded.
+        """
+        if other.p != self.p:
+            raise ValueError(f"cross Gram of {self.p} and {other.p} columns")
+        if _piece_shapes(self) != _piece_shapes(other):
+            return self.embed(other.dense())
+        out = None
+        delta_products = {}
+        for mine, theirs in zip(self.pieces, other.pieces):
+            key = (_buffer_key(mine.delta), _buffer_key(theirs.delta))
+            part = delta_products.get(key)
+            if part is None:
+                part = delta_products[key] = _matmul(mine.delta, theirs.delta.T)
+            if mine.act is not None:
+                part = part * _matmul(mine.act, theirs.act.T)
+            out = part if out is None else out + part
         return out
 
     def weighted_sum(self, weights: np.ndarray | None = None) -> np.ndarray:
@@ -277,6 +314,18 @@ class FactoredGradients:
                 shape = (count, delta.shape[1], act.shape[1])
                 np.multiply(delta[:, :, None], act[:, None, :], out=block.reshape(shape))
         return out
+
+
+def _piece_shapes(g: FactoredGradients) -> list[tuple[int, int, int | None]]:
+    return [
+        (x.offset, x.delta.shape[1], None if x.act is None else x.act.shape[1])
+        for x in g.pieces
+    ]
+
+
+def _buffer_key(x: np.ndarray) -> tuple:
+    # views of one array with equal shape and strides hold the same matrix
+    return x.__array_interface__["data"][0], x.shape, x.strides
 
 
 def _embed_piece(piece: GradientPiece, basis: np.ndarray) -> np.ndarray:
@@ -324,6 +373,52 @@ def as_factors(g: np.ndarray | FactoredGradients) -> FactoredGradients:
     return FactoredGradients((GradientPiece(0, g),), g.shape[1])
 
 
+class AnchorCoefficients:
+    """A ``k x p`` basis block held as ``B = C G_a``, never formed.
+
+    ``coef`` (``C``, ``k x m``) weights the ``m`` anchor gradients
+    ``anchors`` (``G_a``, factored), so every product goes through them:
+
+    * ``B v = C (G_a v)`` and ``y B = (y C) G_a``, at ``m * p`` multiply-adds
+      plus ``k * m`` per vector; ``@`` works on either side as it does with
+      a dense block;
+    * the embedding of a batch ``G B^T = (G G_a^T) C^T`` through
+      :meth:`FactoredGradients.cross_gram`, at ``n * m * (c + a)`` per piece
+      plus ``n * m * k`` instead of ``n * k * c * a``.
+
+    :meth:`dense` materializes ``B``.
+    """
+
+    # ``ndarray @ block`` defers to __rmatmul__ instead of converting block
+    __array_ufunc__ = None
+
+    def __init__(self, coef: np.ndarray, anchors: FactoredGradients):
+        self.coef = coef
+        self.anchors = anchors
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.coef.shape[0], self.anchors.p
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """``B v`` for one p-vector."""
+        return _matmul(self.coef, self.anchors.embed(v[None, :])[:, 0])
+
+    def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
+        """``y B`` for one k-vector or a matrix of k-vector rows."""
+        u = _matmul(np.atleast_2d(y), self.coef)
+        out = self.anchors.back_project(u.T)
+        return out[0] if y.ndim == 1 else out
+
+    def embed(self, g: FactoredGradients) -> np.ndarray:
+        """``G B^T`` (n x k) for a batch ``G`` of the anchors' columns."""
+        return _matmul(g.cross_gram(self.anchors), self.coef.T)
+
+    def dense(self) -> np.ndarray:
+        """The ``k x p`` basis block."""
+        return self.anchors.back_project(self.coef.T)
+
+
 def orthonormalize_rows(
     m: np.ndarray, tol: float = DEFAULT_ORTHO_TOL
 ) -> tuple[np.ndarray, int]:
@@ -369,13 +464,84 @@ def orthonormalize_rows(
     return q[:count], count
 
 
+def orthonormalize_coefficients(
+    c: np.ndarray, gram: np.ndarray, tol: float = DEFAULT_ORTHO_TOL
+) -> tuple[np.ndarray, int]:
+    """:func:`orthonormalize_rows` on rows ``c G_a`` held as coefficients.
+
+    ``gram`` is ``K = G_a G_a^T``, so ``<u, v> = u K v^T`` is the inner
+    product of the rows ``u G_a`` and ``v G_a``.  The same CGS2 and the
+    same drop rule run on the ``m``-vectors ``c``, at ``m^2`` per row for
+    the norms and ``m`` per projection, never ``p``.
+    """
+    n_rows, m = c.shape
+    q = np.empty((n_rows, m))
+    kq = np.empty((n_rows, m))  # rows K q_j, for the inner products
+    count = 0
+    for i in range(n_rows):
+        v = c[i]
+        kv = _matmul(gram, v)
+        _macs(m)
+        scale = math.sqrt(max(float(v @ kv), 0.0))
+        if not math.isfinite(scale):
+            raise ValueError(f"row {i} of c is not finite or its norm overflows")
+        for _ in range(2):
+            if count:
+                coeffs = _matmul(kq[:count], v)
+                v = v - _matmul(q[:count].T, coeffs)
+        kv = _matmul(gram, v)
+        _macs(m)
+        norm = math.sqrt(max(float(v @ kv), 0.0))
+        if norm < tol * max(1.0, scale):
+            continue
+        _macs(2 * m)
+        q[count] = v / norm
+        kq[count] = kv / norm
+        count += 1
+    return q[:count], count
+
+
+def gram_path_pays(g_a: FactoredGradients, k: int) -> bool:
+    """Whether a ``k``-row basis of these anchors is cheaper as coefficients.
+
+    The shape rule ``m (sum(c + a) + k) < k sum(c a)`` over the pieces
+    compares the Gram embedding of one row against the dense one: the
+    cross Gram plus ``C^T`` against ``k`` dense columns per piece.
+    """
+    widths = sum(
+        piece.delta.shape[1] + (1 if piece.act is None else piece.act.shape[1])
+        for piece in g_a.pieces
+    )
+    return g_a.n * (widths + k) < k * g_a.p
+
+
+def _gram_power_rounds(
+    g_a: FactoredGradients, w: np.ndarray, t: int, tol: float
+) -> AnchorCoefficients | None:
+    # Subspace iteration with the basis held as C: after W = G_a B^T, the
+    # next basis W^T G_a has coefficients W^T, and each later W is K C^T.
+    # None when a row is dropped (a K-norm that small sits below this
+    # path's rounding) or the orthogonality loss estimate exceeds the bound.
+    gram = g_a.cross_gram(g_a)
+    loss_per_coef = _UNIT_ROUNDOFF * float(np.linalg.norm(gram))
+    k = w.shape[1]
+    coef = w.T
+    for round_ in range(t):
+        if round_:
+            coef = _matmul(coef, gram)
+        coef, rank = orthonormalize_coefficients(coef, gram, tol)
+        if rank < k or loss_per_coef * np.linalg.norm(coef, 2) ** 2 > GRAM_ORTHO_BOUND:
+            return None
+    return AnchorCoefficients(coef, g_a)
+
+
 def power_iteration_basis(
     g_a: np.ndarray | FactoredGradients,
     k: int,
     t: int,
     rng: np.random.Generator,
     tol: float = DEFAULT_ORTHO_TOL,
-) -> np.ndarray:
+) -> np.ndarray | AnchorCoefficients:
     """Estimate an orthonormal basis of the top-``k`` right singular subspace.
 
     Runs ``t`` rounds of subspace iteration on ``g_a`` (rows are samples,
@@ -384,6 +550,15 @@ def power_iteration_basis(
     Rows that collapse during orthonormalization are dropped, so the
     returned basis may have fewer than ``k`` rows when ``g_a`` is rank
     deficient.  The input is validated once, from its row norms.
+
+    For factored anchors that pass :func:`gram_path_pays` (a dense matrix
+    never does), the rounds after the first product ``g_a b^T`` run on
+    coefficients over the anchors, orthonormalized under
+    ``K = g_a g_a^T`` (:func:`orthonormalize_coefficients`), and the basis
+    comes back as :class:`AnchorCoefficients`.  Rounding makes its rows orthonormal to
+    about ``u ||K||_F ||C||_2^2`` (``u`` the unit roundoff); when that
+    estimate exceeds :data:`GRAM_ORTHO_BOUND`, or a row is dropped, the
+    rounds rerun on the dense basis from the same first product.
 
     ``k`` larger than ``min(m, p)`` is clamped with a warning; an all-zero
     input yields an empty basis.
@@ -407,8 +582,15 @@ def power_iteration_basis(
         return np.zeros((0, p))
 
     basis = rng.standard_normal((k, p))
-    for _ in range(t):
-        basis = g_a.back_project(g_a.embed(basis))
+    w = g_a.embed(basis)
+    if gram_path_pays(g_a, k):
+        held = _gram_power_rounds(g_a, w, t, tol)
+        if held is not None:
+            return held
+    for round_ in range(t):
+        if round_:
+            w = g_a.embed(basis)
+        basis = g_a.back_project(w)
         basis, rank = orthonormalize_rows(basis, tol)
         if rank == 0:
             break

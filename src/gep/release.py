@@ -54,10 +54,44 @@ accurate to about ``10 * eps / RESIDUAL_GUARD`` (2e-13) relative, and its
 share of the rounding in ``P(G^T b)`` is at most
 ``1 / sqrt(RESIDUAL_GUARD)`` = 10 ulps of ``s2``, so the ``s2``
 sensitivity bound holds to rounding.
+
+Gram path: every power-iteration row lies in the span of the group's
+``m`` anchor gradients, so a wide group keeps its basis as coefficients,
+``B = C G_a`` with ``C`` of size ``k x m``
+(:class:`gep.linalg.AnchorCoefficients`).  A ``"power"`` group takes this
+path when its pieces satisfy ``m (sum(c + a) + k) < k sum(c a)``
+(:func:`gep.linalg.gram_path_pays`), a rule on shapes alone.  Its basis
+is built from the same start draw and first product ``W_0 = G_a B_0^T``
+as the dense rounds; CGS2 then runs on the rows of ``C = W_0^T`` under
+``<u, v> = u K v^T`` with ``K = sum over pieces (D_a D_a^T) o (A_a A_a^T)``,
+and each later round sets ``C <- C K``.  The products the release needs
+become:
+
+* embedding: ``W = G B^T = (sum over pieces (D D_a^T) o (A A_a^T)) C^T``, at
+  ``n m (c + a)`` per piece plus ``n m k`` instead of ``n k c a``;
+* ``B v = C (G_a v)`` and ``y B = (y C) G_a``, at ``m c a`` per piece, for
+  the residual sum ``P(G^T b)``, the projection error, the reconstruction
+  of ``w_tilde`` and the guarded rows.
+
+Rounding leaves the materialized rows orthonormal to about
+``u ||K||_F ||C||_2^2`` (``u`` the unit roundoff).  A group whose
+estimate exceeds ``GRAM_ORTHO_BOUND`` (1e-13), or whose CGS2 drops a row,
+reruns the dense rounds from the same ``W_0``, so near rank-deficient
+anchors stay dense.  On a Gram group the guard statement above carries
+that loss: with ``kappa = ||C||_2 ||K||_F^(1/2)`` (at most about 30 under
+the bound) and ``eps_o`` the orthogonality loss, a row outside the guard
+has ``||r_i||^2`` accurate to about
+``(2 kappa u + eps_o) / RESIDUAL_GUARD`` relative, and its share of the
+rounding in ``P(G^T b)`` is about ``(kappa u + eps_o) / sqrt(RESIDUAL_GUARD)``
+of ``s2``.  At the bound that is about 1e-11 relative, where a dense
+group has 2e-13.  On the ``mlp-wide`` benchmark's first layer the
+estimate is below 1e-14 and ``kappa`` below 8, which keeps the ``s2``
+bound within 1e-12 relative, as on dense groups.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -65,6 +99,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import (
+    AnchorCoefficients,
     FactoredGradients,
     as_factors,
     gaussian_noise,
@@ -96,6 +131,9 @@ BASIS_MODES = ("power", "random")
 RESIDUAL_GUARD = 1e-2
 # Explicit residuals are built this many matrix entries (1 MiB) at a time.
 _CHUNK_ELEMENTS = 1 << 17
+
+# A basis block as a group holds it: dense, or as anchor coefficients.
+_Block = np.ndarray | AnchorCoefficients
 
 
 @dataclass(frozen=True)
@@ -178,20 +216,33 @@ class AnchorBasis:
 
     Each parameter group carries its own basis block, so projection and
     reconstruction are block-diagonal: coordinates of one group never mix
-    into another group's embedding.
+    into another group's embedding.  ``held`` keeps each block as built: a
+    dense array, or :class:`AnchorCoefficients` for a group on the Gram
+    path.  ``blocks``, and with it ``project``, ``reconstruct`` and
+    ``split``, materializes the latter on first use.
     """
 
-    def __init__(self, layout: GroupLayout, blocks: list[np.ndarray]):
+    def __init__(self, layout: GroupLayout, blocks: list[_Block]):
         if len(blocks) != len(layout.groups):
             raise ValueError("need exactly one basis block per group")
         for group, block in zip(layout.groups, blocks):
-            if block.ndim != 2 or block.shape[1] != group.length:
+            if len(block.shape) != 2 or block.shape[1] != group.length:
                 raise ValueError(
                     f"basis block for group {group.name!r} has shape "
                     f"{block.shape}, expected (*, {group.length})"
                 )
         self.layout = layout
-        self.blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+        self.held = [
+            b if isinstance(b, AnchorCoefficients) else np.asarray(b, dtype=np.float64)
+            for b in blocks
+        ]
+
+    @functools.cached_property
+    def blocks(self) -> list[np.ndarray]:
+        """The dense basis blocks."""
+        return [
+            b.dense() if isinstance(b, AnchorCoefficients) else b for b in self.held
+        ]
 
     @property
     def dim(self) -> int:
@@ -199,7 +250,7 @@ class AnchorBasis:
 
     @property
     def k_effective(self) -> int:
-        return sum(b.shape[0] for b in self.blocks)
+        return sum(b.shape[0] for b in self.held)
 
     def _spans(self) -> list[tuple[ParamGroup, np.ndarray, int]]:
         spans = []
@@ -273,8 +324,11 @@ def build_anchor_basis(
     With ``basis_mode="power"`` each group runs ``cfg.t`` rounds of power
     iteration on its columns of the anchor gradients (factored, or a dense
     ``m x p`` matrix); with ``"random"`` the blocks are orthonormalized
-    Gaussian draws (the random-projection baseline).  The anchor gradients
-    are not needed after this call and may be discarded by the caller.
+    Gaussian draws (the random-projection baseline).  A power group whose
+    shapes pass :func:`gep.linalg.gram_path_pays` is held as coefficients
+    over its anchor gradients (the Gram path of the module docstring) and
+    keeps a reference to them; other blocks do not need the anchors after
+    this call.
     """
     if basis_mode not in BASIS_MODES:
         raise ValueError(f"unknown basis mode {basis_mode!r}")
@@ -333,7 +387,7 @@ def _clip_scales(
     return scales, over
 
 
-def _project_out(blocks: list[tuple[slice, np.ndarray]], v: np.ndarray) -> np.ndarray:
+def _project_out(blocks: list[tuple[slice, _Block]], v: np.ndarray) -> np.ndarray:
     """``v`` minus its projection onto every basis block (one p-vector)."""
     if not blocks:
         return v
@@ -343,17 +397,17 @@ def _project_out(blocks: list[tuple[slice, np.ndarray]], v: np.ndarray) -> np.nd
     return out
 
 
-def _error_rate(blocks: list[tuple[slice, np.ndarray]], g_sum: np.ndarray) -> float:
+def _error_rate(blocks: list[tuple[slice, _Block]], g_sum: np.ndarray) -> float:
     g_norm = float(np.linalg.norm(g_sum))
     if g_norm == 0.0:
         return math.nan
     return float(np.linalg.norm(_project_out(blocks, g_sum))) / g_norm
 
 
-def _active_blocks(basis: AnchorBasis) -> list[tuple[slice, np.ndarray]]:
+def _active_blocks(basis: AnchorBasis) -> list[tuple[slice, _Block]]:
     return [
         (slice(group.offset, group.offset + group.length), block)
-        for group, block, _ in basis._spans()
+        for group, block in zip(basis.layout.groups, basis.held)
         if block.shape[0]
     ]
 

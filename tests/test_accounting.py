@@ -266,3 +266,43 @@ def test_calibrated_sigma_unchanged_by_vectorized_curve(monkeypatch, epsilon, q,
     sigma = calibrate_sigma_search(budget, q, steps)
     monkeypatch.setattr(gep.accounting, "subsampled_gaussian_curve", per_order_curve)
     assert calibrate_sigma_search(budget, q, steps) == sigma
+
+
+def per_order_gaussian_curve(orders, s, sigma):
+    """The reference: one ``rdp_gaussian`` call per order."""
+    return RdpCurve(orders, [rdp_gaussian(o, s, sigma) for o in orders])
+
+
+def test_gaussian_curve_is_bitwise_the_per_order_path():
+    orders = default_orders(DpBudget(8.0, 1e-5), include_analytic=True)
+    rng = np.random.default_rng(0)
+    pairs = [(0.0, 1.0), (1.0, 1.0), (math.sqrt(2.0), 0.3)]
+    pairs += list(zip(rng.uniform(0.0, 3.0, 200), 10.0 ** rng.uniform(-2.0, 3.0, 200)))
+    for s, sigma in pairs:
+        curve = gaussian_curve(orders, s, sigma)
+        assert np.array_equal(curve.costs, per_order_gaussian_curve(orders, s, sigma).costs)
+
+
+def test_gaussian_curve_errors_match_the_per_order_path():
+    import warnings
+
+    orders = default_orders()
+    cases = [(orders, -1.0, 1.0), (orders, 1.0, -1.0), (orders, 1.0, 0.0), ([1.0, 2.0], 1.0, 1.0)]
+    for grid, s, sigma in cases:
+        with pytest.raises(ValueError) as expected:
+            per_order_gaussian_curve(grid, s, sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                gaussian_curve(grid, s, sigma)
+        assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("steps", [1, 4, 5, 100])
+def test_full_batch_calibration_unchanged_by_vectorized_gaussian_curve(monkeypatch, steps):
+    import gep.accounting
+
+    budget = DpBudget(8.0, 1e-5)
+    sigma = calibrate_sigma_search(budget, 1.0, steps)
+    monkeypatch.setattr(gep.accounting, "gaussian_curve", per_order_gaussian_curve)
+    assert calibrate_sigma_search(budget, 1.0, steps) == sigma

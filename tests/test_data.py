@@ -148,6 +148,15 @@ def test_ingest_csv_float_labels(tmp_path):
     path.write_text("a,label\n1.0,0.25\n2.0,-1.5\n")
     data = ingest_csv(str(path), "label")
     assert data.labels.dtype == np.float64
+    # within a relative 1e-5 of an integer, but not integers
+    path.write_text("a,label\n1.0,100000.5\n2.0,250000.25\n")
+    data = ingest_csv(str(path), "label")
+    assert data.labels.dtype == np.float64
+    assert data.labels.tolist() == [100000.5, 250000.25]
+    path.write_text("a,label\n1.0,0\n2.0,1\n3.0,7.0\n")
+    data = ingest_csv(str(path), "label")
+    assert data.labels.dtype == np.int64
+    assert data.labels.tolist() == [0, 1, 7]
 
 
 def test_train_eval_split_disjoint():

@@ -13,9 +13,13 @@ from gep.linalg import (
     FactoredGradients,
     GradientPiece,
     RandomStream,
+    as_factors,
     clip_rows,
+    count_flops,
     gaussian_noise,
+    gram_path_pays,
     orthonormalize_rows,
+    power_iteration_basis,
     row_norms,
 )
 from gep.models import (
@@ -738,3 +742,158 @@ def test_gep_training_step_builds_no_n_by_p_matrix():
         tracemalloc.stop()
     assert metrics[0].clip_fraction_s1 > 0.0 and metrics[0].clip_fraction_s2 > 0.0
     assert peak < 0.25 * task.private.n * task.model.p * 8
+
+
+# ---------------------------------------------------------------------------
+# Gram path: power bases held as coefficients over the anchor gradients
+
+
+def shaped_factors(m, shapes):
+    """Zero factors whose pieces have the given ``(c, a)`` shapes (a=1: bias)."""
+    pieces, offset = [], 0
+    for c, a in shapes:
+        act = None if a == 1 else np.zeros((m, a))
+        pieces.append(GradientPiece(offset, np.zeros((m, c)), act))
+        offset += c * a
+    return FactoredGradients(pieces, offset)
+
+
+def held_kinds(basis):
+    return [type(block).__name__ for block in basis.held]
+
+
+def test_gram_shape_rule_picks_wide_mlp_layers_only():
+    # mlp-wide (d=64, h=128, 10 classes, m=400, k=40): layer 1 only
+    task = mlp_cluster_task(0, n=20, input_dim=64, classes=10, hidden_dim=128, m_aux=400)
+    anchor = per_sample_factors(task.model, task.aux)
+    layout = make_group_layout(task.model, 40)
+    picks = [
+        gram_path_pays(anchor.columns(g.offset, g.offset + g.length), g.k_alloc)
+        for g in layout.groups
+    ]
+    assert [g.k_alloc for g in layout.groups] == [29, 11]
+    assert picks == [True, False]
+    basis = build_anchor_basis(anchor, layout, make_cfg(k=40, m=400, t=1), np.random.default_rng(0))
+    assert held_kinds(basis) == ["AnchorCoefficients", "ndarray"]
+    random = build_anchor_basis(
+        anchor, layout, make_cfg(k=40, m=400), np.random.default_rng(0), basis_mode="random"
+    )
+    assert held_kinds(random) == ["ndarray", "ndarray"]
+    # logistic workloads, one (classes x (d + 1)) block: logreg-full and
+    # poisson-q05 (m=400, k=6), cli-grid (m=200, k=8)
+    assert not gram_path_pays(shaped_factors(400, [(2, 200)]), 6)
+    assert not gram_path_pays(shaped_factors(200, [(2, 101)]), 8)
+    # criterion 8's dense anchors, every group split
+    for groups in (1, 2, 5):
+        p_g = 1000 // groups
+        assert not gram_path_pays(as_factors(np.zeros((100, p_g))), 20)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c=st.integers(16, 30),
+    a=st.integers(12, 24),
+    k=st.integers(3, 8),
+    extra_m=st.integers(1, 6),
+    t=st.sampled_from([1, 2]),
+    rank=st.integers(1, 2),
+    noise_log10=st.sampled_from([-12.0, -9.0, -6.0, -4.0, -1.0, 0.0]),
+)
+def test_gram_basis_is_orthonormal_or_falls_back(seed, c, a, k, extra_m, t, rank, noise_log10):
+    rng = np.random.default_rng(seed)
+    m = k + extra_m
+    anchor = low_rank_factors(rng, m, c, a, rank, 10.0**noise_log10)
+    assert gram_path_pays(anchor, k)
+    basis = build_anchor_basis(
+        anchor, single_group_layout(anchor.p, k), make_cfg(k=k, m=m, t=t), rng
+    )
+    block = basis.blocks[0]
+    assert np.max(np.abs(block @ block.T - np.eye(block.shape[0]))) <= 1e-12
+    # the anchors span rank^2 + rank directions up to the noise: a larger
+    # basis is near rank deficient, beyond what the Gram path can resolve
+    if k > rank * rank + rank and noise_log10 <= -4.0:
+        assert held_kinds(basis) == ["ndarray"]
+
+
+GRAM_MLP = dict(input_dim=24, classes=3, hidden_dim=32, m_aux=40)
+
+
+def gram_mlp_basis(task, t=2, seed=40):
+    layout = make_group_layout(task.model, 12)
+    basis = build_anchor_basis(
+        per_sample_factors(task.model, task.aux), layout, make_cfg(k=12, m=40, t=t),
+        np.random.default_rng(seed),
+    )
+    assert held_kinds(basis) == ["AnchorCoefficients", "ndarray"]
+    return basis
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_gram_basis_matches_the_dense_rounds(t):
+    task = mlp_cluster_task(3, n=120, **GRAM_MLP)
+    anchor = per_sample_factors(task.model, task.aux)
+    basis = gram_mlp_basis(task, t=t)
+    rng = np.random.default_rng(40)
+    for group, block in zip(basis.layout.groups, basis.blocks):
+        # dense anchors always take the dense rounds
+        cols = anchor.columns(group.offset, group.offset + group.length).dense()
+        dense = power_iteration_basis(cols, group.k_alloc, t, rng)
+        assert block.shape == dense.shape
+        assert np.max(np.abs(block - dense)) <= 1e-12
+    # the same release as from the dense blocks, in fewer multiply-adds
+    g = per_sample_factors(task.model, task.private)
+    cfg = make_cfg(k=12, m=40, t=t, s1=0.1, s2=0.1, sigma=0.5)
+    rels, counts = [], []
+    for b in (basis, AnchorBasis(basis.layout, basis.blocks)):
+        with count_flops() as counter:
+            rels.append(gep_release(g, b, cfg, np.random.default_rng(1)))
+        counts.append(counter.macs)
+    scale = np.linalg.norm(rels[1].v_tilde)
+    assert np.linalg.norm(rels[0].v_tilde - rels[1].v_tilde) <= 1e-12 * scale
+    assert counts[0] < counts[1]
+
+
+@pytest.mark.parametrize("release_fn", [gep_release, bgep_release])
+def test_gram_release_matches_explicit_oracle(release_fn):
+    task = mlp_cluster_task(3, n=120, **GRAM_MLP)
+    factors = per_sample_factors(task.model, task.private)
+    g = factors.dense()
+    basis = gram_mlp_basis(task)
+    w, r = basis.split(g)
+    s1 = float(np.median(row_norms(w)))
+    s2 = float(np.median(row_norms(r)))
+    cfg = make_cfg(k=12, m=40, t=2, s1=s1, s2=s2, sigma=0.3)
+    with_residual = release_fn is gep_release
+    expected = oracle_release(g, basis, cfg, np.random.default_rng(41), with_residual)
+    scale = np.linalg.norm(expected)
+    for x in (factors, g):
+        rel = release_fn(x, basis, cfg, np.random.default_rng(41))
+        assert np.linalg.norm(rel.v_tilde - expected) <= 1e-12 * scale
+        assert rel.clip_fraction_s1 == np.mean(row_norms(w) > s1)
+        if with_residual:
+            assert rel.clip_fraction_s2 == np.mean(row_norms(r) > s2)
+        assert rel.projection_error_rate == pytest.approx(
+            np.linalg.norm(r.sum(axis=0)) / np.linalg.norm(g.sum(axis=0)), rel=1e-10
+        )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 16),
+    clip_q=st.floats(0.1, 0.9),
+)
+def test_one_row_moves_gram_release_sums_by_at_most_threshold(seed, n, clip_q):
+    task = mlp_cluster_task(seed % 1000, n=17, **GRAM_MLP)
+    basis = gram_mlp_basis(task, t=1 + seed % 2, seed=seed)
+    factors = per_sample_factors(task.model, task.private.subset(np.arange(n + 1)))
+    w, r = basis.split(factors.dense())
+    s1 = float(np.quantile(row_norms(w), clip_q))
+    s2 = float(np.quantile(row_norms(r), clip_q))
+    cfg = make_cfg(k=12, m=40, s1=s1, s2=s2, sigma=0.0)
+    full = gep_release(factors, basis, cfg, np.random.default_rng(0))
+    for i in range(n + 1):
+        reduced = gep_release(drop_row(factors, i), basis, cfg, np.random.default_rng(0))
+        assert np.linalg.norm(full.w_tilde - reduced.w_tilde) <= s1 * (1 + 1e-12)
+        assert np.linalg.norm(full.r_tilde - reduced.r_tilde) <= s2 * (1 + 1e-12)
