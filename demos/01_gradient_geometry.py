@@ -8,13 +8,14 @@ exactly low-rank, and sweeps the projection error as the basis grows.
 
 import numpy as np
 
-from gep.linalg import RandomStream, stable_rank
+from gep.linalg import RandomStream
 from gep.models import make_group_layout, per_sample_gradients
 from gep.release import (
     GepConfig,
     build_anchor_basis,
     projection_error_rate,
     single_group_layout,
+    stable_rank,
 )
 from gep.tasks import lowrank_regression_task, mlp_cluster_task
 
@@ -78,8 +79,7 @@ layout = make_group_layout(task.model, 40)
 basis = build_anchor_basis(
     anchor_grads, layout, GepConfig(k=40, m=task.aux.n, t=2), stream.generator(2)
 )
-_, resid = basis.split(grads)
-sr_g, sr_r = stable_rank(grads), stable_rank(resid)
+sr_g, sr_r = stable_rank(grads), stable_rank(grads, basis)
 print(f"stable rank of gradients: {sr_g:.1f}")
 print(f"stable rank of residuals after removing 40 anchor directions: {sr_r:.1f}")
 print(f"ratio: {sr_r / sr_g:.1f}x")

@@ -25,13 +25,10 @@ from .linalg import (
     FactoredGradients,
     GradientPiece,
     RandomStream,
-    clip_rows,
     count_flops,
     gaussian_noise,
     orthonormalize_rows,
     power_iteration_basis,
-    project_split,
-    stable_rank,
 )
 from .models import (
     GroupLayout,
@@ -53,6 +50,7 @@ from .release import (
     gp_release,
     projection_error_rate,
     single_group_layout,
+    stable_rank,
 )
 from .training import (
     DivergenceError,
@@ -88,7 +86,6 @@ __all__ = [
     "build_anchor_basis",
     "calibrate_sigma_closed_form",
     "calibrate_sigma_search",
-    "clip_rows",
     "convex_utility_experiment",
     "count_flops",
     "default_orders",
@@ -106,7 +103,6 @@ __all__ = [
     "per_sample_factors",
     "per_sample_gradients",
     "power_iteration_basis",
-    "project_split",
     "projection_error_rate",
     "rdp_compose",
     "rdp_gaussian",

@@ -41,7 +41,7 @@ from .models import (
     allocate_basis_counts,
     init_model,
     make_group_layout,
-    per_sample_gradients,
+    per_sample_factors,
 )
 from .release import GepConfig, build_anchor_basis, projection_error_rate
 from .tasks import TaskBundle, logistic_mixture_task, lowrank_regression_task
@@ -490,7 +490,7 @@ def project_error_command(
     else:
         print(f"config error: unknown task {task_kind!r}", file=sys.stderr)
         return 2
-    grads = per_sample_gradients(model, bundle.private)
+    grads = per_sample_factors(model, bundle.private)
 
     rng_labels = stream.generator(10)
     aux_pool = bundle.aux  # 2 * m_aux rows; the base table uses the first m_aux
@@ -516,7 +516,7 @@ def project_error_command(
     print("basis   source            " + "".join(f"k={k}".ljust(12) for k in ks))
     for basis_mode in ("power", "random"):
         for source_name, aux in sources.items():
-            anchor_grads = per_sample_gradients(model, aux)
+            anchor_grads = per_sample_factors(model, aux)
             row = [basis_mode.ljust(8) + source_name.ljust(18)]
             for k in ks:
                 layout = make_group_layout(model, k)
@@ -535,7 +535,7 @@ def project_error_command(
     for m_frac in (0.5, 1.0, 2.0):
         m_used = min(relabeled_pool.n, max(k_mid, int(round(m_aux * m_frac))))
         aux_m = relabeled_pool.subset(np.arange(m_used))
-        anchor_grads = per_sample_gradients(model, aux_m)
+        anchor_grads = per_sample_factors(model, aux_m)
         layout = make_group_layout(model, k_mid)
         cfg = GepConfig(k=k_mid, m=m_used, t=5, s1=1.0, s2=1.0)
         basis = build_anchor_basis(anchor_grads, layout, cfg, stream.generator(15, m_used))

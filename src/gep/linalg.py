@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import math
 import warnings
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,10 +33,6 @@ __all__ = [
     "orthonormalize_rows",
     "orthonormalize_coefficients",
     "power_iteration_basis",
-    "project_split",
-    "clip_rows",
-    "row_norms",
-    "stable_rank",
     "gaussian_noise",
     "DEFAULT_ORTHO_TOL",
     "GRAM_ORTHO_BOUND",
@@ -115,23 +111,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     t = b.shape[1] if b.ndim == 2 else 1
     _macs(a.shape[0] * a.shape[1] * t)
     return a @ b
-
-
-def _as_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
-
-
-def row_norms(m: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
-    return np.sqrt(np.einsum("ij,ij->i", m, m))
 
 
 class GradientPiece(NamedTuple):
@@ -385,8 +364,6 @@ class AnchorCoefficients:
     * the embedding of a batch ``G B^T = (G G_a^T) C^T`` through
       :meth:`FactoredGradients.cross_gram`, at ``n * m * (c + a)`` per piece
       plus ``n * m * k`` instead of ``n * k * c * a``.
-
-    :meth:`dense` materializes ``B``.
     """
 
     # ``ndarray @ block`` defers to __rmatmul__ instead of converting block
@@ -413,10 +390,6 @@ class AnchorCoefficients:
     def embed(self, g: FactoredGradients) -> np.ndarray:
         """``G B^T`` (n x k) for a batch ``G`` of the anchors' columns."""
         return _matmul(g.cross_gram(self.anchors), self.coef.T)
-
-    def dense(self) -> np.ndarray:
-        """The ``k x p`` basis block."""
-        return self.anchors.back_project(self.coef.T)
 
 
 def orthonormalize_rows(
@@ -597,60 +570,22 @@ def power_iteration_basis(
     return basis
 
 
-def project_split(
-    g: np.ndarray, basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split rows of ``g`` into subspace embeddings and residuals.
-
-    Returns ``(w, r)`` with ``w = g basis^T`` and ``r = g - w basis``; the
-    residual is built from the unclipped embedding, so ``r basis^T = 0`` up
-    to rounding.  An empty basis maps everything to the residual.
-    """
-    g = _as_matrix(g, "g")
-    basis = _as_matrix(basis, "basis")
-    if basis.shape[0] == 0:
-        return np.zeros((g.shape[0], 0)), g.copy()
-    if basis.shape[1] != g.shape[1]:
-        raise ValueError(
-            f"basis has {basis.shape[1]} columns, expected {g.shape[1]}"
-        )
-    w = _matmul(g, basis.T)
-    r = g - _matmul(w, basis)
-    return w, r
-
-
-def clip_rows(m: np.ndarray, s: float) -> np.ndarray:
-    """Rescale each row to Euclidean norm at most ``s``, keeping direction.
-
-    Rows already within the threshold are returned unchanged (bitwise).
-    """
-    if s <= 0:
-        raise ValueError(f"clipping threshold must be positive, got {s}")
-    m = _as_matrix(m, "m")
-    if m.shape[1] == 0:
-        return m.copy()
-    norms = row_norms(m)
-    scale = np.ones_like(norms)
-    over = norms > s
-    scale[over] = s / norms[over]
-    _macs(m.shape[0] * m.shape[1])
-    return m * scale[:, None]
-
-
-def _top_eigenvalue(gram: np.ndarray, rtol: float, max_iter: int = 20000) -> float:
-    # Power iteration on a PSD matrix with a fixed-seed start vector, so the
-    # result is a deterministic function of the input alone.
+def _top_eigenvalue(
+    matvec: Callable[[np.ndarray], np.ndarray], dim: int, rtol: float, max_iter: int = 20000
+) -> float:
+    # Power iteration on a PSD operator with a fixed-seed start vector, so
+    # the result is a deterministic function of the input alone.
     rng = np.random.default_rng(0x5EEDED)
-    v = rng.standard_normal(gram.shape[0])
+    v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     eig = 0.0
     for _ in range(max_iter):
-        w = gram @ v
+        w = matvec(v)
         new = float(v @ w)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             # Start vector sits in the null space; perturb and continue.
-            v = rng.standard_normal(gram.shape[0])
+            v = rng.standard_normal(dim)
             v /= np.linalg.norm(v)
             continue
         v = w / norm
@@ -658,26 +593,6 @@ def _top_eigenvalue(gram: np.ndarray, rtol: float, max_iter: int = 20000) -> flo
             return new
         eig = new
     return eig
-
-
-def stable_rank(m: np.ndarray, rtol: float = SPECTRAL_TOL) -> float:
-    """Ratio of squared Frobenius norm to squared spectral norm.
-
-    The spectral norm is obtained by power iteration on the smaller of the
-    two Gram matrices, converged to relative tolerance ``rtol``.  The
-    result is clamped to its mathematical range ``[1, min(rows, cols)]``.
-    """
-    m = _as_matrix(m, "m")
-    fro2 = float(np.sum(m * m))
-    if fro2 == 0.0:
-        raise ValueError("stable rank is undefined for a zero matrix")
-    n_rows, n_cols = m.shape
-    gram = m @ m.T if n_rows <= n_cols else m.T @ m
-    top = _top_eigenvalue(gram, rtol)
-    if top <= 0.0:
-        raise ValueError("spectral norm estimate collapsed to zero")
-    value = fro2 / top
-    return float(min(max(value, 1.0), min(n_rows, n_cols)))
 
 
 def gaussian_noise(

@@ -53,7 +53,8 @@ residuals summed directly.  Every other row's residual norm is then
 accurate to about ``10 * eps / RESIDUAL_GUARD`` (2e-13) relative, and its
 share of the rounding in ``P(G^T b)`` is at most
 ``1 / sqrt(RESIDUAL_GUARD)`` = 10 ulps of ``s2``, so the ``s2``
-sensitivity bound holds to rounding.
+sensitivity bound holds to rounding.  The ``track_spectra`` diagnostic
+:func:`stable_rank` takes ``||R||_F^2`` from the same residual norms.
 
 Gram path: every power-iteration row lies in the span of the group's
 ``m`` anchor gradients, so a wide group keeps its basis as coefficients,
@@ -91,21 +92,22 @@ bound within 1e-12 relative, as on dense groups.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .linalg import (
+    SPECTRAL_TOL,
     AnchorCoefficients,
     FactoredGradients,
+    _top_eigenvalue,
     as_factors,
     gaussian_noise,
     orthonormalize_rows,
     power_iteration_basis,
-    project_split,
 )
 from .models import GroupLayout, ParamGroup
 
@@ -121,6 +123,7 @@ __all__ = [
     "bgep_release",
     "gp_release",
     "projection_error_rate",
+    "stable_rank",
     "noise_multipliers",
 ]
 
@@ -214,12 +217,12 @@ class PrivateRelease:
 class AnchorBasis:
     """Per-group orthonormal bases over a partitioned parameter vector.
 
-    Each parameter group carries its own basis block, so projection and
-    reconstruction are block-diagonal: coordinates of one group never mix
-    into another group's embedding.  ``held`` keeps each block as built: a
-    dense array, or :class:`AnchorCoefficients` for a group on the Gram
-    path.  ``blocks``, and with it ``project``, ``reconstruct`` and
-    ``split``, materializes the latter on first use.
+    Each parameter group carries its own basis block, so the embedding is
+    block-diagonal: coordinates of one group never mix into another
+    group's embedding.  ``held`` keeps each block in the one form it was
+    built in: a dense array, or :class:`AnchorCoefficients` for a group on
+    the Gram path.  The release reaches either form through its products
+    alone and never materializes a held block.
     """
 
     def __init__(self, layout: GroupLayout, blocks: list[_Block]):
@@ -237,13 +240,6 @@ class AnchorBasis:
             for b in blocks
         ]
 
-    @functools.cached_property
-    def blocks(self) -> list[np.ndarray]:
-        """The dense basis blocks."""
-        return [
-            b.dense() if isinstance(b, AnchorCoefficients) else b for b in self.held
-        ]
-
     @property
     def dim(self) -> int:
         return self.layout.dim
@@ -251,60 +247,6 @@ class AnchorBasis:
     @property
     def k_effective(self) -> int:
         return sum(b.shape[0] for b in self.held)
-
-    def _spans(self) -> list[tuple[ParamGroup, np.ndarray, int]]:
-        spans = []
-        w_offset = 0
-        for group, block in zip(self.layout.groups, self.blocks):
-            spans.append((group, block, w_offset))
-            w_offset += block.shape[0]
-        return spans
-
-    def project(self, g: np.ndarray) -> np.ndarray:
-        """Embed rows of ``g`` (n x p) into the basis (n x k_effective)."""
-        g = np.asarray(g, dtype=np.float64)
-        squeeze = g.ndim == 1
-        if squeeze:
-            g = g[None, :]
-        if g.shape[1] != self.dim:
-            raise ValueError(f"expected {self.dim} columns, got {g.shape[1]}")
-        parts = []
-        for group, block, _ in self._spans():
-            if block.shape[0] == 0:
-                continue
-            cols = slice(group.offset, group.offset + group.length)
-            w_part, _ = project_split(g[:, cols], block)
-            parts.append(w_part)
-        if parts:
-            w = np.hstack(parts)
-        else:
-            w = np.zeros((g.shape[0], 0))
-        return w[0] if squeeze else w
-
-    def reconstruct(self, w: np.ndarray) -> np.ndarray:
-        """Map embeddings back into the full parameter space."""
-        w = np.asarray(w, dtype=np.float64)
-        squeeze = w.ndim == 1
-        if squeeze:
-            w = w[None, :]
-        if w.shape[1] != self.k_effective:
-            raise ValueError(
-                f"expected {self.k_effective} embedding columns, got {w.shape[1]}"
-            )
-        out = np.zeros((w.shape[0], self.dim))
-        for group, block, w_offset in self._spans():
-            k_g = block.shape[0]
-            if k_g == 0:
-                continue
-            cols = slice(group.offset, group.offset + group.length)
-            out[:, cols] = w[:, w_offset : w_offset + k_g] @ block
-        return out[0] if squeeze else out
-
-    def split(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Embeddings and residuals of ``g``; residual uses unclipped embeddings."""
-        w = self.project(g)
-        r = g - self.reconstruct(w) if w.size else np.asarray(g, dtype=np.float64).copy()
-        return w, r
 
 
 def single_group_layout(p: int, k: int, name: str = "all") -> GroupLayout:
@@ -412,6 +354,47 @@ def _active_blocks(basis: AnchorBasis) -> list[tuple[slice, _Block]]:
     ]
 
 
+def _embeddings(
+    g: FactoredGradients, blocks: list[tuple[slice, _Block]]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each block's embedding ``W = G B^T`` and the rows' ``||w_i||^2``."""
+    w_parts = [g.columns(cols.start, cols.stop).embed(block) for cols, block in blocks]
+    sq_w = np.zeros(g.n)
+    for w in w_parts:
+        sq_w += np.einsum("ij,ij->i", w, w)
+    return w_parts, sq_w
+
+
+def _residual_sq_norms(
+    g: FactoredGradients,
+    blocks: list[tuple[slice, _Block]],
+    w_parts: list[np.ndarray],
+    sq: np.ndarray,
+    sq_w: np.ndarray,
+    each_chunk: Callable[[np.ndarray, np.ndarray], None] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual squared norms ``||r_i||^2``, and the guarded rows.
+
+    Pythagoras gives every row's norm; rows that keep less than
+    ``RESIDUAL_GUARD`` of ``||g_i||^2`` are the guarded rows, whose
+    residuals are recomputed explicitly in chunks of bounded size (see the
+    module docstring).  ``each_chunk(r, sq_r)`` sees every chunk of
+    explicit residual rows with their squared norms.
+    """
+    sq_r = np.maximum(sq - sq_w, 0.0)
+    explicit = np.flatnonzero(sq_r < RESIDUAL_GUARD * sq)
+    chunk = max(1, _CHUNK_ELEMENTS // g.p)
+    for start in range(0, len(explicit), chunk):
+        rows = explicit[start : start + chunk]
+        r = g.dense(rows)
+        for (cols, block), w in zip(blocks, w_parts):
+            r[:, cols] -= w[rows] @ block
+        sq_r[rows] = np.einsum("ij,ij->i", r, r)
+        if each_chunk is not None:
+            each_chunk(r, sq_r[rows])
+    return sq_r, explicit
+
+
 def _perturb(
     total: np.ndarray, std: float, rng: np.random.Generator | None
 ) -> np.ndarray:
@@ -444,10 +427,7 @@ def _release(
     sq = g.sq_norms()
 
     blocks = [] if basis is None else _active_blocks(basis)
-    w_parts = [g.columns(cols.start, cols.stop).embed(block) for cols, block in blocks]
-    sq_w = np.zeros(n)
-    for w in w_parts:
-        sq_w += np.einsum("ij,ij->i", w, w)
+    w_parts, sq_w = _embeddings(g, blocks)
 
     w_tilde = None
     clip1 = math.nan
@@ -463,17 +443,13 @@ def _release(
     g_sum = None
     if residual is not None:
         s2, std2 = residual
-        sq_r = np.maximum(sq - sq_w, 0.0)
-        explicit = np.flatnonzero(sq_r < RESIDUAL_GUARD * sq)
         explicit_sum = np.zeros(p)
-        chunk = max(1, _CHUNK_ELEMENTS // p)
-        for start in range(0, len(explicit), chunk):
-            rows = explicit[start : start + chunk]
-            r = g.dense(rows)
-            for (cols, block), w in zip(blocks, w_parts):
-                r[:, cols] -= w[rows] @ block
-            sq_r[rows] = np.einsum("ij,ij->i", r, r)
-            explicit_sum += _clip_scales(sq_r[rows], s2)[0] @ r
+
+        def sum_clipped(r: np.ndarray, sq_rows: np.ndarray) -> None:
+            nonlocal explicit_sum
+            explicit_sum += _clip_scales(sq_rows, s2)[0] @ r
+
+        sq_r, explicit = _residual_sq_norms(g, blocks, w_parts, sq, sq_w, sum_clipped)
         b2, over2 = _clip_scales(sq_r, s2)
         clip2 = float(np.mean(over2))
         if len(explicit) == 0 and not over2.any():
@@ -562,8 +538,8 @@ def gep_release(
     residual is taken against the unclipped embedding), clip the embedding
     rows at ``s1`` and residual rows at ``s2``, then perturb the two sums
     (each at ``sigma * sqrt(2)`` times its threshold) and recombine into
-    ``v_tilde = (reconstruct(w_tilde) + r_tilde) / n``.  ``g`` is factored
-    or a dense ``n x p`` matrix.
+    ``v_tilde = (w_tilde B + r_tilde) / n``, with ``w_tilde B`` mapped back
+    group by group.  ``g`` is factored or a dense ``n x p`` matrix.
     """
     return _method_release("gep", g, basis, cfg.s1, cfg.s2, cfg.sigma, rng)
 
@@ -609,3 +585,41 @@ def projection_error_rate(
     if math.isnan(rate):
         raise ValueError("projection error rate is undefined for a zero mean gradient")
     return rate
+
+
+def stable_rank(
+    g: np.ndarray | FactoredGradients,
+    basis: AnchorBasis | None = None,
+    rtol: float = SPECTRAL_TOL,
+) -> float:
+    """Stable rank ``||M||_F^2 / ||M||_2^2`` of the per-sample gradients
+    ``G`` (n x p, factored or dense), or with a basis of their residuals
+    ``R = G P``.
+
+    Nothing of size n x p is formed.  ``||G||_F^2`` sums the factored row
+    norms and ``||R||_F^2`` the residual norms the release kernel uses
+    (Pythagoras, guarded rows explicit).  ``||M||_2^2`` is the top
+    eigenvalue of ``R R^T = G P G^T``, by power iteration on n-vectors
+    ``u -> G P (G^T u)``, with ``G^T u`` one weighted sum and ``G v`` one
+    embedding, converged to relative tolerance ``rtol``.  The result is
+    clamped to its mathematical range ``[1, min(n, p)]``.
+    """
+    g = as_factors(g)
+    n, p = g.shape
+    if basis is not None and p != basis.dim:
+        raise ValueError(f"gradients have {p} columns, basis spans {basis.dim}")
+    sq = g.sq_norms()
+    blocks = [] if basis is None else _active_blocks(basis)
+    w_parts, sq_w = _embeddings(g, blocks)
+    sq_r, _ = _residual_sq_norms(g, blocks, w_parts, sq, sq_w)
+    fro2 = float(sq_r.sum())
+    if fro2 == 0.0:
+        raise ValueError("stable rank is undefined for a zero matrix")
+
+    def gram(u: np.ndarray) -> np.ndarray:
+        return g.embed(_project_out(blocks, g.weighted_sum(u))[None, :])[:, 0]
+
+    top = _top_eigenvalue(gram, n, rtol)
+    if top <= 0.0:
+        raise ValueError("spectral norm estimate collapsed to zero")
+    return float(min(max(fro2 / top, 1.0), min(n, p)))

@@ -23,7 +23,7 @@ from .accounting import (
     subsampled_gaussian_curve,
 )
 from .data import Dataset
-from .linalg import RandomStream, stable_rank
+from .linalg import RandomStream
 from .models import (
     ModelSpec,
     evaluate,
@@ -31,7 +31,14 @@ from .models import (
     per_sample_factors,
     per_sample_gradients,
 )
-from .release import METHODS, GepConfig, _method_release, _release, build_anchor_basis
+from .release import (
+    METHODS,
+    GepConfig,
+    _method_release,
+    _release,
+    build_anchor_basis,
+    stable_rank,
+)
 
 __all__ = [
     "TrainConfig",
@@ -286,10 +293,9 @@ def dp_train(
             clip1 = rel.clip_fraction_s1
             clip2 = rel.clip_fraction_s2
             if cfg.track_spectra:
-                dense = grads.dense()
-                sr_g = stable_rank(dense)
+                sr_g = stable_rank(grads)
                 if basis is not None:
-                    sr_r = stable_rank(basis.split(dense)[1])
+                    sr_r = stable_rank(grads, basis)
             theta, velocity = optimizer_step(
                 theta, velocity, rel.v_tilde, lr, cfg.momentum, cfg.weight_decay
             )

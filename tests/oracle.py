@@ -1,0 +1,182 @@
+"""Dense reference for the release kernel: the explicit split and clip.
+
+The library releases from factored gradients and never forms an n x p
+matrix.  The functions here do every step the obvious way, on dense
+matrices and dense basis blocks, so the tests can check the kernel
+against an independent computation:
+
+* ``row_norms``, ``clip_rows`` and ``project_split`` on plain matrices;
+* ``blocks``, ``project``, ``reconstruct`` and ``split`` on an
+  :class:`gep.release.AnchorBasis`, with every block materialized
+  (a block held as anchor coefficients becomes ``np.eye(k) @ block``);
+* ``stable_rank``, by power iteration on the smaller Gram matrix.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gep.linalg import SPECTRAL_TOL
+
+
+def _as_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
+def row_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {m.shape}")
+    return np.sqrt(np.einsum("ij,ij->i", m, m))
+
+
+def project_split(
+    g: np.ndarray, basis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split rows of ``g`` into subspace embeddings and residuals.
+
+    Returns ``(w, r)`` with ``w = g basis^T`` and ``r = g - w basis``; the
+    residual is built from the unclipped embedding, so ``r basis^T = 0`` up
+    to rounding.  An empty basis maps everything to the residual.
+    """
+    g = _as_matrix(g, "g")
+    basis = _as_matrix(basis, "basis")
+    if basis.shape[0] == 0:
+        return np.zeros((g.shape[0], 0)), g.copy()
+    if basis.shape[1] != g.shape[1]:
+        raise ValueError(
+            f"basis has {basis.shape[1]} columns, expected {g.shape[1]}"
+        )
+    w = g @ basis.T
+    r = g - w @ basis
+    return w, r
+
+
+def clip_rows(m: np.ndarray, s: float) -> np.ndarray:
+    """Rescale each row to Euclidean norm at most ``s``, keeping direction.
+
+    Rows already within the threshold are returned unchanged (bitwise).
+    """
+    if s <= 0:
+        raise ValueError(f"clipping threshold must be positive, got {s}")
+    m = _as_matrix(m, "m")
+    if m.shape[1] == 0:
+        return m.copy()
+    norms = row_norms(m)
+    scale = np.ones_like(norms)
+    over = norms > s
+    scale[over] = s / norms[over]
+    return m * scale[:, None]
+
+
+def _top_eigenvalue(gram: np.ndarray, rtol: float, max_iter: int = 20000) -> float:
+    # Power iteration on a PSD matrix with a fixed-seed start vector, so the
+    # result is a deterministic function of the input alone.
+    rng = np.random.default_rng(0x5EEDED)
+    v = rng.standard_normal(gram.shape[0])
+    v /= np.linalg.norm(v)
+    eig = 0.0
+    for _ in range(max_iter):
+        w = gram @ v
+        new = float(v @ w)
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            # Start vector sits in the null space; perturb and continue.
+            v = rng.standard_normal(gram.shape[0])
+            v /= np.linalg.norm(v)
+            continue
+        v = w / norm
+        if abs(new - eig) <= rtol * abs(new):
+            return new
+        eig = new
+    return eig
+
+
+def stable_rank(m: np.ndarray, rtol: float = SPECTRAL_TOL) -> float:
+    """Ratio of squared Frobenius norm to squared spectral norm.
+
+    The spectral norm is obtained by power iteration on the smaller of the
+    two Gram matrices, converged to relative tolerance ``rtol``.  The
+    result is clamped to its mathematical range ``[1, min(rows, cols)]``.
+    """
+    m = _as_matrix(m, "m")
+    fro2 = float(np.sum(m * m))
+    if fro2 == 0.0:
+        raise ValueError("stable rank is undefined for a zero matrix")
+    n_rows, n_cols = m.shape
+    gram = m @ m.T if n_rows <= n_cols else m.T @ m
+    top = _top_eigenvalue(gram, rtol)
+    if top <= 0.0:
+        raise ValueError("spectral norm estimate collapsed to zero")
+    value = fro2 / top
+    return float(min(max(value, 1.0), min(n_rows, n_cols)))
+
+
+def blocks(basis) -> list[np.ndarray]:
+    """The dense basis blocks of an :class:`AnchorBasis`."""
+    return [
+        block if isinstance(block, np.ndarray) else np.eye(block.shape[0]) @ block
+        for block in basis.held
+    ]
+
+
+def _spans(basis) -> list[tuple[slice, np.ndarray, int]]:
+    spans = []
+    w_offset = 0
+    for group, block in zip(basis.layout.groups, blocks(basis)):
+        spans.append((slice(group.offset, group.offset + group.length), block, w_offset))
+        w_offset += block.shape[0]
+    return spans
+
+
+def project(basis, g: np.ndarray) -> np.ndarray:
+    """Embed rows of ``g`` (n x p) into the basis (n x k_effective)."""
+    g = np.asarray(g, dtype=np.float64)
+    squeeze = g.ndim == 1
+    if squeeze:
+        g = g[None, :]
+    if g.shape[1] != basis.dim:
+        raise ValueError(f"expected {basis.dim} columns, got {g.shape[1]}")
+    parts = []
+    for cols, block, _ in _spans(basis):
+        if block.shape[0] == 0:
+            continue
+        w_part, _ = project_split(g[:, cols], block)
+        parts.append(w_part)
+    if parts:
+        w = np.hstack(parts)
+    else:
+        w = np.zeros((g.shape[0], 0))
+    return w[0] if squeeze else w
+
+
+def reconstruct(basis, w: np.ndarray) -> np.ndarray:
+    """Map embeddings back into the full parameter space."""
+    w = np.asarray(w, dtype=np.float64)
+    squeeze = w.ndim == 1
+    if squeeze:
+        w = w[None, :]
+    if w.shape[1] != basis.k_effective:
+        raise ValueError(
+            f"expected {basis.k_effective} embedding columns, got {w.shape[1]}"
+        )
+    out = np.zeros((w.shape[0], basis.dim))
+    for cols, block, w_offset in _spans(basis):
+        k_g = block.shape[0]
+        if k_g == 0:
+            continue
+        out[:, cols] = w[:, w_offset : w_offset + k_g] @ block
+    return out[0] if squeeze else out
+
+
+def split(basis, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Embeddings and residuals of ``g``; residual uses unclipped embeddings."""
+    w = project(basis, g)
+    r = g - reconstruct(basis, w) if w.size else np.asarray(g, dtype=np.float64).copy()
+    return w, r

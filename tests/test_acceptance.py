@@ -18,7 +18,7 @@ from gep.accounting import (
 )
 from gep.cli import main as cli_main
 from gep.harness import _bench_case
-from gep.linalg import RandomStream, row_norms, stable_rank
+from gep.linalg import RandomStream
 from gep.models import make_group_layout, per_sample_gradients
 from gep.release import (
     GepConfig,
@@ -35,6 +35,7 @@ from gep.tasks import (
     toy_regression_task,
 )
 from gep.training import TrainConfig, convex_utility_experiment, dp_train, gd_train
+from oracle import blocks, row_norms, split, stable_rank
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -61,7 +62,7 @@ def test_criterion_01_unbiasedness():
         RandomStream(0).generator(1),
     )
     # clipping disabled: thresholds sit above every row norm
-    w, r = basis.split(grads)
+    w, r = split(basis, grads)
     s1 = 1.3 * float(np.max(row_norms(w)))
     s2 = 1.3 * float(np.max(row_norms(r)))
     cfg = GepConfig(k=k, m=40, t=4, s1=s1, s2=s2, sigma=sigma)
@@ -80,7 +81,7 @@ def test_criterion_01_unbiasedness():
 
     # exact per-coordinate noise variances of the two releases
     btb_diag = np.zeros(p)
-    for group, block, _ in basis._spans():
+    for group, block in zip(basis.layout.groups, blocks(basis)):
         cols = slice(group.offset, group.offset + group.length)
         btb_diag[cols] = (block * block).sum(axis=0)
     var_v = 2 * sigma**2 * (s1**2 * btb_diag + s2**2) / n**2
@@ -190,7 +191,7 @@ def test_criterion_04_residual_stable_rank():
             GepConfig(k=40, m=task.aux.n, t=2),
             stream.generator(2),
         )
-        _, resid = basis.split(grads)
+        _, resid = split(basis, grads)
         sr_g = stable_rank(grads)
         sr_r = stable_rank(resid)
         sr_gs.append(sr_g)

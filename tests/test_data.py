@@ -11,8 +11,8 @@ from gep.data import (
     synth_dataset,
     train_eval_split,
 )
-from gep.linalg import stable_rank
 from gep.models import init_model, per_sample_gradients
+from oracle import stable_rank
 
 
 def test_lowrank_task_gradient_rank():

@@ -9,14 +9,18 @@ from gep.linalg import (
     GradientPiece,
     RandomStream,
     as_factors,
-    clip_rows,
     count_flops,
     gaussian_noise,
     orthonormalize_rows,
     power_iteration_basis,
-    project_split,
-    row_norms,
-    stable_rank,
+)
+from gep.release import stable_rank as matrix_free_stable_rank
+from oracle import clip_rows, project_split, row_norms
+from oracle import stable_rank as dense_stable_rank
+
+# the dense reference and the library's matrix-free stable rank
+STABLE_RANKS = pytest.mark.parametrize(
+    "stable_rank", [dense_stable_rank, matrix_free_stable_rank], ids=["oracle", "release"]
 )
 
 
@@ -203,7 +207,8 @@ def test_clip_rows_contraction_property():
         assert np.all(cross >= -1e-12)
 
 
-def test_stable_rank_values():
+@STABLE_RANKS
+def test_stable_rank_values(stable_rank):
     rng = np.random.default_rng(9)
     u = rng.standard_normal(10)
     v = rng.standard_normal(25)
@@ -218,7 +223,8 @@ def test_stable_rank_values():
     assert abs(stable_rank(padded) - 1.25) <= 1e-6
 
 
-def test_stable_rank_bounds_and_zero():
+@STABLE_RANKS
+def test_stable_rank_bounds_and_zero(stable_rank):
     rng = np.random.default_rng(10)
     for _ in range(10):
         m = rng.standard_normal((rng.integers(2, 12), rng.integers(2, 12)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gep.data import Dataset, synth_dataset
-from gep.linalg import count_flops, stable_rank
+from gep.linalg import count_flops
 from gep.models import (
     allocate_basis_counts,
     evaluate,
@@ -17,6 +17,7 @@ from gep.models import (
     per_sample_gradients,
 )
 from gep.tasks import mlp_cluster_task
+from oracle import stable_rank
 
 
 def numerical_gradient(model, data, h=1e-5):

@@ -10,17 +10,16 @@ from hypothesis import strategies as st
 
 from gep import DpBudget, TrainConfig
 from gep.linalg import (
+    SPECTRAL_TOL,
     FactoredGradients,
     GradientPiece,
     RandomStream,
     as_factors,
-    clip_rows,
     count_flops,
     gaussian_noise,
     gram_path_pays,
     orthonormalize_rows,
     power_iteration_basis,
-    row_norms,
 )
 from gep.models import (
     GroupLayout,
@@ -42,9 +41,12 @@ from gep.release import (
     noise_multipliers,
     projection_error_rate,
     single_group_layout,
+    stable_rank,
 )
 from gep.tasks import logistic_mixture_task, lowrank_regression_task, mlp_cluster_task
 from gep.training import dp_train
+from oracle import blocks, clip_rows, project, reconstruct, row_norms, split
+from oracle import stable_rank as dense_stable_rank
 
 
 def make_cfg(**kwargs):
@@ -67,7 +69,7 @@ def test_anchor_basis_self_projection():
     layout = single_group_layout(60, 4)
     basis = build_anchor_basis(anchor, layout, make_cfg(), np.random.default_rng(1))
     assert basis.k_effective == 4
-    _, resid = basis.split(anchor)
+    _, resid = split(basis, anchor)
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(anchor)
 
 
@@ -80,7 +82,7 @@ def test_random_basis_is_orthonormal():
         np.random.default_rng(3),
         basis_mode="random",
     )
-    block = basis.blocks[0]
+    block = blocks(basis)[0]
     assert block.shape == (6, 40)
     np.testing.assert_allclose(block @ block.T, np.eye(6), atol=1e-10)
 
@@ -97,11 +99,11 @@ def test_grouped_basis_is_block_diagonal():
     # a matrix supported on group b's columns has zero group-a embedding
     g = np.zeros((7, 50))
     g[:, 30:] = rng.standard_normal((7, 20))
-    w = basis.project(g)
-    k_a = basis.blocks[0].shape[0]
+    w = project(basis, g)
+    k_a = blocks(basis)[0].shape[0]
     assert np.all(w[:, :k_a] == 0.0)
     # reconstruction respects the partition too
-    back = basis.reconstruct(w)
+    back = reconstruct(basis, w)
     assert np.all(back[:, :30] == 0.0)
 
 
@@ -144,7 +146,7 @@ def test_gep_release_empty_basis_is_exact():
 
 def inactive_thresholds(basis, g):
     """Thresholds just above every row norm: clipping present but inert."""
-    w, r = basis.split(g)
+    w, r = split(basis, g)
     return 1.5 * float(np.max(row_norms(w))), 1.5 * float(np.max(row_norms(r)))
 
 
@@ -180,7 +182,7 @@ def test_bgep_release_identities():
     basis = build_anchor_basis(anchor, layout, cfg, np.random.default_rng(15))
     rel = bgep_release(g, basis, cfg, np.random.default_rng(16))
     n = g.shape[0]
-    _, r = basis.split(g)
+    _, r = split(basis, g)
     expected = g.sum(axis=0) / n - r.sum(axis=0) / n
     np.testing.assert_allclose(rel.v_tilde, expected, rtol=1e-10, atol=1e-13)
     assert rel.r_tilde is None
@@ -208,7 +210,7 @@ def test_bgep_monte_carlo_converges_to_biased_mean():
     cfg = make_cfg(k=3, m=12, s1=s1, s2=s2, sigma=0.5)
     n = g.shape[0]
     g_bar = g.sum(axis=0) / n
-    _, r = basis.split(g)
+    _, r = split(basis, g)
     biased_target = g_bar - r.sum(axis=0) / n
 
     draws = 3000
@@ -294,7 +296,7 @@ def test_residual_norm_trends_in_k_and_m():
             basis = build_anchor_basis(
                 g_a, layout, cfg, RandomStream(seed).generator(2)
             )
-            _, r = basis.split(g)
+            _, r = split(basis, g)
             values.append(float(np.mean(row_norms(r) ** 2)))
         mean_sq.append(float(np.mean(values)))
     inversions = sum(b > a for a, b in zip(mean_sq, mean_sq[1:]))
@@ -316,7 +318,7 @@ def test_residual_norm_trends_in_k_and_m():
             basis = build_anchor_basis(
                 g_a_full[:m], layout, cfg, RandomStream(seed).generator(2)
             )
-            _, r = basis.split(g)
+            _, r = split(basis, g)
             by_m[m].append(float(np.mean(row_norms(r) ** 2)))
     means = [float(np.mean(by_m[m])) for m in ms]
     assert means[-1] < means[0]
@@ -331,7 +333,7 @@ def test_sensitivity_contract_row_removal():
     basis = build_anchor_basis(anchor, layout, cfg, np.random.default_rng(29))
 
     def sums(rows):
-        w, r = basis.split(rows)
+        w, r = split(basis, rows)
         return clip_rows(w, cfg.s1).sum(axis=0), clip_rows(r, cfg.s2).sum(axis=0)
 
     w_full, r_full = sums(g)
@@ -436,10 +438,10 @@ def oracle_release(g, basis, cfg, rng, with_residual):
     ``sigma`` is the step multiplier: each of the two sums of a gep step
     gets ``sigma * sqrt(2)`` times its threshold.
     """
-    w, r = basis.split(g)
+    w, r = split(basis, g)
     block = cfg.sigma * math.sqrt(2.0) if with_residual else cfg.sigma
     w_sum = clip_rows(w, cfg.s1).sum(axis=0)
-    v = basis.reconstruct(w_sum + gaussian_noise(w_sum.shape, block * cfg.s1, rng))
+    v = reconstruct(basis, w_sum + gaussian_noise(w_sum.shape, block * cfg.s1, rng))
     if with_residual:
         r_sum = clip_rows(r, cfg.s2).sum(axis=0)
         v = v + r_sum + gaussian_noise(r_sum.shape, block * cfg.s2, rng)
@@ -470,7 +472,7 @@ def test_release_matches_explicit_oracle(kind, release_fn):
     basis = build_anchor_basis(
         anchor, layout, make_cfg(k=6, m=40, t=2), np.random.default_rng(40)
     )
-    w, r = basis.split(g)
+    w, r = split(basis, g)
     # thresholds at the median row norms: about half the rows clip
     s1 = float(np.median(row_norms(w)))
     s2 = float(np.median(row_norms(r)))
@@ -499,9 +501,9 @@ def test_tiny_residual_rows_clip_within_s2():
         anchor, layout, make_cfg(k=4, m=12), np.random.default_rng(43)
     )
     noise = rng.standard_normal(g.shape)
-    noise -= basis.reconstruct(basis.project(noise))
+    noise -= reconstruct(basis, project(basis, noise))
     g = g + 1e-6 * noise * (row_norms(g) / row_norms(noise))[:, None]
-    _, r = basis.split(g)
+    _, r = split(basis, g)
     s2 = 0.5 * float(np.median(row_norms(r)))
     cfg = make_cfg(k=4, m=12, s1=1e12, s2=s2, sigma=0.0)
 
@@ -559,7 +561,7 @@ def test_one_row_moves_clipped_sums_by_at_most_threshold(seed, n, resid_log10, c
     basis = build_anchor_basis(
         anchor, layout, make_cfg(k=k, m=10), np.random.default_rng(seed)
     )
-    w, r = basis.split(g)
+    w, r = split(basis, g)
     s1 = float(np.quantile(row_norms(w), clip_q))
     s2 = float(np.quantile(row_norms(r), clip_q))
     s = float(np.quantile(row_norms(g), clip_q))
@@ -596,7 +598,7 @@ def test_factored_release_matches_dense_and_oracle(kind, method):
         make_cfg(k=6, m=40, t=2),
         np.random.default_rng(40),
     )
-    w, r = basis.split(g)
+    w, r = split(basis, g)
     if method == "gp":
         s = float(np.median(row_norms(g)))
         released = [gp_release(x, s, 0.3, np.random.default_rng(41)) for x in (factors, g)]
@@ -647,7 +649,7 @@ def test_factored_release_with_small_residuals_uses_the_guard():
     )
     assert basis.k_effective == k
     g = factors.dense()
-    w, r = basis.split(g)
+    w, r = split(basis, g)
     guarded = row_norms(r) ** 2 < RESIDUAL_GUARD * row_norms(g) ** 2
     assert 0.5 < np.mean(guarded) < 1.0
     s1 = float(np.median(row_norms(w)))
@@ -670,7 +672,7 @@ def test_factored_power_iteration_basis_matches_dense(kind):
     factored = build_anchor_basis(anchor, layout, cfg, np.random.default_rng(49))
     dense = build_anchor_basis(anchor.dense(), layout, cfg, np.random.default_rng(49))
     assert factored.k_effective == dense.k_effective == 6
-    for block_f, block_d in zip(factored.blocks, dense.blocks):
+    for block_f, block_d in zip(blocks(factored), blocks(dense)):
         assert np.max(np.abs(block_f - block_d)) <= 1e-12
 
 
@@ -706,7 +708,7 @@ def test_one_row_moves_factored_sums_by_at_most_threshold(seed, n, resid_log10, 
         anchor, single_group_layout(factors.p, k), make_cfg(k=k, m=12), rng
     )
     g = factors.dense()
-    w, r = basis.split(g)
+    w, r = split(basis, g)
     s1 = float(np.quantile(row_norms(w), clip_q))
     s2 = float(np.quantile(row_norms(r), clip_q))
     s = float(np.quantile(row_norms(g), clip_q))
@@ -722,9 +724,11 @@ def test_one_row_moves_factored_sums_by_at_most_threshold(seed, n, resid_log10, 
         assert np.linalg.norm(gp_full - gp_reduced) <= s * (1 + 1e-12)
 
 
-def test_gep_training_step_builds_no_n_by_p_matrix():
-    # an MLP whose layer blocks are wider than 4 k_g: the release and the
-    # basis temporaries stay below a quarter of the G they replace
+@pytest.mark.parametrize("track_spectra", [False, True])
+def test_gep_training_step_builds_no_n_by_p_matrix(track_spectra):
+    # an MLP whose layer blocks are wider than 4 k_g: the release, the
+    # basis and the stable-rank temporaries stay below a quarter of the G
+    # they replace
     task = mlp_cluster_task(0, n=600, input_dim=48, classes=6, hidden_dim=96, m_aux=200)
     cfg = TrainConfig(
         model=task.model,
@@ -733,6 +737,7 @@ def test_gep_training_step_builds_no_n_by_p_matrix():
         steps=1,
         aux_data=task.aux,
         sigma_override=1.0,
+        track_spectra=track_spectra,
     )
     tracemalloc.start()
     try:
@@ -741,6 +746,7 @@ def test_gep_training_step_builds_no_n_by_p_matrix():
     finally:
         tracemalloc.stop()
     assert metrics[0].clip_fraction_s1 > 0.0 and metrics[0].clip_fraction_s2 > 0.0
+    assert math.isnan(metrics[0].stable_rank_r) != track_spectra
     assert peak < 0.25 * task.private.n * task.model.p * 8
 
 
@@ -808,7 +814,7 @@ def test_gram_basis_is_orthonormal_or_falls_back(seed, c, a, k, extra_m, t, rank
     basis = build_anchor_basis(
         anchor, single_group_layout(anchor.p, k), make_cfg(k=k, m=m, t=t), rng
     )
-    block = basis.blocks[0]
+    block = blocks(basis)[0]
     assert np.max(np.abs(block @ block.T - np.eye(block.shape[0]))) <= 1e-12
     # the anchors span rank^2 + rank directions up to the noise: a larger
     # basis is near rank deficient, beyond what the Gram path can resolve
@@ -835,7 +841,7 @@ def test_gram_basis_matches_the_dense_rounds(t):
     anchor = per_sample_factors(task.model, task.aux)
     basis = gram_mlp_basis(task, t=t)
     rng = np.random.default_rng(40)
-    for group, block in zip(basis.layout.groups, basis.blocks):
+    for group, block in zip(basis.layout.groups, blocks(basis)):
         # dense anchors always take the dense rounds
         cols = anchor.columns(group.offset, group.offset + group.length).dense()
         dense = power_iteration_basis(cols, group.k_alloc, t, rng)
@@ -845,7 +851,7 @@ def test_gram_basis_matches_the_dense_rounds(t):
     g = per_sample_factors(task.model, task.private)
     cfg = make_cfg(k=12, m=40, t=t, s1=0.1, s2=0.1, sigma=0.5)
     rels, counts = [], []
-    for b in (basis, AnchorBasis(basis.layout, basis.blocks)):
+    for b in (basis, AnchorBasis(basis.layout, blocks(basis))):
         with count_flops() as counter:
             rels.append(gep_release(g, b, cfg, np.random.default_rng(1)))
         counts.append(counter.macs)
@@ -860,7 +866,7 @@ def test_gram_release_matches_explicit_oracle(release_fn):
     factors = per_sample_factors(task.model, task.private)
     g = factors.dense()
     basis = gram_mlp_basis(task)
-    w, r = basis.split(g)
+    w, r = split(basis, g)
     s1 = float(np.median(row_norms(w)))
     s2 = float(np.median(row_norms(r)))
     cfg = make_cfg(k=12, m=40, t=2, s1=s1, s2=s2, sigma=0.3)
@@ -888,7 +894,7 @@ def test_one_row_moves_gram_release_sums_by_at_most_threshold(seed, n, clip_q):
     task = mlp_cluster_task(seed % 1000, n=17, **GRAM_MLP)
     basis = gram_mlp_basis(task, t=1 + seed % 2, seed=seed)
     factors = per_sample_factors(task.model, task.private.subset(np.arange(n + 1)))
-    w, r = basis.split(factors.dense())
+    w, r = split(basis, factors.dense())
     s1 = float(np.quantile(row_norms(w), clip_q))
     s2 = float(np.quantile(row_norms(r), clip_q))
     cfg = make_cfg(k=12, m=40, s1=s1, s2=s2, sigma=0.0)
@@ -897,3 +903,37 @@ def test_one_row_moves_gram_release_sums_by_at_most_threshold(seed, n, clip_q):
         reduced = gep_release(drop_row(factors, i), basis, cfg, np.random.default_rng(0))
         assert np.linalg.norm(full.w_tilde - reduced.w_tilde) <= s1 * (1 + 1e-12)
         assert np.linalg.norm(full.r_tilde - reduced.r_tilde) <= s2 * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Matrix-free stable ranks against the dense oracle
+
+SPECTRA_TASKS = {
+    "logistic": (lambda: logistic_mixture_task(3, n=120, input_dim=29, m_aux=40, n_eval=10), 6),
+    "gram-mlp": (lambda: mlp_cluster_task(3, n=120, **GRAM_MLP), 12),
+    "guarded-lowrank": (
+        lambda: lowrank_regression_task(3, n=120, input_dim=39, rank=4, tail=0.05, m_aux=40),
+        5,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPECTRA_TASKS))
+def test_stable_rank_matches_the_dense_oracle(kind):
+    make_task, k = SPECTRA_TASKS[kind]
+    task = make_task()
+    factors = per_sample_factors(task.model, task.private)
+    basis = build_anchor_basis(
+        per_sample_factors(task.model, task.aux), make_group_layout(task.model, k),
+        make_cfg(k=k, m=40, t=2), np.random.default_rng(5),
+    )
+    g = factors.dense()
+    _, r = split(basis, g)
+    if kind == "gram-mlp":
+        assert held_kinds(basis) == ["AnchorCoefficients", "ndarray"]
+    if kind == "guarded-lowrank":
+        assert np.any(row_norms(r) ** 2 < RESIDUAL_GUARD * row_norms(g) ** 2)
+    sr_g, sr_r = dense_stable_rank(g), dense_stable_rank(r)
+    for x in (factors, g):
+        assert stable_rank(x) == pytest.approx(sr_g, rel=SPECTRAL_TOL)
+        assert stable_rank(x, basis) == pytest.approx(sr_r, rel=SPECTRAL_TOL)

@@ -200,7 +200,7 @@ def test_every_method_calibrates_to_the_same_step_multiplier():
             assert calibrate_noise_multiplier(replace(cfg, method=method)) == expected
 
 
-@pytest.mark.parametrize("method", ["gep", "gp"])
+@pytest.mark.parametrize("method", ["gep", "bgep", "gp"])
 def test_track_spectra_reports_ranks_and_changes_nothing_else(method):
     task = logistic_mixture_task(4, n=80, input_dim=9, m_aux=20, n_eval=20)
     cfg = toy_cfg(
