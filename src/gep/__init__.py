@@ -35,6 +35,7 @@ from .models import (
     ModelSpec,
     ParamGroup,
     evaluate,
+    forward,
     init_model,
     make_group_layout,
     per_sample_factors,
@@ -91,6 +92,7 @@ __all__ = [
     "default_orders",
     "dp_train",
     "evaluate",
+    "forward",
     "gaussian_noise",
     "gd_train",
     "gep_release",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ class Dataset:
 
     Labels are int64 for classification and float64 for regression; the row
     order is part of the dataset identity (ingestion preserves file order).
+    Both arrays are read-only views, so nothing can edit the features under
+    the cached :attr:`design`.
     """
 
     features: np.ndarray
@@ -49,16 +52,10 @@ class Dataset:
             raise ValueError("features must be a 2-d array")
         if not np.all(np.isfinite(features)):
             raise ValueError("features contain non-finite entries")
-        labels = np.asarray(self.labels)
-        if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
-            raise ValueError(
-                f"got {labels.shape[0] if labels.ndim == 1 else 'non-vector'} labels "
-                f"for {features.shape[0]} rows"
-            )
-        if not np.issubdtype(labels.dtype, np.integer):
-            labels = np.asarray(labels, dtype=np.float64)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "features", _read_only(features))
+        object.__setattr__(self, "labels", _label_vector(self.labels, features.shape[0]))
+        # arrays computed from the features alone; relabeled copies share it
+        object.__setattr__(self, "_derived", {})
 
     @property
     def n(self) -> int:
@@ -68,11 +65,48 @@ class Dataset:
     def d(self) -> int:
         return self.features.shape[1]
 
+    @property
+    def design(self) -> np.ndarray:
+        """The bias-augmented design ``[features, 1]``, built on first use."""
+        design = self._derived.get("design")
+        if design is None:
+            design = _read_only(np.hstack([self.features, np.ones((self.n, 1))]))
+            self._derived["design"] = design
+        return design
+
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.features[idx], self.labels[idx], self.name)
+        """The rows ``idx``; a cached design is sliced, not rebuilt."""
+        part = copy.copy(self)
+        object.__setattr__(part, "features", _read_only(self.features[idx]))
+        object.__setattr__(part, "labels", _read_only(self.labels[idx]))
+        object.__setattr__(part, "_derived", {
+            key: _read_only(value[idx]) for key, value in self._derived.items()
+        })
+        return part
 
     def with_labels(self, labels: np.ndarray) -> "Dataset":
-        return Dataset(self.features, labels, self.name)
+        """The same rows relabeled; features and design are shared."""
+        part = copy.copy(self)
+        object.__setattr__(part, "labels", _label_vector(labels, self.n))
+        return part
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def _label_vector(labels: np.ndarray, n: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != n:
+        raise ValueError(
+            f"got {labels.shape[0] if labels.ndim == 1 else 'non-vector'} labels "
+            f"for {n} rows"
+        )
+    if not np.issubdtype(labels.dtype, np.integer):
+        labels = np.asarray(labels, dtype=np.float64)
+    return _read_only(labels)
 
 
 def standardize_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,8 +157,7 @@ def ingest_csv(
             )
         label_idx = header.index(label_column)
 
-        rows: list[list[float]] = []
-        labels: list[float] = []
+        rows: list[np.ndarray] = []
         for row_num, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
@@ -132,23 +165,17 @@ def ingest_csv(
                 raise CsvParseError(
                     f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
                 )
-            parsed = []
-            for col_idx, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}: row {row_num}, column {header[col_idx]!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-                parsed.append(value)
-            labels.append(parsed.pop(label_idx))
-            rows.append(parsed)
+            # one numpy call parses the row's cells with float()'s rules
+            try:
+                rows.append(np.array(row, dtype=np.float64))
+            except ValueError:
+                raise _cell_error(path, row_num, header, row) from None
 
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
-    features = np.asarray(rows, dtype=np.float64)
-    label_arr = np.asarray(labels, dtype=np.float64)
+    table = np.array(rows)
+    features = np.delete(table, label_idx, axis=1)
+    label_arr = table[:, label_idx].copy()
     # exact integrality: a tolerance would round large regression labels
     if np.all(np.isfinite(label_arr)) and np.all(label_arr == np.rint(label_arr)):
         label_arr = np.rint(label_arr).astype(np.int64)
@@ -158,6 +185,20 @@ def ingest_csv(
             features, stats if stats is not None else standardize_stats(features)
         )
     return Dataset(features, label_arr, name=path)
+
+
+def _cell_error(
+    path: str, row_num: int, header: list[str], row: list[str]
+) -> CsvParseError:
+    """The parse error naming the first cell of ``row`` that is not a number."""
+    for name, cell in zip(header, row):
+        try:
+            float(cell)
+        except ValueError:
+            return CsvParseError(
+                f"{path}: row {row_num}, column {name!r}: cannot parse {cell!r} as a number"
+            )
+    return CsvParseError(f"{path}: row {row_num}: cannot parse the row as numbers")
 
 
 def synth_dataset(kind: str, params: dict, rng: np.random.Generator) -> Dataset:

@@ -524,8 +524,7 @@ def project_error_command(
                 basis = build_anchor_basis(
                     anchor_grads, layout, cfg, stream.generator(12, k), basis_mode
                 )
-                rate = projection_error_rate(grads, basis)
-                row.append(f"{rate:.4g}".ljust(12))
+                row.append(_rate_cell(projection_error_rate(grads, basis)).ljust(12))
             print("".join(row))
 
     # anchor-count sweep at the middle k: error should not grow with m
@@ -539,9 +538,17 @@ def project_error_command(
         layout = make_group_layout(model, k_mid)
         cfg = GepConfig(k=k_mid, m=m_used, t=5, s1=1.0, s2=1.0)
         basis = build_anchor_basis(anchor_grads, layout, cfg, stream.generator(15, m_used))
-        rate = projection_error_rate(grads, basis)
-        print(f"{m_used:<8d} {rate:.4g}")
+        print(f"{m_used:<8d} {_rate_cell(projection_error_rate(grads, basis))}")
     return 0
+
+
+def _rate_cell(rate: float) -> str:
+    """A table entry; an exactly-zero error prints as its rounding floor.
+
+    Below 1e-12 the digits are rounding noise that any reordering of a sum
+    changes, so they would make the tables irreproducible.
+    """
+    return "<1e-12" if rate < 1e-12 else f"{rate:.4g}"
 
 
 def report_command(out_dir: str) -> int:

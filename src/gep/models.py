@@ -16,7 +16,9 @@ Every per-sample gradient block of these models is an outer product
 ``delta_i (x) a_i`` of the backpropagated error at a layer's output and
 that layer's input (``a = 1`` for a bias vector), so the backward pass
 returns the factors (:func:`per_sample_factors`) and the n x p matrix is
-only formed on request (:func:`per_sample_gradients`).
+only formed on request (:func:`per_sample_gradients`).  Both the backward
+pass and :func:`evaluate` start from one :func:`forward` result, so a
+caller holding it runs no second forward pass.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
     "GroupLayout",
     "param_count",
     "init_model",
+    "Forward",
+    "forward",
     "per_sample_factors",
     "per_sample_gradients",
     "evaluate",
@@ -132,10 +136,6 @@ def init_model(
     return ModelSpec(kind, input_dim, output_dim, hidden_dim, theta)
 
 
-def _augment(x: np.ndarray) -> np.ndarray:
-    return np.hstack([x, np.ones((x.shape[0], 1))])
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -157,10 +157,11 @@ def _check_batch(model: ModelSpec, data: Dataset) -> None:
 
 
 def _class_labels(model: ModelSpec, data: Dataset) -> np.ndarray:
-    y = np.asarray(data.labels)
+    y = data.labels
     if not np.issubdtype(y.dtype, np.integer):
         rounded = np.rint(y)
-        if not np.allclose(y, rounded):
+        # exact integrality: a tolerance would turn 1.000001 into class 1
+        if not (np.all(np.isfinite(y)) and np.array_equal(y, rounded)):
             raise ValueError("classification labels must be integers")
         y = rounded.astype(np.int64)
     if y.min() < 0 or y.max() >= model.output_dim:
@@ -185,7 +186,48 @@ def _mlp_unpack(model: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return w1, b1, w2, b2
 
 
-def per_sample_factors(model: ModelSpec, batch: Dataset) -> FactoredGradients:
+@dataclass(frozen=True, eq=False)
+class Forward:
+    """One forward pass of ``model`` over ``data``.
+
+    ``logits`` is the output layer: the n predictions of a linear model,
+    the n x c class scores otherwise.  ``hidden`` is the MLP's tanh layer.
+    """
+
+    model: ModelSpec
+    data: Dataset
+    logits: np.ndarray
+    hidden: np.ndarray | None = None
+
+
+def forward(model: ModelSpec, data: Dataset) -> Forward:
+    """The forward pass that :func:`evaluate` and :func:`per_sample_factors` share.
+
+    Linear and softmax regression read the dataset's cached bias-augmented
+    design, so no call copies the features.
+    """
+    _check_batch(model, data)
+    if model.kind == "linear":
+        return Forward(model, data, data.design @ model.theta)
+    if model.kind == "logistic":
+        w = model.theta.reshape(model.output_dim, model.input_dim + 1)
+        return Forward(model, data, data.design @ w.T)
+    w1, b1, w2, b2 = _mlp_unpack(model)
+    hidden = np.tanh(data.features @ w1.T + b1)
+    return Forward(model, data, hidden @ w2.T + b2, hidden)
+
+
+def _forward_of(model: ModelSpec, data: Dataset, fwd: Forward | None) -> Forward:
+    if fwd is None:
+        return forward(model, data)
+    if fwd.model is not model or fwd.data is not data:
+        raise ValueError("the forward pass was computed for another model or dataset")
+    return fwd
+
+
+def per_sample_factors(
+    model: ModelSpec, batch: Dataset, fwd: Forward | None = None
+) -> FactoredGradients:
     """Per-sample gradients w.r.t. the flat parameters, as outer products.
 
     The pieces, in parameter order:
@@ -197,41 +239,33 @@ def per_sample_factors(model: ModelSpec, batch: Dataset) -> FactoredGradients:
       ``delta2 = probs - onehot`` and
       ``delta1 = (delta2 W2) * (1 - hidden^2)``.
 
-    Each piece lies inside one group of :func:`make_group_layout`.
+    Each piece lies inside one group of :func:`make_group_layout`.  ``fwd``
+    is ``forward(model, batch)`` when the caller already has it.
     """
-    _check_batch(model, batch)
-    x = batch.features
+    fwd = _forward_of(model, batch, fwd)
     n = batch.n
 
     if model.kind == "linear":
-        x1 = _augment(x)
-        y = np.asarray(batch.labels, dtype=np.float64)
-        resid = x1 @ model.theta - y
-        return FactoredGradients((GradientPiece(0, resid[:, None], x1),), model.p)
+        resid = fwd.logits - np.asarray(batch.labels, dtype=np.float64)
+        return FactoredGradients((GradientPiece(0, resid[:, None], batch.design),), model.p)
 
-    if model.kind == "logistic":
-        x1 = _augment(x)
-        y = _class_labels(model, batch)
-        c = model.output_dim
-        w = model.theta.reshape(c, model.input_dim + 1)
-        delta = _softmax(x1 @ w.T)
-        delta[np.arange(n), y] -= 1.0
-        return FactoredGradients((GradientPiece(0, delta, x1),), model.p)
-
-    # mlp
     y = _class_labels(model, batch)
-    w1, b1, w2, b2 = _mlp_unpack(model)
-    hidden = np.tanh(x @ w1.T + b1)
-    delta2 = _softmax(hidden @ w2.T + b2)
-    delta2[np.arange(n), y] -= 1.0
-    delta1 = (delta2 @ w2) * (1.0 - hidden * hidden)
+    delta = _softmax(fwd.logits)
+    delta[np.arange(n), y] -= 1.0
+    if model.kind == "logistic":
+        return FactoredGradients((GradientPiece(0, delta, batch.design),), model.p)
+
+    # mlp: delta is the docstring's delta2
+    hidden = fwd.hidden
+    w1, _, w2, _ = _mlp_unpack(model)
+    delta1 = (delta @ w2) * (1.0 - hidden * hidden)
     h, d = w1.shape
     second = h * d + h
     pieces = (
-        GradientPiece(0, delta1, x),
+        GradientPiece(0, delta1, batch.features),
         GradientPiece(h * d, delta1),
-        GradientPiece(second, delta2, hidden),
-        GradientPiece(second + delta2.shape[1] * h, delta2),
+        GradientPiece(second, delta, hidden),
+        GradientPiece(second + delta.shape[1] * h, delta),
     )
     return FactoredGradients(pieces, model.p)
 
@@ -246,26 +280,23 @@ def per_sample_gradients(model: ModelSpec, batch: Dataset) -> np.ndarray:
     return per_sample_factors(model, batch).dense()
 
 
-def evaluate(model: ModelSpec, data: Dataset) -> tuple[float, float]:
-    """Mean loss and accuracy; accuracy is NaN for regression."""
-    _check_batch(model, data)
-    x = data.features
+def evaluate(
+    model: ModelSpec, data: Dataset, fwd: Forward | None = None
+) -> tuple[float, float]:
+    """Mean loss and accuracy; accuracy is NaN for regression.
+
+    ``fwd`` is ``forward(model, data)`` when the caller already has it.
+    """
+    fwd = _forward_of(model, data, fwd)
 
     if model.kind == "linear":
-        y = np.asarray(data.labels, dtype=np.float64)
-        resid = _augment(x) @ model.theta - y
+        resid = fwd.logits - np.asarray(data.labels, dtype=np.float64)
         return float(0.5 * np.mean(resid * resid)), math.nan
 
     y = _class_labels(model, data)
-    if model.kind == "logistic":
-        w = model.theta.reshape(model.output_dim, model.input_dim + 1)
-        logits = _augment(x) @ w.T
-    else:
-        w1, b1, w2, b2 = _mlp_unpack(model)
-        logits = np.tanh(x @ w1.T + b1) @ w2.T + b2
-    log_probs = _log_softmax(logits)
+    log_probs = _log_softmax(fwd.logits)
     loss = float(-np.mean(log_probs[np.arange(data.n), y]))
-    accuracy = float(np.mean(np.argmax(logits, axis=1) == y))
+    accuracy = float(np.mean(np.argmax(fwd.logits, axis=1) == y))
     return loss, accuracy
 
 

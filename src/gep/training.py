@@ -27,9 +27,9 @@ from .linalg import RandomStream
 from .models import (
     ModelSpec,
     evaluate,
+    forward,
     make_group_layout,
     per_sample_factors,
-    per_sample_gradients,
 )
 from .release import (
     METHODS,
@@ -199,18 +199,17 @@ def _epsilon_schedule(cfg: TrainConfig, sigma: float) -> list[float]:
     ]
 
 
-def _anchor_batch(cfg: TrainConfig, stream: RandomStream, step: int) -> Dataset:
-    aux = cfg.aux_data
-    if aux.n > cfg.gep.m:
-        aux = aux.subset(np.arange(cfg.gep.m))
+def _anchor_batch(
+    cfg: TrainConfig, anchors: Dataset, stream: RandomStream, step: int
+) -> Dataset:
     if cfg.aux_label_mode == "random-each-step":
         rng = stream.generator(step, PURPOSE_ANCHOR_LABELS)
         if cfg.model.kind == "linear":
-            labels: np.ndarray = rng.standard_normal(aux.n)
+            labels: np.ndarray = rng.standard_normal(anchors.n)
         else:
-            labels = rng.integers(0, cfg.model.output_dim, size=aux.n)
-        aux = aux.with_labels(labels)
-    return aux
+            labels = rng.integers(0, cfg.model.output_dim, size=anchors.n)
+        return anchors.with_labels(labels)
+    return anchors
 
 
 def _lr_at(cfg: TrainConfig, step: int) -> float:
@@ -248,16 +247,23 @@ def dp_train(
     layout = make_group_layout(cfg.model, cfg.gep.k)
     eps_schedule = _epsilon_schedule(cfg, sigma)
 
+    aux = cfg.aux_data
+    anchors = aux.subset(np.arange(cfg.gep.m)) if aux.n > cfg.gep.m else aux
+
     theta_sum = np.zeros_like(theta)
     metrics: list[StepMetrics] = []
     n = private.n
+    model_t = cfg.model.with_theta(theta)
+    private_fwd = None  # forward(model_t, private), once evaluated
     for t in range(cfg.steps):
         lr = _lr_at(cfg, t)
         if cfg.batch == "poisson":
             mask = stream.generator(t, PURPOSE_BATCH).random(n) < cfg.q
             batch = private.subset(np.flatnonzero(mask))
+            batch_fwd = None
         else:
             batch = private
+            batch_fwd = private_fwd
 
         proj_rate = math.nan
         sr_g = math.nan
@@ -267,11 +273,10 @@ def dp_train(
         clip2 = math.nan
 
         if batch.n > 0:
-            model_t = cfg.model.with_theta(theta)
-            grads = per_sample_factors(model_t, batch)
+            grads = per_sample_factors(model_t, batch, batch_fwd)
             basis = None
             if method.basis is not None:
-                anchor = _anchor_batch(cfg, stream, t)
+                anchor = _anchor_batch(cfg, anchors, stream, t)
                 basis = build_anchor_basis(
                     per_sample_factors(model_t, anchor),
                     layout,
@@ -299,11 +304,13 @@ def dp_train(
             theta, velocity = optimizer_step(
                 theta, velocity, rel.v_tilde, lr, cfg.momentum, cfg.weight_decay
             )
+            model_t = cfg.model.with_theta(theta)
 
         theta_sum += theta
-        model_now = cfg.model.with_theta(theta)
-        train_loss, _ = evaluate(model_now, private)
-        eval_loss, eval_acc = evaluate(model_now, eval_data)
+        # the next full-batch step's backward pass reuses this forward
+        private_fwd = forward(model_t, private)
+        train_loss, _ = evaluate(model_t, private, private_fwd)
+        eval_loss, eval_acc = evaluate(model_t, eval_data)
         metrics.append(
             StepMetrics(
                 step=t,
@@ -337,17 +344,19 @@ def gd_train(
     velocity = np.zeros_like(theta)
     theta_sum = np.zeros_like(theta)
     metrics: list[StepMetrics] = []
+    model_t = cfg.model.with_theta(theta)
+    private_fwd = None  # forward(model_t, private), once evaluated
     for t in range(cfg.steps):
-        model_t = cfg.model.with_theta(theta)
-        grads = per_sample_factors(model_t, private)
+        grads = per_sample_factors(model_t, private, private_fwd)
         update = _release(grads, None, None, (math.inf, 0.0), None).v_tilde
         theta, velocity = optimizer_step(
             theta, velocity, update, _lr_at(cfg, t), cfg.momentum, cfg.weight_decay
         )
         theta_sum += theta
-        model_now = cfg.model.with_theta(theta)
-        train_loss, _ = evaluate(model_now, private)
-        eval_loss, eval_acc = evaluate(model_now, eval_data)
+        model_t = cfg.model.with_theta(theta)
+        private_fwd = forward(model_t, private)
+        train_loss, _ = evaluate(model_t, private, private_fwd)
+        eval_loss, eval_acc = evaluate(model_t, eval_data)
         metrics.append(
             StepMetrics(
                 step=t,
@@ -373,8 +382,9 @@ def nonprivate_optimum(model: ModelSpec, data: Dataset) -> tuple[np.ndarray, flo
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         m = model.with_theta(theta)
-        loss, _ = evaluate(m, data)
-        grad = per_sample_gradients(m, data).mean(axis=0)
+        fwd = forward(m, data)
+        loss, _ = evaluate(m, data, fwd)
+        grad = per_sample_factors(m, data, fwd).dense().mean(axis=0)
         return loss, grad
 
     result = minimize(

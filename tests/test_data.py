@@ -125,6 +125,21 @@ def test_ingest_csv_errors(tmp_path):
         ingest_csv(str(header_only), "label")
 
 
+def test_ingest_csv_odd_cells_parse_as_float_does(tmp_path):
+    cells = [[" 1.5 ", "1e-3", "1_000.25", "0"], ["-2.5E+2", "\t+.5", "-0", "1"]]
+    path = tmp_path / "odd.csv"
+    path.write_text("a,b,c,label\n" + "\n".join(",".join(row) for row in cells) + "\n")
+    data = ingest_csv(str(path), "label")
+    expected = np.array([[float(cell) for cell in row[:3]] for row in cells])
+    assert data.features.tobytes() == expected.tobytes()
+    assert data.labels.tolist() == [0, 1]
+
+    # a bad cell is reported by row and column
+    path.write_text("a,b,label\n1,2,0\n3,4 5,1\n")
+    with pytest.raises(CsvParseError, match="row 3, column 'b'"):
+        ingest_csv(str(path), "label")
+
+
 def test_ingest_csv_standardize(tmp_path):
     path = tmp_path / "std.csv"
     path.write_text("a,b,label\n1.0,7.0,0\n3.0,7.0,1\n5.0,7.0,0\n")
@@ -165,3 +180,43 @@ def test_train_eval_split_disjoint():
     train, holdout = train_eval_split(data, 0.25, rng)
     assert train.n == 30 and holdout.n == 10
     assert set(train.labels.tolist()).isdisjoint(holdout.labels.tolist())
+
+
+def test_dataset_design_is_built_once_and_shared():
+    rng = np.random.default_rng(6)
+    data = Dataset(rng.standard_normal((30, 4)), rng.integers(0, 3, size=30))
+
+    def augmented(d):
+        return np.hstack([d.features, np.ones((d.n, 1))])
+
+    idx = np.array([7, 2, 2, 19, 0])
+    fresh = data.subset(idx)  # the parent's design is not built yet
+    assert fresh.design.tobytes() == augmented(fresh).tobytes()
+    assert data.design.tobytes() == augmented(data).tobytes()
+    assert data.design is data.design
+    sliced = data.subset(idx)  # now sliced from the parent's design
+    assert sliced.design.tobytes() == augmented(sliced).tobytes()
+    assert data.subset(np.arange(30) % 2 == 0).design.tobytes() == augmented(
+        data.subset(np.arange(0, 30, 2))
+    ).tobytes()
+
+    relabeled = data.with_labels(rng.integers(0, 3, size=30))
+    assert relabeled.features is data.features
+    assert relabeled.design is data.design
+    # a design built after relabeling is shared back with the original
+    lazy = Dataset(data.features, data.labels)
+    assert lazy.with_labels(np.zeros(30, dtype=int)).design is lazy.design
+    with pytest.raises(ValueError, match="labels"):
+        data.with_labels(np.zeros(29))
+
+
+def test_dataset_arrays_are_read_only():
+    rng = np.random.default_rng(7)
+    data = Dataset(rng.standard_normal((10, 3)), rng.standard_normal(10))
+    for d in (data, data.subset(np.arange(5)), data.with_labels(np.zeros(10))):
+        for array in (d.features, d.labels, d.design):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    # the design sliced from a built one is read-only too
+    with pytest.raises(ValueError, match="read-only"):
+        data.subset(np.arange(5)).design[0, 0] = 0.0

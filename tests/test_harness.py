@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -264,6 +265,19 @@ def test_project_error_command(capsys):
     out = capsys.readouterr().out
     assert "power" in out and "random" in out
     assert "anchor-count sweep" in out
+
+    # exactly-zero errors print as a floor, not as rounding digits
+    lowrank = [
+        "project-error", "--task", "lowrank", "--seed", "0", "--k", "2", "5", "10",
+        "--n", "120", "--input-dim", "39", "--m", "40",
+    ]
+    tables = []
+    for _ in range(2):
+        assert main(lowrank) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+    assert "<1e-12" in tables[0]
+    assert not re.search(r"e-1[3-9]", tables[0])
 
 
 def test_report_command(tmp_path, capsys):

@@ -10,6 +10,7 @@ from gep.linalg import count_flops
 from gep.models import (
     allocate_basis_counts,
     evaluate,
+    forward,
     init_model,
     make_group_layout,
     param_count,
@@ -134,6 +135,17 @@ def test_evaluate_cases():
                                       rng.standard_normal(5)))
     assert math.isnan(acc)
 
+    # float class labels must be exact integers: no rounding of 1.000001
+    x = rng.standard_normal((3, 4))
+    with pytest.raises(ValueError, match="integers"):
+        evaluate(model0, Dataset(x, np.array([0.0, 1.0, 1.000001])))
+    with pytest.raises(ValueError, match="integers"):
+        per_sample_factors(model0, Dataset(x, np.array([0.0, 1.0, 1.000001])))
+    floats = Dataset(x, np.array([0.0, 1.0, 1.0]))
+    ints = Dataset(x, np.array([0, 1, 1]))
+    assert floats.labels.dtype == np.float64
+    assert evaluate(model0, floats) == evaluate(model0, ints)
+
 
 def test_evaluate_perfect_separable_fit():
     data = synth_dataset(
@@ -233,3 +245,21 @@ def test_factored_identities_match_dense(kind):
         np.testing.assert_array_equal(
             factors.columns(cols.start, cols.stop).dense(), g[:, cols]
         )
+
+
+@pytest.mark.parametrize("kind", ["linear", "logistic", "mlp"])
+def test_one_forward_feeds_evaluate_and_the_backward_pass(kind):
+    rng = np.random.default_rng(9)
+    model, data = random_model_and_data(kind, rng, n=15)
+    fwd = forward(model, data)
+    assert evaluate(model, data, fwd) == evaluate(model, data)
+    np.testing.assert_array_equal(
+        per_sample_factors(model, data, fwd).dense(), per_sample_gradients(model, data)
+    )
+    assert (fwd.hidden is not None) == (kind == "mlp")
+    # a forward pass of another model or dataset is refused
+    other = model.with_theta(model.theta + 1.0)
+    with pytest.raises(ValueError, match="another model or dataset"):
+        evaluate(other, data, fwd)
+    with pytest.raises(ValueError, match="another model or dataset"):
+        per_sample_factors(model, data.subset(np.arange(data.n)), fwd)

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import gep.models
+import gep.training
 from gep.accounting import DpBudget, calibrate_sigma_search, epsilon_for_sigma
 from gep.models import evaluate, per_sample_gradients
 from gep.release import METHODS, GepConfig
@@ -160,6 +162,71 @@ def test_poisson_empty_batches_skip_update():
     eps = [m.epsilon_spent for m in metrics]
     assert all(b >= a for a, b in zip(eps, eps[1:]))
     assert len({round(e, 12) for e in eps}) == len(eps)
+
+
+def _count_forwards(monkeypatch):
+    """Patch every binding of ``forward`` with one that records its dataset."""
+    seen = []
+    original = gep.models.forward
+
+    def counted(model, data):
+        seen.append(data)
+        return original(model, data)
+
+    monkeypatch.setattr(gep.models, "forward", counted)
+    monkeypatch.setattr(gep.training, "forward", counted)
+    return seen
+
+
+@pytest.mark.parametrize("method", ["gep", "gp"])
+def test_full_batch_runs_one_private_forward_per_step(monkeypatch, method):
+    # the post-step forward that gives the train loss feeds the next
+    # step's backward pass: T steps run T + 1 private forwards, not 2T
+    task = logistic_mixture_task(6, n=60, input_dim=9, m_aux=20, n_eval=20)
+    cfg = toy_cfg(task, method=method, gep=GepConfig(k=3, m=20, s1=1.0, s2=0.5),
+                  steps=5, sigma_override=0.7)
+    seen = _count_forwards(monkeypatch)
+    dp_train(cfg, task.private, task.eval)
+    assert sum(data is task.private for data in seen) == cfg.steps + 1
+    assert sum(data is task.eval for data in seen) == cfg.steps
+    seen.clear()
+    gd_train(cfg, task.private, task.eval)
+    assert sum(data is task.private for data in seen) == cfg.steps + 1
+
+
+def test_poisson_run_forwards_each_batch_and_the_private_set_once(monkeypatch):
+    task = logistic_mixture_task(6, n=60, input_dim=9, m_aux=20, n_eval=20)
+    cfg = toy_cfg(task, method="gp", steps=5, batch="poisson", q=0.5, sigma_override=0.7)
+    seen = _count_forwards(monkeypatch)
+    dp_train(cfg, task.private, task.eval)
+    batches = [data for data in seen if data is not task.private and data is not task.eval]
+    assert sum(data is task.private for data in seen) == cfg.steps
+    assert len(batches) == cfg.steps
+    assert all(0 < batch.n < task.private.n for batch in batches)
+
+
+@pytest.mark.parametrize("batch", ["full", "poisson"])
+def test_train_loss_equals_a_fresh_evaluate_at_each_iterate(monkeypatch, batch):
+    task = logistic_mixture_task(7, n=60, input_dim=9, m_aux=20, n_eval=20)
+    cfg = toy_cfg(task, method="gep", gep=GepConfig(k=3, m=20, s1=1.0, s2=0.5),
+                  steps=6, sigma_override=0.7, batch=batch, q=0.5)
+    iterates = []
+    original = gep.training.optimizer_step
+
+    def recorded(*args):
+        theta, velocity = original(*args)
+        iterates.append(theta.copy())
+        return theta, velocity
+
+    monkeypatch.setattr(gep.training, "optimizer_step", recorded)
+    for train in (dp_train, gd_train):
+        iterates.clear()
+        _, metrics = train(cfg, task.private, task.eval)
+        assert len(iterates) == cfg.steps
+        for theta, m in zip(iterates, metrics):
+            fresh = cfg.model.with_theta(theta)
+            assert m.train_loss == evaluate(fresh, task.private)[0]
+            assert (m.eval_loss, m.eval_accuracy) == evaluate(fresh, task.eval)
 
 
 def test_epsilon_spent_within_budget_and_recomputable():
