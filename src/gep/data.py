@@ -38,8 +38,11 @@ class Dataset:
 
     Labels are int64 for classification and float64 for regression; the row
     order is part of the dataset identity (ingestion preserves file order).
-    Both arrays are read-only views, so nothing can edit the features under
-    the cached :attr:`design`.
+    The constructor copies both arrays and keeps them read-only, so a
+    caller that keeps the arrays it passed in cannot edit the features past
+    the finite check or under the cached :attr:`design`.  The cheap
+    derivations, :meth:`subset` and :meth:`with_labels`, do not copy again;
+    the latter keeps a read-only view of the labels it is given.
     """
 
     features: np.ndarray
@@ -47,13 +50,14 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=np.float64)
+        features = np.array(self.features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("features must be a 2-d array")
         if not np.all(np.isfinite(features)):
             raise ValueError("features contain non-finite entries")
         object.__setattr__(self, "features", _read_only(features))
-        object.__setattr__(self, "labels", _label_vector(self.labels, features.shape[0]))
+        labels = _label_vector(np.array(self.labels), features.shape[0])
+        object.__setattr__(self, "labels", labels)
         # arrays computed from the features alone; relabeled copies share it
         object.__setattr__(self, "_derived", {})
 

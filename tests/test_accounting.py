@@ -1,10 +1,16 @@
 """Accountant tests: mechanism costs, composition, conversion, calibration."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
+import gep
 from gep.accounting import (
     CalibrationError,
     DpBudget,
@@ -22,6 +28,7 @@ from gep.accounting import (
     rdp_to_dp,
     subsampled_gaussian_curve,
 )
+from gep.accounting import _log_binomials, _logsumexp
 
 # Frozen oracle values, computed with 50-digit mpmath arithmetic.
 SIGMA_T100 = 11.996314780470203  # 2 sqrt(2*100*log(1e5)) / 8
@@ -255,15 +262,25 @@ def test_subsampled_curve_matches_per_order_reference(q, sigma):
 
 
 @pytest.mark.parametrize(
-    "epsilon, q, steps",
-    [(8.0, 1.0, 5), (8.0, 1.0, 1), (8.0, 0.05, 200), (2.0, 1.0, 4), (8.0, 1.0, 4)],
+    "epsilon, q, steps, sigma_hex",
+    [
+        (8.0, 1.0, 5, "0x1.8ccefe528f5c2p+0"),
+        (8.0, 1.0, 1, "0x1.62e8876570a3ep-1"),
+        (8.0, 0.05, 200, "0x1.ca44769f5c290p-1"),
+        (2.0, 1.0, 4, "0x1.3fe9281dc28f6p+2"),
+        (8.0, 1.0, 4, "0x1.62ec591147ae1p+0"),
+    ],
     ids=["logreg-full", "mlp-wide", "poisson-q05", "cli-grid-eps2", "cli-grid-eps8"],
 )
-def test_calibrated_sigma_unchanged_by_vectorized_curve(monkeypatch, epsilon, q, steps):
+def test_calibrated_sigma_unchanged_by_vectorized_curve(
+    monkeypatch, epsilon, q, steps, sigma_hex
+):
     import gep.accounting
 
     budget = DpBudget(epsilon, 1e-5)
     sigma = calibrate_sigma_search(budget, q, steps)
+    # the benchmark configurations' multipliers, pinned to the last bit
+    assert sigma.hex() == sigma_hex
     monkeypatch.setattr(gep.accounting, "subsampled_gaussian_curve", per_order_curve)
     assert calibrate_sigma_search(budget, q, steps) == sigma
 
@@ -306,3 +323,84 @@ def test_full_batch_calibration_unchanged_by_vectorized_gaussian_curve(monkeypat
     sigma = calibrate_sigma_search(budget, 1.0, steps)
     monkeypatch.setattr(gep.accounting, "gaussian_curve", per_order_gaussian_curve)
     assert calibrate_sigma_search(budget, 1.0, steps) == sigma
+
+
+def test_import_calibration_and_training_leave_scipy_unloaded():
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import gep
+        from gep.accounting import DpBudget, calibrate_sigma_search
+        from gep.release import GepConfig
+        from gep.tasks import toy_regression_task
+        from gep.training import TrainConfig, dp_train
+
+        calibrate_sigma_search(DpBudget(8.0, 1e-5), 0.05, 200)
+        task = toy_regression_task(0)
+        cfg = TrainConfig(model=task.model, gep=GepConfig(k=2, m=4, s1=1.0, s2=1.0),
+                          budget=DpBudget(8.0, 1e-5), steps=3, aux_data=task.aux,
+                          batch="poisson", q=0.5)
+        dp_train(cfg, task.private, task.eval)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gep.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def random_lse_tables(rng):
+    """Tables with -inf entries and rows whose maximum is tied."""
+    tables = []
+    for rows, cols in [(1, 1), (3, 2), (40, 17), (25, 257)]:
+        table = 30.0 * rng.standard_normal((rows, cols))
+        table[rng.random((rows, cols)) < 0.2] = -np.inf
+        table[:, 0] = rng.standard_normal(rows)  # every row keeps a finite entry
+        tied = rng.random(rows) < 0.5
+        for row in np.flatnonzero(tied):
+            top = table[row].max()
+            table[row, rng.integers(0, cols, size=3)] = top
+        tables.append(table)
+    return tables
+
+
+def test_logsumexp_matches_scipy():
+    import scipy
+    from scipy.special import logsumexp
+
+    orders = default_orders()
+    log_binom = _log_binomials(tuple(int(a) for a in orders))
+    j = np.arange(log_binom.shape[1])
+    rdp_table = log_binom + (orders[:, None] - j) * math.log1p(-0.05) + j * math.log(0.05)
+    rdp_table = rdp_table + j * (j - 1) / (2.0 * 0.9 * 0.9)
+    rng = np.random.default_rng(11)
+    tables = [rdp_table] + [t for _ in range(50) for t in random_lse_tables(rng)]
+    # scipy 1.15 took every tied maximum out of the sum, as _logsumexp does
+    bitwise = tuple(int(part) for part in scipy.__version__.split(".")[:2]) >= (1, 15)
+    for table in tables:
+        for got, want in [(_logsumexp(table), logsumexp(table, axis=1)),
+                          (_logsumexp(table[0]), logsumexp(table[0]))]:
+            if bitwise:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_array_max_ulp(got, want, maxulp=2)
+
+
+def test_log_binomials_no_less_accurate_than_gammaln():
+    from scipy.special import gammaln
+
+    orders = tuple(range(2, 257))
+    table = _log_binomials(orders)
+    a = np.array([order for order in orders for _ in range(0, order + 1, 7)])
+    j = np.array([k for order in orders for k in range(0, order + 1, 7)])
+    exact = [Decimal(math.comb(int(x), int(y))).ln() for x, y in zip(a, j)]
+    reference = gammaln(a + 1.0) - gammaln(j + 1.0) - gammaln(a - j + 1.0)
+
+    def worst(values):
+        return max(abs(Decimal(float(v)) - e) for v, e in zip(values, exact))
+
+    assert worst(table[a - 2, j]) <= worst(reference)
+    assert np.all(table[np.arange(2, 257)[:, None] < np.arange(257)] == -np.inf)

@@ -210,6 +210,19 @@ def test_dataset_design_is_built_once_and_shared():
         data.with_labels(np.zeros(29))
 
 
+def test_dataset_owns_copies_of_the_arrays_it_was_given():
+    rng = np.random.default_rng(8)
+    for labels in (rng.integers(0, 3, size=12), rng.standard_normal(12)):
+        features = rng.standard_normal((12, 3))
+        data = Dataset(features, labels)
+        kept = [data.features.copy(), data.labels.copy(), data.design.copy()]
+        features[0, 0] = np.nan  # past the finite check, were it shared
+        features[1:] = 7.0
+        labels[:] = 1
+        for array, before in zip((data.features, data.labels, data.design), kept):
+            assert array.tobytes() == before.tobytes()
+
+
 def test_dataset_arrays_are_read_only():
     rng = np.random.default_rng(7)
     data = Dataset(rng.standard_normal((10, 3)), rng.standard_normal(10))
