@@ -45,11 +45,9 @@ from .release import (
     AnchorBasis,
     GepConfig,
     PrivateRelease,
-    bgep_release,
     build_anchor_basis,
-    gep_release,
-    gp_release,
     projection_error_rate,
+    release_gradient,
     single_group_layout,
     stable_rank,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "RdpCurve",
     "StepMetrics",
     "TrainConfig",
-    "bgep_release",
     "build_anchor_basis",
     "calibrate_sigma_closed_form",
     "calibrate_sigma_search",
@@ -95,8 +92,6 @@ __all__ = [
     "forward",
     "gaussian_noise",
     "gd_train",
-    "gep_release",
-    "gp_release",
     "ingest_csv",
     "init_model",
     "make_group_layout",
@@ -110,6 +105,7 @@ __all__ = [
     "rdp_gaussian",
     "rdp_subsampled_gaussian",
     "rdp_to_dp",
+    "release_gradient",
     "single_group_layout",
     "stable_rank",
     "synth_dataset",

@@ -41,8 +41,8 @@ class Dataset:
     The constructor copies both arrays and keeps them read-only, so a
     caller that keeps the arrays it passed in cannot edit the features past
     the finite check or under the cached :attr:`design`.  The cheap
-    derivations, :meth:`subset` and :meth:`with_labels`, do not copy again;
-    the latter keeps a read-only view of the labels it is given.
+    derivations, :meth:`subset` and :meth:`with_labels`, do not copy the
+    features again; the latter copies only the labels it is given.
     """
 
     features: np.ndarray
@@ -91,7 +91,7 @@ class Dataset:
     def with_labels(self, labels: np.ndarray) -> "Dataset":
         """The same rows relabeled; features and design are shared."""
         part = copy.copy(self)
-        object.__setattr__(part, "labels", _label_vector(labels, self.n))
+        object.__setattr__(part, "labels", _label_vector(np.array(labels), self.n))
         return part
 
 

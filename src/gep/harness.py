@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -81,6 +82,26 @@ class RunSpec:
         return (
             f"{self.method}-eps{self.epsilon:g}-k{self.k}-m{self.m}-seed{self.seed}"
         )
+
+
+# RunSpec.run_id, read back; the method and epsilon may hold dashes.
+_RUN_ID = re.compile(
+    r"(?P<method>.+?)-eps(?P<epsilon>.+)-k(?P<k>\d+)-m(?P<m>\d+)-seed(?P<seed>-?\d+)"
+)
+
+
+def _parse_run_id(run_id: str) -> RunSpec | None:
+    """The run whose ``run_id`` this is, or None for another format."""
+    match = _RUN_ID.fullmatch(run_id)
+    if match is None:
+        return None
+    try:
+        epsilon = float(match["epsilon"])
+    except ValueError:
+        return None
+    return RunSpec(
+        match["method"], int(match["seed"]), int(match["k"]), int(match["m"]), epsilon
+    )
 
 
 def _record(run: RunSpec, step: StepMetrics) -> dict:
@@ -321,7 +342,10 @@ def train_command(
             if run.m not in tasks:
                 tasks[run.m] = build_task(cfg.updated({"aux.m": run.m}), run.m)
             task = tasks[run.m]
-            train_cfg = _train_config(cfg, run, task)
+            try:
+                train_cfg = _train_config(cfg, run, task)
+            except ValueError as err:  # a value out of range
+                raise ConfigError(str(err)) from None
             model, steps = dp_train(train_cfg, task.private, task.eval)
             rows = [_record(run, step) for step in steps]
             path = os.path.join(out_dir, f"{run.run_id}.metrics.jsonl")
@@ -570,29 +594,16 @@ def report_command(out_dir: str) -> int:
         if not rows:
             continue
         final = rows[-1]
-        run_id = final["run_id"]
-        k = _parse_run_field(run_id, "k")
-        eps = _parse_run_field(run_id, "eps")
+        run = _parse_run_id(final["run_id"])
         results.append(
             {
                 "method": final["method"],
                 "seed": final["seed"],
-                "k": int(k) if k is not None else 0,
-                "epsilon": float(eps) if eps is not None else math.nan,
+                "k": run.k if run is not None else 0,
+                "epsilon": run.epsilon if run is not None else math.nan,
                 "final_accuracy": final["eval_accuracy"],
             }
         )
     print(_summary_table(results))
     return 0
 
-
-def _parse_run_field(run_id: str, field: str) -> str | None:
-    for part in run_id.split("-"):
-        if part.startswith(field):
-            value = part[len(field):]
-            try:
-                float(value)
-            except ValueError:
-                continue
-            return value
-    return None

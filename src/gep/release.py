@@ -15,8 +15,10 @@ Releasing both parts keeps the estimate unbiased (up to clipping); the
 ``bgep`` variant drops the residual and trades a systematic error for less
 noise, and ``gp`` is the classic full-dimensional baseline, the residual
 release of an empty basis.  :data:`METHODS` says, for every training
-method, which basis it builds and which sums it releases; all of them run
-through one kernel, ``_release``.
+method, which basis it builds and which sums it releases.
+:func:`release_gradient` is the one entry point: it validates the
+thresholds and the multiplier, reads the method's entry, and runs the
+one kernel, ``_release``.
 
 Noise convention: ``sigma`` is the unit-sensitivity multiplier of one
 step, the one the accountant composes.  A step that perturbs ``parts``
@@ -119,9 +121,7 @@ __all__ = [
     "PrivateRelease",
     "single_group_layout",
     "build_anchor_basis",
-    "gep_release",
-    "bgep_release",
-    "gp_release",
+    "release_gradient",
     "projection_error_rate",
     "stable_rank",
     "noise_multipliers",
@@ -172,8 +172,8 @@ class GepConfig:
 
     ``k`` basis directions are estimated from ``m`` anchor gradients with
     ``t`` rounds of power iteration; embedding rows are clipped at ``s1``
-    and residual rows at ``s2``.  ``sigma`` is the per-step
-    unit-sensitivity noise multiplier (see :func:`noise_multipliers`).
+    and residual rows at ``s2``.  The noise multiplier is not part of it:
+    it is calibrated per run and passed to :func:`release_gradient`.
     """
 
     k: int
@@ -181,19 +181,16 @@ class GepConfig:
     t: int = 1
     s1: float = 10.0
     s2: float = 2.0
-    sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.k < 1:
+        if not self.k >= 1:
             raise ValueError("k must be >= 1")
-        if self.m < 1:
+        if not self.m >= 1:
             raise ValueError("m must be >= 1")
-        if self.t < 1:
+        if not self.t >= 1:
             raise ValueError("t must be >= 1")
-        if self.s1 <= 0 or self.s2 <= 0:
+        if not (self.s1 > 0 and self.s2 > 0):
             raise ValueError("clipping thresholds must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be calibrated to a value >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,7 +487,7 @@ def _release(
     )
 
 
-def _method_release(
+def release_gradient(
     method: str,
     g: np.ndarray | FactoredGradients,
     basis: AnchorBasis | None,
@@ -501,73 +498,38 @@ def _method_release(
 ) -> PrivateRelease:
     """Release one step's gradient estimate the way ``method`` does.
 
-    ``basis`` is the one :data:`METHODS` asks ``method`` to build (None for
-    ``gp``).  The embedding is clipped at ``s1``, the residual at ``s2``,
-    and whole rows, when there is no basis, at ``s1``; that clip fraction
-    is reported as ``clip_fraction_s1``.  Every released sum gets noise std
-    ``noise_multipliers(sigma, parts) * threshold``.
+    ``g`` holds the per-sample gradients, factored or as a dense ``n x p``
+    matrix.  ``basis`` is the one :data:`METHODS` asks ``method`` to build
+    (None for ``gp``).  Embedding rows are clipped at ``s1`` and residual
+    rows at ``s2`` (the residual is taken against the unclipped
+    embedding), and, when there is no basis, whole rows at ``s1``; that
+    clip fraction is reported as ``clip_fraction_s1``.  Every released sum
+    gets noise std ``noise_multipliers(sigma, parts) * threshold``, and
+    none at ``sigma = 0``, even for an infinite threshold.  The estimate
+    is ``v_tilde = (w_tilde B + r_tilde) / n``, with ``w_tilde B`` mapped
+    back group by group; ``bgep`` leaves ``r_tilde`` out, so it converges
+    to the batch gradient minus the mean residual.
     """
     spec = METHODS[method]
     if (basis is None) != (spec.basis is None):
         expected = f"a {spec.basis}" if spec.basis else "no"
         raise ValueError(f"method {method!r} expects {expected} basis")
-    if s1 <= 0 or s2 <= 0:
+    if not (s1 > 0 and s2 > 0):
         raise ValueError("clipping thresholds must be positive")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be calibrated to a value >= 0")
     block = noise_multipliers(sigma, spec.parts)
+
+    def part(threshold: float) -> tuple[float, float]:
+        return threshold, (block * threshold if block else 0.0)
+
     g = as_factors(g)
     if basis is None:
-        rel = _release(g, None, None, (s1, block * s1), rng)
+        rel = _release(g, None, None, part(s1), rng)
         return replace(
             rel, clip_fraction_s1=rel.clip_fraction_s2, clip_fraction_s2=math.nan
         )
-    residual = (s2, block * s2) if spec.residual else None
-    return _release(g, basis, (s1, block * s1), residual, rng)
-
-
-def gep_release(
-    g: np.ndarray | FactoredGradients,
-    basis: AnchorBasis,
-    cfg: GepConfig,
-    rng: np.random.Generator,
-) -> PrivateRelease:
-    """Release a private batch-gradient estimate from per-sample gradients.
-
-    Follows the three-stage recipe: split against the anchor basis (the
-    residual is taken against the unclipped embedding), clip the embedding
-    rows at ``s1`` and residual rows at ``s2``, then perturb the two sums
-    (each at ``sigma * sqrt(2)`` times its threshold) and recombine into
-    ``v_tilde = (w_tilde B + r_tilde) / n``, with ``w_tilde B`` mapped back
-    group by group.  ``g`` is factored or a dense ``n x p`` matrix.
-    """
-    return _method_release("gep", g, basis, cfg.s1, cfg.s2, cfg.sigma, rng)
-
-
-def bgep_release(
-    g: np.ndarray | FactoredGradients,
-    basis: AnchorBasis,
-    cfg: GepConfig,
-    rng: np.random.Generator,
-) -> PrivateRelease:
-    """Embedding-only release: cheaper noise, systematically biased.
-
-    Only the clipped embedding sum is perturbed (a single release at
-    noise std ``sigma * s1``) and mapped back; the residual is dropped, so
-    the estimate converges to the batch gradient minus the mean residual
-    rather than the batch gradient.
-    """
-    return _method_release("bgep", g, basis, cfg.s1, cfg.s2, cfg.sigma, rng)
-
-
-def gp_release(
-    g: np.ndarray | FactoredGradients,
-    s: float,
-    sigma: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Classic gradient perturbation: clip rows at ``s``, sum, add noise ``sigma * s``."""
-    return _method_release("gp", g, None, s, s, sigma, rng).v_tilde
+    return _release(g, basis, part(s1), part(s2) if spec.residual else None, rng)
 
 
 def projection_error_rate(

@@ -4,13 +4,16 @@ Each step recomputes anchor gradients on auxiliary data (relabeled at
 random by default), rebuilds the per-group anchor basis, releases a
 private batch-gradient estimate, and feeds it to SGD with momentum.
 Everything downstream of the release is post-processing, so the final
-model inherits the release's privacy guarantee under composition.
+model inherits the release's privacy guarantee under composition.  The
+non-private reference, ``gd_train``, runs the same step loop on the
+unclipped, noiseless full-batch gradient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .accounting import (
 from .data import Dataset
 from .linalg import RandomStream
 from .models import (
+    Forward,
     ModelSpec,
     evaluate,
     forward,
@@ -34,9 +38,9 @@ from .models import (
 from .release import (
     METHODS,
     GepConfig,
-    _method_release,
     _release,
     build_anchor_basis,
+    release_gradient,
     stable_rank,
 )
 
@@ -87,7 +91,7 @@ class TrainConfig:
     iterate_averaging: bool = False  # return the averaged iterate
 
     def __post_init__(self) -> None:
-        if self.steps < 0:
+        if not self.steps >= 0:
             raise ValueError("steps must be >= 0")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
@@ -95,15 +99,15 @@ class TrainConfig:
             raise ValueError(f"unknown batch rule {self.batch!r}")
         if self.batch == "poisson" and not 0 < self.q <= 1:
             raise ValueError(f"poisson sampling rate must lie in (0, 1], got {self.q}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError("lr must be positive")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError("weight decay must be non-negative")
         if self.aux_label_mode not in ("random-each-step", "fixed"):
             raise ValueError(f"unknown auxiliary label mode {self.aux_label_mode!r}")
-        if self.sigma_override is not None and self.sigma_override < 0:
+        if self.sigma_override is not None and not self.sigma_override >= 0:
             raise ValueError("sigma override must be >= 0")
         if self.aux_data.n < self.gep.m:
             raise ValueError(
@@ -117,21 +121,23 @@ class StepMetrics:
     """Per-step training record.
 
     Losses and accuracy are measured after the step's update; release
-    diagnostics describe the step's gradients.  ``epsilon_spent`` is the
-    budget consumed by all steps up to and including this one.
+    diagnostics describe the step's gradients, and read NaN (``k_effective``
+    0) for a step that released nothing.  ``epsilon_spent`` is the budget
+    consumed by all steps up to and including this one (NaN for a
+    non-private run).
     """
 
     step: int
     train_loss: float
     eval_loss: float
     eval_accuracy: float
-    projection_error_rate: float
-    stable_rank_g: float
-    stable_rank_r: float
-    k_effective: int
-    clip_fraction_s1: float
-    clip_fraction_s2: float
-    epsilon_spent: float
+    projection_error_rate: float = math.nan
+    stable_rank_g: float = math.nan
+    stable_rank_r: float = math.nan
+    k_effective: int = 0
+    clip_fraction_s1: float = math.nan
+    clip_fraction_s2: float = math.nan
+    epsilon_spent: float = math.nan
 
     FIELDS = (
         "step",
@@ -218,6 +224,47 @@ def _lr_at(cfg: TrainConfig, step: int) -> float:
     return cfg.lr
 
 
+_StepGradient = Callable[[int, ModelSpec, Forward | None], tuple[np.ndarray | None, dict]]
+
+
+def _train(
+    cfg: TrainConfig, private: Dataset, eval_data: Dataset, step_gradient: _StepGradient
+) -> tuple[ModelSpec, list[StepMetrics]]:
+    """The step loop that ``dp_train`` and ``gd_train`` share.
+
+    ``step_gradient(t, model, fwd)`` returns step ``t``'s update, or None
+    to leave the parameters as they are, plus the step's diagnostic
+    :class:`StepMetrics` fields.  ``fwd`` is the forward pass of ``model``
+    on the whole private set once the loop has one: the post-step forward
+    that gives a step's train loss feeds the next step's backward pass.
+    The loop owns the optimizer state, the evaluations after each step
+    and the averaged iterate (returned with ``cfg.iterate_averaging``;
+    the metrics always describe the actual iterates).
+    """
+    if private.d != cfg.model.input_dim:
+        raise ValueError("private data does not match the model's input size")
+    theta = cfg.model.theta.copy()
+    velocity = np.zeros_like(theta)
+    theta_sum = np.zeros_like(theta)
+    metrics: list[StepMetrics] = []
+    model_t = cfg.model.with_theta(theta)
+    private_fwd = None  # forward(model_t, private), once evaluated
+    for t in range(cfg.steps):
+        update, diagnostics = step_gradient(t, model_t, private_fwd)
+        if update is not None:
+            theta, velocity = optimizer_step(
+                theta, velocity, update, _lr_at(cfg, t), cfg.momentum, cfg.weight_decay
+            )
+            model_t = cfg.model.with_theta(theta)
+        theta_sum += theta
+        private_fwd = forward(model_t, private)
+        train_loss, _ = evaluate(model_t, private, private_fwd)
+        eval_loss, eval_acc = evaluate(model_t, eval_data)
+        metrics.append(StepMetrics(t, train_loss, eval_loss, eval_acc, **diagnostics))
+    final_theta = theta_sum / cfg.steps if cfg.iterate_averaging and cfg.steps else theta
+    return cfg.model.with_theta(final_theta), metrics
+
+
 def dp_train(
     cfg: TrainConfig, private: Dataset, eval_data: Dataset
 ) -> tuple[ModelSpec, list[StepMetrics]]:
@@ -225,17 +272,16 @@ def dp_train(
 
     Unless ``cfg.sigma_override`` is set, the noise multiplier is
     calibrated so the full run fits the budget (the per-step epsilons in
-    the metrics are recomputed through the accountant, not assumed).  With
-    ``cfg.iterate_averaging`` the returned model carries the average of
-    the per-step iterates instead of the final one; the metrics always
-    describe the actual iterates.
+    the metrics are recomputed through the accountant, not assumed).
+    Each step draws the batch, builds the anchor basis the method names
+    and makes one :func:`gep.release.release_gradient` call; an empty
+    Poisson batch leaves the parameters as they are.  The step loop is
+    the one :func:`gd_train` runs.  With ``cfg.iterate_averaging`` the
+    returned model carries the average of the per-step iterates instead
+    of the final one; the metrics always describe the actual iterates.
     """
-    if private.d != cfg.model.input_dim:
-        raise ValueError("private data does not match the model's input size")
-    theta = cfg.model.theta.copy()
-    velocity = np.zeros_like(theta)
-    if cfg.steps == 0:
-        return cfg.model.with_theta(theta), []
+    if cfg.steps == 0:  # nothing to calibrate or release
+        return gd_train(cfg, private, eval_data)
 
     stream = RandomStream(cfg.seed)
     sigma = (
@@ -249,86 +295,52 @@ def dp_train(
 
     aux = cfg.aux_data
     anchors = aux.subset(np.arange(cfg.gep.m)) if aux.n > cfg.gep.m else aux
+    working: list = []  # the last step's gradients, basis and release
 
-    theta_sum = np.zeros_like(theta)
-    metrics: list[StepMetrics] = []
-    n = private.n
-    model_t = cfg.model.with_theta(theta)
-    private_fwd = None  # forward(model_t, private), once evaluated
-    for t in range(cfg.steps):
-        lr = _lr_at(cfg, t)
+    def step_gradient(
+        t: int, model_t: ModelSpec, private_fwd: Forward | None
+    ) -> tuple[np.ndarray | None, dict]:
         if cfg.batch == "poisson":
-            mask = stream.generator(t, PURPOSE_BATCH).random(n) < cfg.q
+            mask = stream.generator(t, PURPOSE_BATCH).random(private.n) < cfg.q
             batch = private.subset(np.flatnonzero(mask))
-            batch_fwd = None
+            private_fwd = None
         else:
             batch = private
-            batch_fwd = private_fwd
+        if batch.n == 0:
+            return None, {"epsilon_spent": eps_schedule[t]}
 
-        proj_rate = math.nan
-        sr_g = math.nan
-        sr_r = math.nan
-        k_eff = 0
-        clip1 = math.nan
-        clip2 = math.nan
-
-        if batch.n > 0:
-            grads = per_sample_factors(model_t, batch, batch_fwd)
-            basis = None
-            if method.basis is not None:
-                anchor = _anchor_batch(cfg, anchors, stream, t)
-                basis = build_anchor_basis(
-                    per_sample_factors(model_t, anchor),
-                    layout,
-                    cfg.gep,
-                    stream.generator(t, PURPOSE_BASIS),
-                    basis_mode=method.basis,
-                )
-            rel = _method_release(
-                cfg.method,
-                grads,
-                basis,
-                cfg.gep.s1,
-                cfg.gep.s2,
-                sigma,
-                stream.generator(t, PURPOSE_NOISE),
+        grads = per_sample_factors(model_t, batch, private_fwd)
+        basis = None
+        if method.basis is not None:
+            anchor = _anchor_batch(cfg, anchors, stream, t)
+            basis = build_anchor_basis(
+                per_sample_factors(model_t, anchor),
+                layout,
+                cfg.gep,
+                stream.generator(t, PURPOSE_BASIS),
+                basis_mode=method.basis,
             )
-            proj_rate = rel.projection_error_rate
-            k_eff = rel.k_effective
-            clip1 = rel.clip_fraction_s1
-            clip2 = rel.clip_fraction_s2
-            if cfg.track_spectra:
-                sr_g = stable_rank(grads)
-                if basis is not None:
-                    sr_r = stable_rank(grads, basis)
-            theta, velocity = optimizer_step(
-                theta, velocity, rel.v_tilde, lr, cfg.momentum, cfg.weight_decay
-            )
-            model_t = cfg.model.with_theta(theta)
+        noise = stream.generator(t, PURPOSE_NOISE)
+        rel = release_gradient(cfg.method, grads, basis, cfg.gep.s1, cfg.gep.s2, sigma, noise)
+        diagnostics = {
+            "projection_error_rate": rel.projection_error_rate,
+            "k_effective": rel.k_effective,
+            "clip_fraction_s1": rel.clip_fraction_s1,
+            "clip_fraction_s2": rel.clip_fraction_s2,
+            "epsilon_spent": eps_schedule[t],
+        }
+        if cfg.track_spectra:
+            diagnostics["stable_rank_g"] = stable_rank(grads)
+            if basis is not None:
+                diagnostics["stable_rank_r"] = stable_rank(grads, basis)
+        # Held through the loop's post-step forward and evaluations, until
+        # the next step replaces them.  Freed before those, they leave the
+        # top of glibc's heap free to be trimmed, and the next step faults
+        # it back in (on mlp-wide, ~1000 minor faults and +2 ms per gp step).
+        working[:] = (grads, basis, rel)
+        return rel.v_tilde, diagnostics
 
-        theta_sum += theta
-        # the next full-batch step's backward pass reuses this forward
-        private_fwd = forward(model_t, private)
-        train_loss, _ = evaluate(model_t, private, private_fwd)
-        eval_loss, eval_acc = evaluate(model_t, eval_data)
-        metrics.append(
-            StepMetrics(
-                step=t,
-                train_loss=train_loss,
-                eval_loss=eval_loss,
-                eval_accuracy=eval_acc,
-                projection_error_rate=proj_rate,
-                stable_rank_g=sr_g,
-                stable_rank_r=sr_r,
-                k_effective=k_eff,
-                clip_fraction_s1=clip1,
-                clip_fraction_s2=clip2,
-                epsilon_spent=eps_schedule[t],
-            )
-        )
-
-    final_theta = theta_sum / cfg.steps if cfg.iterate_averaging else theta
-    return cfg.model.with_theta(final_theta), metrics
+    return _train(cfg, private, eval_data, step_gradient)
 
 
 def gd_train(
@@ -336,44 +348,19 @@ def gd_train(
 ) -> tuple[ModelSpec, list[StepMetrics]]:
     """Non-private full-batch gradient descent with the same optimizer.
 
-    The batch gradient is the mean of the per-sample rows, computed by
-    the private release kernel with no clipping and no noise, so it is
-    exactly what the noiseless private path reduces to.
+    It runs :func:`dp_train`'s step loop on the full batch.  The batch
+    gradient is the mean of the per-sample rows, computed by the release
+    kernel with no clipping and no noise, so it is exactly what the
+    noiseless private path reduces to; the release diagnostics read NaN.
     """
-    theta = cfg.model.theta.copy()
-    velocity = np.zeros_like(theta)
-    theta_sum = np.zeros_like(theta)
-    metrics: list[StepMetrics] = []
-    model_t = cfg.model.with_theta(theta)
-    private_fwd = None  # forward(model_t, private), once evaluated
-    for t in range(cfg.steps):
+
+    def step_gradient(
+        t: int, model_t: ModelSpec, private_fwd: Forward | None
+    ) -> tuple[np.ndarray, dict]:
         grads = per_sample_factors(model_t, private, private_fwd)
-        update = _release(grads, None, None, (math.inf, 0.0), None).v_tilde
-        theta, velocity = optimizer_step(
-            theta, velocity, update, _lr_at(cfg, t), cfg.momentum, cfg.weight_decay
-        )
-        theta_sum += theta
-        model_t = cfg.model.with_theta(theta)
-        private_fwd = forward(model_t, private)
-        train_loss, _ = evaluate(model_t, private, private_fwd)
-        eval_loss, eval_acc = evaluate(model_t, eval_data)
-        metrics.append(
-            StepMetrics(
-                step=t,
-                train_loss=train_loss,
-                eval_loss=eval_loss,
-                eval_accuracy=eval_acc,
-                projection_error_rate=math.nan,
-                stable_rank_g=math.nan,
-                stable_rank_r=math.nan,
-                k_effective=0,
-                clip_fraction_s1=math.nan,
-                clip_fraction_s2=math.nan,
-                epsilon_spent=math.nan,
-            )
-        )
-    final_theta = theta_sum / cfg.steps if cfg.iterate_averaging and cfg.steps else theta
-    return cfg.model.with_theta(final_theta), metrics
+        return _release(grads, None, None, (math.inf, 0.0), None).v_tilde, {}
+
+    return _train(cfg, private, eval_data, step_gradient)
 
 
 def nonprivate_optimum(model: ModelSpec, data: Dataset) -> tuple[np.ndarray, float]:

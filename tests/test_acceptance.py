@@ -22,10 +22,9 @@ from gep.linalg import RandomStream
 from gep.models import make_group_layout, per_sample_gradients
 from gep.release import (
     GepConfig,
-    bgep_release,
     build_anchor_basis,
-    gep_release,
     projection_error_rate,
+    release_gradient,
     single_group_layout,
 )
 from gep.tasks import (
@@ -65,7 +64,6 @@ def test_criterion_01_unbiasedness():
     w, r = split(basis, grads)
     s1 = 1.3 * float(np.max(row_norms(w)))
     s2 = 1.3 * float(np.max(row_norms(r)))
-    cfg = GepConfig(k=k, m=40, t=4, s1=s1, s2=s2, sigma=sigma)
 
     g_bar = grads.sum(axis=0) / n
     r_bar = r.sum(axis=0) / n
@@ -74,8 +72,8 @@ def test_criterion_01_unbiasedness():
     total_u = np.zeros(p)
     for i in range(draws):
         rng = stream.generator(i)
-        total_v += gep_release(grads, basis, cfg, rng).v_tilde
-        total_u += bgep_release(grads, basis, cfg, rng).v_tilde
+        total_v += release_gradient("gep", grads, basis, s1, s2, sigma, rng).v_tilde
+        total_u += release_gradient("bgep", grads, basis, s1, s2, sigma, rng).v_tilde
     mean_v = total_v / draws
     mean_u = total_u / draws
 

@@ -223,6 +223,16 @@ def test_dataset_owns_copies_of_the_arrays_it_was_given():
             assert array.tobytes() == before.tobytes()
 
 
+def test_with_labels_owns_a_copy_of_the_labels():
+    data = Dataset(np.random.default_rng(9).standard_normal((6, 2)), np.zeros(6, dtype=np.int64))
+    for labels in (np.arange(6), np.linspace(0.0, 1.0, 6)):
+        relabeled = data.with_labels(labels)
+        kept = relabeled.labels.copy()
+        labels[:] = 0
+        assert relabeled.labels.tobytes() == kept.tobytes()
+        assert relabeled.features is data.features
+
+
 def test_dataset_arrays_are_read_only():
     rng = np.random.default_rng(7)
     data = Dataset(rng.standard_normal((10, 3)), rng.standard_normal(10))

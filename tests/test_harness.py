@@ -12,6 +12,7 @@ from gep.config import RunConfig
 from gep.harness import (
     METRICS_SCHEMA,
     RunSpec,
+    _parse_run_id,
     build_task,
     expand_runs,
     read_metrics,
@@ -288,3 +289,40 @@ def test_report_command(tmp_path, capsys):
     assert main(["report", "--out", str(out)]) == 0
     assert "gp" in capsys.readouterr().out
     assert main(["report", "--out", str(tmp_path / "nothing")]) == 1
+
+
+@pytest.mark.parametrize("epsilon", [1e-05, 0.5, 8.0])
+def test_run_id_round_trips(epsilon):
+    runs = (RunSpec("gep", 0, 20, 200, epsilon), RunSpec("random-basis-gep", -1, 6, 40, epsilon))
+    for run in runs:
+        assert _parse_run_id(run.run_id) == run
+    assert RunSpec("gep", 0, 20, 200, 1e-05).run_id == "gep-eps1e-05-k20-m200-seed0"
+    assert _parse_run_id("not-a-run-id") is None
+
+
+def test_report_reads_exponent_epsilons(tmp_path, capsys):
+    out = tmp_path / "runs"
+    cfg_path = write_config(
+        tmp_path,
+        BASE_CONFIG + f"sweep.epsilon = 1e-05\nprivacy.sigma_override = 1.0\nout = {out}\n",
+    )
+    assert main(["train", "--config", cfg_path, "--seed", "-1"]) == 0
+    assert [f.name for f in out.glob("*.metrics.jsonl")] == [
+        "gp-eps1e-05-k2-m10-seed-1.metrics.jsonl"
+    ]
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    report = capsys.readouterr().out
+    assert "1e-05" in report and "nan" not in report
+
+
+def test_nan_values_are_config_errors(tmp_path, capsys):
+    assert main(["accountant", "--eps", "nan", "--delta", "1e-5", "--steps", "100",
+                 "--mode", "search"]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    for line in ("privacy.epsilon = nan", "gep.s1 = nan", "train.lr = nan"):
+        key = line.split(" = ")[0]
+        text = re.sub(rf"(?m)^{re.escape(key)} = .*$\n?", "", BASE_CONFIG) + line + "\n"
+        cfg_path = write_config(tmp_path, text + f"out = {tmp_path / 'r'}\n")
+        assert main(["train", "--config", cfg_path]) == 2
+        assert "config error" in capsys.readouterr().err

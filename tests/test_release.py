@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gep
 from gep import DpBudget, TrainConfig
 from gep.linalg import (
     SPECTRAL_TOL,
@@ -32,14 +34,11 @@ from gep.release import (
     METHODS,
     AnchorBasis,
     GepConfig,
-    bgep_release,
     build_anchor_basis,
-    gep_release,
     RESIDUAL_GUARD,
-    _method_release,
-    gp_release,
     noise_multipliers,
     projection_error_rate,
+    release_gradient,
     single_group_layout,
     stable_rank,
 )
@@ -50,7 +49,7 @@ from oracle import stable_rank as dense_stable_rank
 
 
 def make_cfg(**kwargs):
-    base = dict(k=4, m=16, t=4, s1=10.0, s2=2.0, sigma=0.0)
+    base = dict(k=4, m=16, t=4, s1=10.0, s2=2.0)
     base.update(kwargs)
     return GepConfig(**base)
 
@@ -123,9 +122,9 @@ def test_gep_release_noiseless_identity():
     g, anchor = exact_rank_gradients(rng, 30, 16, 80, 6)
     g += 0.05 * rng.standard_normal(g.shape)  # genuine residual
     layout = single_group_layout(80, 4)
-    cfg = make_cfg(k=4, s1=1e12, s2=1e12, sigma=0.0)
+    cfg = make_cfg(k=4, s1=1e12, s2=1e12)
     basis = build_anchor_basis(anchor, layout, cfg, np.random.default_rng(9))
-    rel = gep_release(g, basis, cfg, np.random.default_rng(10))
+    rel = release_gradient("gep", g, basis, cfg.s1, cfg.s2, 0.0, np.random.default_rng(10))
     g_bar = g.sum(axis=0) / g.shape[0]
     np.testing.assert_allclose(rel.v_tilde, g_bar, rtol=1e-12, atol=1e-14)
     assert rel.clip_fraction_s1 == 0.0
@@ -139,7 +138,7 @@ def test_gep_release_empty_basis_is_exact():
     cfg = make_cfg(k=3, s1=1e12, s2=1e12)
     basis = build_anchor_basis(np.zeros((5, 25)), layout, cfg, np.random.default_rng(0))
     assert basis.k_effective == 0
-    rel = gep_release(g, basis, cfg, np.random.default_rng(1))
+    rel = release_gradient("gep", g, basis, cfg.s1, cfg.s2, 0.0, np.random.default_rng(1))
     np.testing.assert_array_equal(rel.v_tilde, g.sum(axis=0) / 12)
     assert rel.projection_error_rate == pytest.approx(1.0)
 
@@ -155,20 +154,20 @@ def test_gep_release_monte_carlo_unbiased():
     g, anchor = exact_rank_gradients(rng, 20, 12, 60, 5)
     g += 0.1 * rng.standard_normal(g.shape)
     layout = single_group_layout(60, 5)
-    cfg = make_cfg(k=5, m=12, sigma=0.5)
+    sigma = 0.5
+    cfg = make_cfg(k=5, m=12)
     basis = build_anchor_basis(anchor, layout, cfg, np.random.default_rng(13))
     s1, s2 = inactive_thresholds(basis, g)
-    cfg = make_cfg(k=5, m=12, s1=s1, s2=s2, sigma=0.5)
     g_bar = g.sum(axis=0) / g.shape[0]
 
     draws = 3000
     stream = RandomStream(99)
     total = np.zeros(60)
     for i in range(draws):
-        total += gep_release(g, basis, cfg, stream.generator(i)).v_tilde
+        total += release_gradient("gep", g, basis, s1, s2, sigma, stream.generator(i)).v_tilde
     mean = total / draws
     # per-coordinate noise std is at most sigma*sqrt(2)*sqrt(s1^2+s2^2)/n
-    per_coord = cfg.sigma * math.sqrt(2.0 * (s1**2 + s2**2)) / g.shape[0]
+    per_coord = sigma * math.sqrt(2.0 * (s1**2 + s2**2)) / g.shape[0]
     se = per_coord / math.sqrt(draws)
     assert np.max(np.abs(mean - g_bar)) <= 5 * se
 
@@ -178,9 +177,9 @@ def test_bgep_release_identities():
     g, anchor = exact_rank_gradients(rng, 15, 14, 50, 4)
     g += 0.2 * rng.standard_normal(g.shape)
     layout = single_group_layout(50, 4)
-    cfg = make_cfg(k=4, m=14, s1=1e12, s2=1e12, sigma=0.0)
+    cfg = make_cfg(k=4, m=14, s1=1e12, s2=1e12)
     basis = build_anchor_basis(anchor, layout, cfg, np.random.default_rng(15))
-    rel = bgep_release(g, basis, cfg, np.random.default_rng(16))
+    rel = release_gradient("bgep", g, basis, cfg.s1, cfg.s2, 0.0, np.random.default_rng(16))
     n = g.shape[0]
     _, r = split(basis, g)
     expected = g.sum(axis=0) / n - r.sum(axis=0) / n
@@ -192,7 +191,9 @@ def test_bgep_release_identities():
     basis_in = build_anchor_basis(
         anchor_in, layout, cfg, np.random.default_rng(17)
     )
-    rel_in = bgep_release(g_in, basis_in, cfg, np.random.default_rng(18))
+    rel_in = release_gradient(
+        "bgep", g_in, basis_in, cfg.s1, cfg.s2, 0.0, np.random.default_rng(18)
+    )
     np.testing.assert_allclose(
         rel_in.v_tilde, g_in.sum(axis=0) / 10, rtol=1e-8, atol=1e-10
     )
@@ -207,7 +208,6 @@ def test_bgep_monte_carlo_converges_to_biased_mean():
         anchor, layout, make_cfg(k=3, m=12), np.random.default_rng(20)
     )
     s1, s2 = inactive_thresholds(basis, g)
-    cfg = make_cfg(k=3, m=12, s1=s1, s2=s2, sigma=0.5)
     n = g.shape[0]
     g_bar = g.sum(axis=0) / n
     _, r = split(basis, g)
@@ -217,7 +217,7 @@ def test_bgep_monte_carlo_converges_to_biased_mean():
     stream = RandomStream(7)
     total = np.zeros(40)
     for i in range(draws):
-        total += bgep_release(g, basis, cfg, stream.generator(i)).v_tilde
+        total += release_gradient("bgep", g, basis, s1, s2, 0.5, stream.generator(i)).v_tilde
     mean = total / draws
     # close to the biased target, far from the true mean
     assert np.linalg.norm(mean - biased_target) < 0.2 * np.linalg.norm(
@@ -228,9 +228,9 @@ def test_bgep_monte_carlo_converges_to_biased_mean():
 def test_gp_release_noiseless_is_bitwise_mean():
     rng = np.random.default_rng(21)
     g = rng.standard_normal((9, 30))
-    out = gp_release(g, 1e9, 0.0, np.random.default_rng(22))
+    out = release_gradient("gp", g, None, 1e9, 1e9, 0.0, np.random.default_rng(22)).v_tilde
     np.testing.assert_array_equal(out, g.sum(axis=0) / 9)
-    single = gp_release(g[:1], 1e9, 0.0, np.random.default_rng(23))
+    single = release_gradient("gp", g[:1], None, 1e9, 1e9, 0.0, np.random.default_rng(23)).v_tilde
     np.testing.assert_array_equal(single, g[0])
 
 
@@ -240,7 +240,9 @@ def test_gp_release_noise_energy():
     g = np.zeros((n, p))
     stream = RandomStream(5)
     energies = [
-        float(np.sum(gp_release(g, s, sigma, stream.generator(i)) ** 2))
+        float(np.sum(
+            release_gradient("gp", g, None, s, s, sigma, stream.generator(i)).v_tilde ** 2
+        ))
         for i in range(1000)
     ]
     expected = p * (sigma * s / n) ** 2
@@ -360,18 +362,22 @@ def test_noise_energy_ordering_vs_gp():
     g = np.zeros((n, p))
     anchor = rng.standard_normal((2 * k, p))
     layout = single_group_layout(p, k)
-    cfg = make_cfg(k=k, m=2 * k, s1=s1, s2=s2, sigma=sigma)
+    cfg = make_cfg(k=k, m=2 * k, s1=s1, s2=s2)
     basis = build_anchor_basis(anchor, layout, cfg, np.random.default_rng(31))
     stream = RandomStream(11)
     gep_measured = np.mean(
         [
-            float(np.sum(gep_release(g, basis, cfg, stream.generator(i)).v_tilde ** 2))
+            float(np.sum(release_gradient(
+                "gep", g, basis, s1, s2, sigma, stream.generator(i)
+            ).v_tilde ** 2))
             for i in range(400)
         ]
     )
     gp_measured = np.mean(
         [
-            float(np.sum(gp_release(g, s, sigma, stream.generator(10_000 + i)) ** 2))
+            float(np.sum(release_gradient(
+                "gp", g, None, s, s, sigma, stream.generator(10_000 + i)
+            ).v_tilde ** 2))
             for i in range(400)
         ]
     )
@@ -384,23 +390,32 @@ def test_release_validation_errors():
     layout = single_group_layout(10, 2)
     basis = AnchorBasis(layout, [np.zeros((0, 10))])
     cfg = make_cfg(k=2, m=4)
+    s1, s2 = cfg.s1, cfg.s2
     with pytest.raises(ValueError):
-        gep_release(np.zeros((0, 10)), basis, cfg, np.random.default_rng(0))
+        release_gradient("gep", np.zeros((0, 10)), basis, s1, s2, 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        gep_release(np.zeros((3, 11)), basis, cfg, np.random.default_rng(0))
+        release_gradient("gep", np.zeros((3, 11)), basis, s1, s2, 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        GepConfig(k=2, m=4, sigma=-1.0)
+        release_gradient("gep", np.ones((3, 10)), basis, s1, s2, -1.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        gp_release(np.ones((2, 3)), 1.0, -0.5, np.random.default_rng(0))
+        release_gradient("gp", np.ones((2, 3)), None, 1.0, 1.0, -0.5, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        gp_release(np.ones((2, 3)), 0.0, 1.0, np.random.default_rng(0))
+        release_gradient("gp", np.ones((2, 3)), None, 0.0, 0.0, 1.0, np.random.default_rng(0))
     bad = np.ones((3, 10))
     bad[1, 4] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        gep_release(bad, basis, cfg, np.random.default_rng(0))
+        release_gradient("gep", bad, basis, s1, s2, 0.0, np.random.default_rng(0))
     bad[1, 4] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        gp_release(bad, 1.0, 0.0, np.random.default_rng(0))
+        release_gradient("gp", bad, None, 1.0, 1.0, 0.0, np.random.default_rng(0))
+
+
+def test_public_names_resolve():
+    for name in gep.__all__:
+        getattr(gep, name)
+    # the release function is not named ``release``, which would hide this
+    assert isinstance(gep.release, types.ModuleType)
+    assert gep.release_gradient is gep.release.release_gradient
 
 
 def test_noise_multipliers():
@@ -427,19 +442,19 @@ def test_method_table():
     g = np.ones((3, 10))
     basis = AnchorBasis(single_group_layout(10, 2), [np.zeros((0, 10))])
     with pytest.raises(ValueError, match="expects a power basis"):
-        _method_release("gep", g, None, 1.0, 1.0, 0.0, None)
+        release_gradient("gep", g, None, 1.0, 1.0, 0.0, None)
     with pytest.raises(ValueError, match="expects no basis"):
-        _method_release("gp", g, basis, 1.0, 1.0, 0.0, None)
+        release_gradient("gp", g, basis, 1.0, 1.0, 0.0, None)
 
 
-def oracle_release(g, basis, cfg, rng, with_residual):
+def oracle_release(g, basis, cfg, sigma, rng, with_residual):
     """Explicit split, clip, sum and noise: the reference for the kernel.
 
     ``sigma`` is the step multiplier: each of the two sums of a gep step
     gets ``sigma * sqrt(2)`` times its threshold.
     """
     w, r = split(basis, g)
-    block = cfg.sigma * math.sqrt(2.0) if with_residual else cfg.sigma
+    block = sigma * math.sqrt(2.0) if with_residual else sigma
     w_sum = clip_rows(w, cfg.s1).sum(axis=0)
     v = reconstruct(basis, w_sum + gaussian_noise(w_sum.shape, block * cfg.s1, rng))
     if with_residual:
@@ -461,9 +476,9 @@ MODEL_TASKS = {
 }
 
 
-@pytest.mark.parametrize("release_fn", [gep_release, bgep_release])
+@pytest.mark.parametrize("method", ["gep", "bgep"], ids=["gep_release", "bgep_release"])
 @pytest.mark.parametrize("kind", sorted(MODEL_TASKS))
-def test_release_matches_explicit_oracle(kind, release_fn):
+def test_release_matches_explicit_oracle(kind, method):
     task = MODEL_TASKS[kind]()
     assert task.model.kind == kind
     g = per_sample_gradients(task.model, task.private)
@@ -476,11 +491,11 @@ def test_release_matches_explicit_oracle(kind, release_fn):
     # thresholds at the median row norms: about half the rows clip
     s1 = float(np.median(row_norms(w)))
     s2 = float(np.median(row_norms(r)))
-    cfg = make_cfg(k=6, m=40, t=2, s1=s1, s2=s2, sigma=0.3)
-    with_residual = release_fn is gep_release
+    cfg = make_cfg(k=6, m=40, t=2, s1=s1, s2=s2)
+    with_residual = method == "gep"
 
-    rel = release_fn(g, basis, cfg, np.random.default_rng(41))
-    expected = oracle_release(g, basis, cfg, np.random.default_rng(41), with_residual)
+    rel = release_gradient(method, g, basis, s1, s2, 0.3, np.random.default_rng(41))
+    expected = oracle_release(g, basis, cfg, 0.3, np.random.default_rng(41), with_residual)
     assert np.linalg.norm(rel.v_tilde - expected) <= 1e-12 * np.linalg.norm(expected)
     assert rel.clip_fraction_s1 == np.mean(row_norms(w) > s1)
     if with_residual:
@@ -505,12 +520,12 @@ def test_tiny_residual_rows_clip_within_s2():
     g = g + 1e-6 * noise * (row_norms(g) / row_norms(noise))[:, None]
     _, r = split(basis, g)
     s2 = 0.5 * float(np.median(row_norms(r)))
-    cfg = make_cfg(k=4, m=12, s1=1e12, s2=s2, sigma=0.0)
+    s1 = 1e12
 
     for i in range(g.shape[0]):
-        row = gep_release(g[i : i + 1], basis, cfg, np.random.default_rng(0))
+        row = release_gradient("gep", g[i : i + 1], basis, s1, s2, 0.0, np.random.default_rng(0))
         assert np.linalg.norm(row.r_tilde) <= s2 * (1 + 1e-12)
-    rel = gep_release(g, basis, cfg, np.random.default_rng(0))
+    rel = release_gradient("gep", g, basis, s1, s2, 0.0, np.random.default_rng(0))
     expected = clip_rows(r, s2).sum(axis=0)
     assert np.linalg.norm(rel.r_tilde - expected) <= 1e-12 * np.linalg.norm(expected)
     assert rel.clip_fraction_s2 == np.mean(row_norms(r) > s2)
@@ -528,13 +543,13 @@ def test_gep_release_builds_no_n_by_p_matrix(layout):
     rng = np.random.default_rng(44)
     g = rng.standard_normal((2000, 400))
     # rows have norm ~20 with embeddings ~2.4: both thresholds clip
-    cfg = make_cfg(k=6, m=40, s1=2.0, s2=19.0, sigma=1.0)
+    cfg = make_cfg(k=6, m=40, s1=2.0, s2=19.0)
     basis = build_anchor_basis(
         rng.standard_normal((40, 400)), layout, cfg, np.random.default_rng(45)
     )
     tracemalloc.start()
     try:
-        rel = gep_release(g, basis, cfg, np.random.default_rng(46))
+        rel = release_gradient("gep", g, basis, cfg.s1, cfg.s2, 1.0, np.random.default_rng(46))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -565,15 +580,18 @@ def test_one_row_moves_clipped_sums_by_at_most_threshold(seed, n, resid_log10, c
     s1 = float(np.quantile(row_norms(w), clip_q))
     s2 = float(np.quantile(row_norms(r), clip_q))
     s = float(np.quantile(row_norms(g), clip_q))
-    cfg = make_cfg(k=k, m=10, s1=s1, s2=s2, sigma=0.0)
-    full = gep_release(g, basis, cfg, np.random.default_rng(0))
-    gp_full = gp_release(g, s, 0.0, np.random.default_rng(0)) * (n + 1)
+    full = release_gradient("gep", g, basis, s1, s2, 0.0, np.random.default_rng(0))
+    gp_full = release_gradient(
+        "gp", g, None, s, s, 0.0, np.random.default_rng(0)
+    ).v_tilde * (n + 1)
     for i in range(n + 1):
         rest = np.delete(g, i, axis=0)
-        reduced = gep_release(rest, basis, cfg, np.random.default_rng(0))
+        reduced = release_gradient("gep", rest, basis, s1, s2, 0.0, np.random.default_rng(0))
         assert np.linalg.norm(full.w_tilde - reduced.w_tilde) <= s1 * (1 + 1e-12)
         assert np.linalg.norm(full.r_tilde - reduced.r_tilde) <= s2 * (1 + 1e-12)
-        gp_reduced = gp_release(rest, s, 0.0, np.random.default_rng(0)) * n
+        gp_reduced = release_gradient(
+            "gp", rest, None, s, s, 0.0, np.random.default_rng(0)
+        ).v_tilde * n
         assert np.linalg.norm(gp_full - gp_reduced) <= s * (1 + 1e-12)
 
 
@@ -601,20 +619,25 @@ def test_factored_release_matches_dense_and_oracle(kind, method):
     w, r = split(basis, g)
     if method == "gp":
         s = float(np.median(row_norms(g)))
-        released = [gp_release(x, s, 0.3, np.random.default_rng(41)) for x in (factors, g)]
+        released = [
+            release_gradient("gp", x, None, s, s, 0.3, np.random.default_rng(41)).v_tilde
+            for x in (factors, g)
+        ]
         expected = gp_oracle(g, s, 0.3, np.random.default_rng(41))
     else:
         cfg = make_cfg(
-            k=6, m=40, t=2, sigma=0.3,
+            k=6, m=40, t=2,
             s1=float(np.median(row_norms(w))), s2=float(np.median(row_norms(r))),
         )
-        release_fn = gep_release if method == "gep" else bgep_release
-        rels = [release_fn(x, basis, cfg, np.random.default_rng(41)) for x in (factors, g)]
+        rels = [
+            release_gradient(method, x, basis, cfg.s1, cfg.s2, 0.3, np.random.default_rng(41))
+            for x in (factors, g)
+        ]
         assert rels[0].clip_fraction_s1 == rels[1].clip_fraction_s1
         assert rels[0].clip_fraction_s2 == rels[1].clip_fraction_s2 or method == "bgep"
         released = [rel.v_tilde for rel in rels]
         expected = oracle_release(
-            g, basis, cfg, np.random.default_rng(41), method == "gep"
+            g, basis, cfg, 0.3, np.random.default_rng(41), method == "gep"
         )
     scale = np.linalg.norm(expected)
     assert np.linalg.norm(released[0] - released[1]) <= 1e-12 * scale
@@ -654,11 +677,11 @@ def test_factored_release_with_small_residuals_uses_the_guard():
     assert 0.5 < np.mean(guarded) < 1.0
     s1 = float(np.median(row_norms(w)))
     s2 = 0.5 * float(np.median(row_norms(r)))
-    cfg = make_cfg(k=k, m=30, s1=s1, s2=s2, sigma=0.0)
-    rel = gep_release(factors, basis, cfg, np.random.default_rng(0))
+    cfg = make_cfg(k=k, m=30, s1=s1, s2=s2)
+    rel = release_gradient("gep", factors, basis, s1, s2, 0.0, np.random.default_rng(0))
     expected_r = clip_rows(r, s2).sum(axis=0)
     assert np.linalg.norm(rel.r_tilde - expected_r) <= 1e-12 * np.linalg.norm(expected_r)
-    expected = oracle_release(g, basis, cfg, np.random.default_rng(0), True)
+    expected = oracle_release(g, basis, cfg, 0.0, np.random.default_rng(0), True)
     assert np.linalg.norm(rel.v_tilde - expected) <= 1e-12 * np.linalg.norm(expected)
     assert rel.clip_fraction_s2 == np.mean(row_norms(r) > s2)
 
@@ -712,15 +735,18 @@ def test_one_row_moves_factored_sums_by_at_most_threshold(seed, n, resid_log10, 
     s1 = float(np.quantile(row_norms(w), clip_q))
     s2 = float(np.quantile(row_norms(r), clip_q))
     s = float(np.quantile(row_norms(g), clip_q))
-    cfg = make_cfg(k=k, m=12, s1=s1, s2=s2, sigma=0.0)
-    full = gep_release(factors, basis, cfg, np.random.default_rng(0))
-    gp_full = gp_release(factors, s, 0.0, np.random.default_rng(0)) * (n + 1)
+    full = release_gradient("gep", factors, basis, s1, s2, 0.0, np.random.default_rng(0))
+    gp_full = release_gradient(
+        "gp", factors, None, s, s, 0.0, np.random.default_rng(0)
+    ).v_tilde * (n + 1)
     for i in range(n + 1):
         rest = drop_row(factors, i)
-        reduced = gep_release(rest, basis, cfg, np.random.default_rng(0))
+        reduced = release_gradient("gep", rest, basis, s1, s2, 0.0, np.random.default_rng(0))
         assert np.linalg.norm(full.w_tilde - reduced.w_tilde) <= s1 * (1 + 1e-12)
         assert np.linalg.norm(full.r_tilde - reduced.r_tilde) <= s2 * (1 + 1e-12)
-        gp_reduced = gp_release(rest, s, 0.0, np.random.default_rng(0)) * n
+        gp_reduced = release_gradient(
+            "gp", rest, None, s, s, 0.0, np.random.default_rng(0)
+        ).v_tilde * n
         assert np.linalg.norm(gp_full - gp_reduced) <= s * (1 + 1e-12)
 
 
@@ -849,19 +875,18 @@ def test_gram_basis_matches_the_dense_rounds(t):
         assert np.max(np.abs(block - dense)) <= 1e-12
     # the same release as from the dense blocks, in fewer multiply-adds
     g = per_sample_factors(task.model, task.private)
-    cfg = make_cfg(k=12, m=40, t=t, s1=0.1, s2=0.1, sigma=0.5)
     rels, counts = [], []
     for b in (basis, AnchorBasis(basis.layout, blocks(basis))):
         with count_flops() as counter:
-            rels.append(gep_release(g, b, cfg, np.random.default_rng(1)))
+            rels.append(release_gradient("gep", g, b, 0.1, 0.1, 0.5, np.random.default_rng(1)))
         counts.append(counter.macs)
     scale = np.linalg.norm(rels[1].v_tilde)
     assert np.linalg.norm(rels[0].v_tilde - rels[1].v_tilde) <= 1e-12 * scale
     assert counts[0] < counts[1]
 
 
-@pytest.mark.parametrize("release_fn", [gep_release, bgep_release])
-def test_gram_release_matches_explicit_oracle(release_fn):
+@pytest.mark.parametrize("method", ["gep", "bgep"], ids=["gep_release", "bgep_release"])
+def test_gram_release_matches_explicit_oracle(method):
     task = mlp_cluster_task(3, n=120, **GRAM_MLP)
     factors = per_sample_factors(task.model, task.private)
     g = factors.dense()
@@ -869,12 +894,12 @@ def test_gram_release_matches_explicit_oracle(release_fn):
     w, r = split(basis, g)
     s1 = float(np.median(row_norms(w)))
     s2 = float(np.median(row_norms(r)))
-    cfg = make_cfg(k=12, m=40, t=2, s1=s1, s2=s2, sigma=0.3)
-    with_residual = release_fn is gep_release
-    expected = oracle_release(g, basis, cfg, np.random.default_rng(41), with_residual)
+    cfg = make_cfg(k=12, m=40, t=2, s1=s1, s2=s2)
+    with_residual = method == "gep"
+    expected = oracle_release(g, basis, cfg, 0.3, np.random.default_rng(41), with_residual)
     scale = np.linalg.norm(expected)
     for x in (factors, g):
-        rel = release_fn(x, basis, cfg, np.random.default_rng(41))
+        rel = release_gradient(method, x, basis, s1, s2, 0.3, np.random.default_rng(41))
         assert np.linalg.norm(rel.v_tilde - expected) <= 1e-12 * scale
         assert rel.clip_fraction_s1 == np.mean(row_norms(w) > s1)
         if with_residual:
@@ -897,10 +922,11 @@ def test_one_row_moves_gram_release_sums_by_at_most_threshold(seed, n, clip_q):
     w, r = split(basis, factors.dense())
     s1 = float(np.quantile(row_norms(w), clip_q))
     s2 = float(np.quantile(row_norms(r), clip_q))
-    cfg = make_cfg(k=12, m=40, s1=s1, s2=s2, sigma=0.0)
-    full = gep_release(factors, basis, cfg, np.random.default_rng(0))
+    full = release_gradient("gep", factors, basis, s1, s2, 0.0, np.random.default_rng(0))
     for i in range(n + 1):
-        reduced = gep_release(drop_row(factors, i), basis, cfg, np.random.default_rng(0))
+        reduced = release_gradient(
+            "gep", drop_row(factors, i), basis, s1, s2, 0.0, np.random.default_rng(0)
+        )
         assert np.linalg.norm(full.w_tilde - reduced.w_tilde) <= s1 * (1 + 1e-12)
         assert np.linalg.norm(full.r_tilde - reduced.r_tilde) <= s2 * (1 + 1e-12)
 

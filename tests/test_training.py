@@ -10,7 +10,7 @@ import gep.models
 import gep.training
 from gep.accounting import DpBudget, calibrate_sigma_search, epsilon_for_sigma
 from gep.models import evaluate, per_sample_gradients
-from gep.release import METHODS, GepConfig
+from gep.release import METHODS, GepConfig, release_gradient
 from gep.tasks import logistic_mixture_task, toy_regression_task
 from gep.training import (
     DivergenceError,
@@ -361,3 +361,42 @@ def test_train_config_validation():
         toy_cfg(task, momentum=1.0)
     with pytest.raises(ValueError):
         toy_cfg(task, gep=GepConfig(k=2, m=task.aux.n + 1))
+
+
+def test_noiseless_unclipped_run_draws_no_noise():
+    # a zero multiplier gives std 0 even at an infinite threshold (0 * inf
+    # would be NaN): unclipped noiseless gp is GD bitwise, and gep is finite
+    task = toy_regression_task(1)
+    cfg = toy_cfg(task, gep=GepConfig(k=2, m=4, s1=math.inf, s2=math.inf), lr=0.3)
+    private_model, private_metrics = dp_train(cfg, task.private, task.eval)
+    plain_model, plain_metrics = gd_train(cfg, task.private, task.eval)
+    assert private_model.theta.tobytes() == plain_model.theta.tobytes()
+    for a, b in zip(private_metrics, plain_metrics, strict=True):
+        assert (a.train_loss, a.eval_loss) == (b.train_loss, b.eval_loss)
+    model, metrics = dp_train(replace(cfg, method="gep"), task.private, task.eval)
+    assert np.all(np.isfinite(model.theta))
+    assert all(math.isfinite(m.train_loss) for m in metrics)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["epsilon", "s1", "s2", "lr", "weight_decay", "sigma_override", "release_s1",
+     "release_s2", "release_sigma"],
+)
+def test_nan_is_rejected_at_the_api_boundary(field):
+    task = toy_regression_task(6)
+    nan = math.nan
+    rows = np.ones((2, 3))
+    build = {
+        "epsilon": lambda: DpBudget(nan, 1e-5),
+        "s1": lambda: GepConfig(k=2, m=4, s1=nan),
+        "s2": lambda: GepConfig(k=2, m=4, s2=nan),
+        "lr": lambda: toy_cfg(task, lr=nan),
+        "weight_decay": lambda: toy_cfg(task, weight_decay=nan),
+        "sigma_override": lambda: toy_cfg(task, sigma_override=nan),
+        "release_s1": lambda: release_gradient("gp", rows, None, nan, 1.0, 0.0, None),
+        "release_s2": lambda: release_gradient("gp", rows, None, 1.0, nan, 0.0, None),
+        "release_sigma": lambda: release_gradient("gp", rows, None, 1.0, 1.0, nan, None),
+    }[field]
+    with pytest.raises(ValueError):
+        build()
