@@ -13,8 +13,8 @@ from gep.accounting import (
     calibrate_sigma_closed_form,
     calibrate_sigma_search,
     epsilon_for_sigma,
-    rdp_gaussian,
-    rdp_subsampled_gaussian,
+    gaussian_curve,
+    subsampled_gaussian_curve,
 )
 
 budget = DpBudget(epsilon=8.0, delta=1e-5)
@@ -35,9 +35,9 @@ print("2. Privacy amplification by Poisson subsampling")
 print("=" * 70)
 print(f"{'q':>6s} {'per-step cost at order 8':>26s}")
 for q in (1.0, 0.5, 0.1, 0.01):
-    cost = rdp_subsampled_gaussian(8, q, sigma=1.0)
+    cost = subsampled_gaussian_curve([8], q, sigma=1.0).costs[0]
     print(f"{q:>6.2f} {cost:>26.6f}")
-print(f"(unsampled Gaussian at order 8: {rdp_gaussian(8, 1.0, 1.0):.6f})")
+print(f"(unsampled Gaussian at order 8: {gaussian_curve([8], 1.0, 1.0).costs[0]:.6f})")
 print("-> touching a random fraction of the data is much cheaper\n")
 
 print("=" * 70)

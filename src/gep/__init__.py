@@ -15,9 +15,6 @@ from .accounting import (
     calibrate_sigma_closed_form,
     calibrate_sigma_search,
     default_orders,
-    rdp_compose,
-    rdp_gaussian,
-    rdp_subsampled_gaussian,
     rdp_to_dp,
 )
 from .data import CsvParseError, Dataset, ingest_csv, synth_dataset
@@ -55,7 +52,6 @@ from .training import (
     DivergenceError,
     StepMetrics,
     TrainConfig,
-    convex_utility_experiment,
     dp_train,
     gd_train,
     optimizer_step,
@@ -84,7 +80,6 @@ __all__ = [
     "build_anchor_basis",
     "calibrate_sigma_closed_form",
     "calibrate_sigma_search",
-    "convex_utility_experiment",
     "count_flops",
     "default_orders",
     "dp_train",
@@ -101,9 +96,6 @@ __all__ = [
     "per_sample_gradients",
     "power_iteration_basis",
     "projection_error_rate",
-    "rdp_compose",
-    "rdp_gaussian",
-    "rdp_subsampled_gaussian",
     "rdp_to_dp",
     "release_gradient",
     "single_group_layout",

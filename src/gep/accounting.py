@@ -1,4 +1,4 @@
-"""Renyi-DP accounting: per-mechanism costs, composition, conversion, calibration.
+"""Renyi-DP accounting: cost curves, repeated releases, conversion, calibration.
 
 All costs are expressed in the noise-multiplier convention: a release with
 L2 sensitivity ``s`` perturbed by ``N(0, (sigma * s)^2 I)`` has multiplier
@@ -6,20 +6,19 @@ L2 sensitivity ``s`` perturbed by ``N(0, (sigma * s)^2 I)`` has multiplier
 regardless of ``s``.
 
 The subsampled bound is a log-sum-exp over binomial terms, evaluated with
-numpy alone (``scipy.special`` costs more to import than any calibration
-here takes to run):
+numpy and ``math`` alone:
 
-* :func:`_logsumexp` follows scipy's ``logsumexp`` from version 1.15: every
-  maximal term of a row is taken out of the sum, and the row evaluates to
-  ``log1p(s / m) + log(m) + max``, where ``m`` counts the maxima and ``s``
-  sums the other terms' shifted exponentials.  It is bitwise equal to
-  scipy >= 1.15 on the order x ``j`` tables the accountant builds.
+* :func:`_logsumexp` takes every maximal term of a row out of the sum,
+  and the row evaluates to ``log1p(s / m) + log(m) + max``, where ``m``
+  counts the maxima and ``s`` sums the other terms' shifted exponentials.
+  The tests pin it bitwise to the reference log-sum-exp they import.
 * :func:`_log_factorials` tabulates ``log k! = math.lgamma(k + 1)`` at the
   integers, where ``math.lgamma`` is within a few ulp of exact.  A log
   binomial ``log a! - log j! - log (a-j)!`` over orders up to 256 is then
   off the exact value by at most about 4e-13, against about 6e-13 with
-  ``scipy.special.gammaln``.  Against gammaln the costs move by at most a
-  few 1e-15 absolute, the rounding floor both evaluations share.
+  the reference gamma function the tests compare it to.  Against that
+  reference the costs move by at most a few 1e-15 absolute, the rounding
+  floor both evaluations share.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,13 +35,10 @@ __all__ = [
     "DpBudget",
     "CalibrationError",
     "default_orders",
-    "rdp_gaussian",
     "gaussian_curve",
     "subsampled_gaussian_curve",
-    "rdp_compose",
     "rdp_scale",
     "rdp_to_dp",
-    "rdp_subsampled_gaussian",
     "calibrate_sigma_closed_form",
     "calibrate_sigma_search",
     "SIGMA_BRACKET",
@@ -122,30 +118,11 @@ def default_orders(
     return orders
 
 
-def rdp_gaussian(order: float, s: float, sigma: float) -> float:
-    """Renyi cost of one Gaussian release with sensitivity ``s``.
-
-    Returns ``order * s^2 / (2 sigma^2)``; infinite when ``sigma == 0``
-    with positive sensitivity.
-    """
-    if order <= 1:
-        raise ValueError(f"order must exceed 1, got {order}")
-    if s < 0:
-        raise ValueError("sensitivity must be non-negative")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if s == 0:
-        return 0.0
-    if sigma == 0:
-        return math.inf
-    return order * s * s / (2.0 * sigma * sigma)
-
-
 def gaussian_curve(orders: Sequence[float], s: float, sigma: float) -> RdpCurve:
-    """Gaussian-mechanism cost evaluated across a grid of orders.
+    """Gaussian-mechanism cost ``order * s^2 / (2 sigma^2)`` across a grid.
 
-    One array expression in the operation order of :func:`rdp_gaussian`,
-    which stays the per-order reference: the costs are bitwise equal.
+    Zero when ``s == 0``; a zero ``sigma`` with positive sensitivity has
+    infinite costs, which :class:`RdpCurve` rejects.
     """
     orders = np.asarray(orders, dtype=np.float64)
     low = orders[orders <= 1]
@@ -163,44 +140,8 @@ def gaussian_curve(orders: Sequence[float], s: float, sigma: float) -> RdpCurve:
     return RdpCurve(orders, orders * s * s / (2.0 * sigma * sigma))
 
 
-def rdp_subsampled_gaussian(order: int, q: float, sigma: float) -> float:
-    """Upper bound on the Renyi cost of a Poisson-subsampled Gaussian.
-
-    Uses the binomial expansion at integer orders:
-
-        (1/(a-1)) * log sum_{j=0..a} C(a,j) (1-q)^(a-j) q^j exp(j(j-1)/(2 sigma^2))
-
-    evaluated in log space.  ``q`` is the probability that any given sample
-    joins the batch; the base mechanism has unit sensitivity and multiplier
-    ``sigma``.
-    """
-    if not float(order).is_integer() or order < 2:
-        raise ValueError(f"subsampled bound needs an integer order >= 2, got {order}")
-    if not 0 <= q <= 1:
-        raise ValueError(f"sampling rate must lie in [0, 1], got {q}")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if q == 0:
-        return 0.0
-    if sigma == 0:
-        return math.inf
-    a = int(order)
-    if q == 1:
-        return a / (2.0 * sigma * sigma)
-    j = np.arange(a + 1)
-    log_fact = _log_factorials(a)
-    log_binom = log_fact[a] - log_fact[j] - log_fact[a - j]
-    log_terms = (
-        log_binom
-        + (a - j) * math.log1p(-q)
-        + j * math.log(q)
-        + j * (j - 1) / (2.0 * sigma * sigma)
-    )
-    return float(_logsumexp(log_terms)) / (a - 1)
-
-
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """``log(sum(exp(a)))`` along the last axis, scipy >= 1.15's way.
+    """``log(sum(exp(a)))`` along the last axis, maxima counted apart.
 
     Each row's maximal entries are counted apart, as ``m``, so that
     ``log1p`` sees only the other terms.  Rows must hold a maximum that is
@@ -240,9 +181,15 @@ def subsampled_gaussian_curve(
 ) -> RdpCurve:
     """Subsampled-Gaussian cost across a grid (plain Gaussian when q == 1).
 
-    Evaluates the bound of :func:`rdp_subsampled_gaussian` at every order
-    at once: one masked order x ``j`` table of log terms and one
-    log-sum-exp per row.
+    Upper-bounds the Renyi cost of a Poisson-subsampled Gaussian through
+    the binomial expansion at integer orders ``a``:
+
+        (1/(a-1)) * log sum_{j=0..a} C(a,j) (1-q)^(a-j) q^j exp(j(j-1)/(2 sigma^2))
+
+    evaluated in log space, at every order at once: one masked order x
+    ``j`` table of log terms and one log-sum-exp per row.  ``q`` is the
+    probability that any given sample joins the batch; the base mechanism
+    has unit sensitivity and multiplier ``sigma``.
     """
     if q == 1.0:
         return gaussian_curve(orders, 1.0, sigma)
@@ -267,20 +214,6 @@ def subsampled_gaussian_curve(
         + j * (j - 1) / (2.0 * sigma * sigma)
     )
     return RdpCurve(grid, _logsumexp(log_terms) / (grid - 1))
-
-
-def rdp_compose(curves: Iterable[RdpCurve]) -> RdpCurve:
-    """Adaptive composition: pointwise sum of costs over a shared grid."""
-    curves = list(curves)
-    if not curves:
-        raise ValueError("need at least one curve to compose")
-    orders = curves[0].orders
-    total = np.zeros_like(curves[0].costs)
-    for curve in curves:
-        if not np.array_equal(curve.orders, orders):
-            raise ValueError("curves must share the same order grid")
-        total = total + curve.costs
-    return RdpCurve(orders, total)
 
 
 def rdp_scale(curve: RdpCurve, times: int) -> RdpCurve:

@@ -20,6 +20,9 @@ __all__ = [
     "train_eval_split",
 ]
 
+# Cap on the expected number of rows the separable generator draws.
+SEPARABLE_MAX_DRAWS = 10**7
+
 SYNTH_KINDS = (
     "lowrank-gradient-task",
     "gaussian-mixture",
@@ -131,23 +134,14 @@ def _apply_standardize(
     return out
 
 
-def ingest_csv(
-    path: str,
-    label_column: str,
-    normalize: str = "none",
-    stats: tuple[np.ndarray, np.ndarray] | None = None,
-) -> Dataset:
+def ingest_csv(path: str, label_column: str) -> Dataset:
     """Load a headered CSV file into a Dataset.
 
-    All non-label columns are parsed as float features.  With
-    ``normalize="per-feature-standardize"`` features are centered and
-    scaled, by default with this file's own statistics; pass ``stats``
-    (from :func:`standardize_stats` on the training split) to reuse
-    training statistics for a held-out file.  Integer-valued label columns
-    become classification labels.
+    All non-label columns are parsed as float features, unnormalized: a
+    caller that standardizes takes :func:`standardize_stats` from its
+    training split alone.  Integer-valued label columns become
+    classification labels.
     """
-    if normalize not in ("none", "per-feature-standardize"):
-        raise ValueError(f"unknown normalize mode {normalize!r}")
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -183,11 +177,6 @@ def ingest_csv(
     # exact integrality: a tolerance would round large regression labels
     if np.all(np.isfinite(label_arr)) and np.all(label_arr == np.rint(label_arr)):
         label_arr = np.rint(label_arr).astype(np.int64)
-
-    if normalize == "per-feature-standardize":
-        features = _apply_standardize(
-            features, stats if stats is not None else standardize_stats(features)
-        )
     return Dataset(features, label_arr, name=path)
 
 
@@ -220,7 +209,11 @@ def synth_dataset(kind: str, params: dict, rng: np.random.Generator) -> Dataset:
       classification; ``subspace_dim > 0`` places the centers in a random
       low-dimensional subspace.
     * ``separable``: binary labels from a random hyperplane with a margin
-      enforced by resampling.
+      enforced by resampling.  The margin must be positive and finite, and
+      small enough that the expected number of Gaussian rows drawn,
+      ``n / erfc(margin / sqrt(2))``, stays within
+      :data:`SEPARABLE_MAX_DRAWS` (10^7; at ``n = 1000`` a margin up to
+      about 3.9).
     * ``split-signal``: binary labels driven by two logits: a strong one
       along a low-dimensional feature spike (visible to covariance-based
       subspace estimates) and a weak one along a dense direction with no
@@ -322,8 +315,14 @@ def _separable(params: dict, rng: np.random.Generator) -> Dataset:
     n = int(params.get("n", 1000))
     d = int(params.get("input_dim", 20))
     margin = float(params.get("margin", 1.0))
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not (margin > 0 and math.isfinite(margin)):
+        raise ValueError(f"margin must be positive and finite, got {margin}")
+    # a row passes the margin with probability erfc(margin / sqrt(2))
+    if math.erfc(margin / math.sqrt(2.0)) * SEPARABLE_MAX_DRAWS < n:
+        raise ValueError(
+            f"margin {margin} would take more than {SEPARABLE_MAX_DRAWS:.0e} "
+            f"expected draws for {n} rows"
+        )
     normal = rng.standard_normal(d)
     normal /= np.linalg.norm(normal)
     features = np.empty((n, d))

@@ -196,11 +196,7 @@ def build_task(cfg: RunConfig, m_aux: int) -> TaskBundle:
     n_holdout = m_aux if aux_source.startswith("heldout") else 0
 
     if cfg["data.kind"] == "csv":
-        full = ingest_csv(
-            str(cfg["data.path"]),
-            str(cfg["data.label_column"]),
-            normalize="none",
-        )
+        full = ingest_csv(str(cfg["data.path"]), str(cfg["data.label_column"]))
         if full.n < n_eval + n_holdout + 1:
             raise ConfigError(
                 f"csv dataset has {full.n} rows; needs more than "
@@ -339,12 +335,12 @@ def train_command(
     tasks: dict[int, TaskBundle] = {}
     try:
         for run in runs:
-            if run.m not in tasks:
-                tasks[run.m] = build_task(cfg.updated({"aux.m": run.m}), run.m)
-            task = tasks[run.m]
-            try:
+            try:  # a value out of range, for the data or for the run
+                if run.m not in tasks:
+                    tasks[run.m] = build_task(cfg.updated({"aux.m": run.m}), run.m)
+                task = tasks[run.m]
                 train_cfg = _train_config(cfg, run, task)
-            except ValueError as err:  # a value out of range
+            except ValueError as err:
                 raise ConfigError(str(err)) from None
             model, steps = dp_train(train_cfg, task.private, task.eval)
             rows = [_record(run, step) for step in steps]

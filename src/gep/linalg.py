@@ -31,7 +31,6 @@ __all__ = [
     "AnchorCoefficients",
     "gram_path_pays",
     "orthonormalize_rows",
-    "orthonormalize_coefficients",
     "power_iteration_basis",
     "gaussian_noise",
     "DEFAULT_ORTHO_TOL",
@@ -393,7 +392,7 @@ class AnchorCoefficients:
 
 
 def orthonormalize_rows(
-    m: np.ndarray, tol: float = DEFAULT_ORTHO_TOL
+    m: np.ndarray, tol: float = DEFAULT_ORTHO_TOL, gram: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
     """Orthonormalize the rows of ``m``, dropping linearly dependent ones.
 
@@ -403,75 +402,59 @@ def orthonormalize_rows(
     ``tol`` (scaled by the row's own norm when that exceeds one) is
     dropped.  Returns the orthonormal matrix and the number of surviving
     rows.  A row with a non-finite norm raises ValueError.
+
+    With ``gram`` given, the inner product is ``<u, v> = u K v^T`` for
+    ``K = gram``: on rows ``c`` of coefficients over anchors ``G_a`` with
+    ``K = G_a G_a^T``, the result holds the orthonormalized rows of
+    ``c G_a`` as coefficients, at ``m^2`` per row for the norms and ``m``
+    per projection, never ``p``.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"m must be 2-dimensional, got shape {m.shape}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n_rows, n_cols = m.shape
+    if gram is not None and gram.shape != (n_cols, n_cols):
+        raise ValueError(f"gram must be {n_cols} x {n_cols}, got shape {gram.shape}")
     if n_rows == 0 or n_cols == 0:
         return np.zeros((0, n_cols)), 0
 
-    # accepted rows fill q from the top; CGS2 runs against the prefix
+    # accepted rows fill q from the top; CGS2 runs against the prefix.  kq
+    # holds the rows K q_j the inner products take (q itself when K = I).
     q = np.empty((n_rows, n_cols))
+    kq = q if gram is None else np.empty((n_rows, n_cols))
     count = 0
     for i in range(n_rows):
-        v = m[i].copy()
-        _macs(2 * n_cols)
-        scale = float(np.linalg.norm(v))
+        v = m[i]
+        scale, _ = _inner_norm(v, gram)
         if not math.isfinite(scale):
             raise ValueError(f"row {i} of m is not finite or its norm overflows")
         for _ in range(2):
             if count:
-                prefix = q[:count]
-                coeffs = _matmul(prefix, v)
-                v = v - _matmul(prefix.T, coeffs)
-        _macs(2 * n_cols)
-        norm = float(np.linalg.norm(v))
+                coeffs = _matmul(kq[:count], v)
+                v = v - _matmul(q[:count].T, coeffs)
+        norm, kv = _inner_norm(v, gram)
         if norm < tol * max(1.0, scale):
             continue
         _macs(n_cols)
         q[count] = v / norm
+        if gram is not None:
+            _macs(n_cols)
+            kq[count] = kv / norm
         count += 1
     return q[:count], count
 
 
-def orthonormalize_coefficients(
-    c: np.ndarray, gram: np.ndarray, tol: float = DEFAULT_ORTHO_TOL
-) -> tuple[np.ndarray, int]:
-    """:func:`orthonormalize_rows` on rows ``c G_a`` held as coefficients.
-
-    ``gram`` is ``K = G_a G_a^T``, so ``<u, v> = u K v^T`` is the inner
-    product of the rows ``u G_a`` and ``v G_a``.  The same CGS2 and the
-    same drop rule run on the ``m``-vectors ``c``, at ``m^2`` per row for
-    the norms and ``m`` per projection, never ``p``.
-    """
-    n_rows, m = c.shape
-    q = np.empty((n_rows, m))
-    kq = np.empty((n_rows, m))  # rows K q_j, for the inner products
-    count = 0
-    for i in range(n_rows):
-        v = c[i]
-        kv = _matmul(gram, v)
-        _macs(m)
-        scale = math.sqrt(max(float(v @ kv), 0.0))
-        if not math.isfinite(scale):
-            raise ValueError(f"row {i} of c is not finite or its norm overflows")
-        for _ in range(2):
-            if count:
-                coeffs = _matmul(kq[:count], v)
-                v = v - _matmul(q[:count].T, coeffs)
-        kv = _matmul(gram, v)
-        _macs(m)
-        norm = math.sqrt(max(float(v @ kv), 0.0))
-        if norm < tol * max(1.0, scale):
-            continue
-        _macs(2 * m)
-        q[count] = v / norm
-        kq[count] = kv / norm
-        count += 1
-    return q[:count], count
+def _inner_norm(v: np.ndarray, gram: np.ndarray | None) -> tuple[float, np.ndarray]:
+    # sqrt(v K v^T) and K v; with no K the Euclidean norm, bitwise
+    # np.linalg.norm(v), and v itself
+    if gram is None:
+        _macs(2 * v.size)
+        return math.sqrt(v @ v), v
+    kv = _matmul(gram, v)
+    _macs(v.size)
+    return math.sqrt(max(float(v @ kv), 0.0)), kv
 
 
 def gram_path_pays(g_a: FactoredGradients, k: int) -> bool:
@@ -502,7 +485,7 @@ def _gram_power_rounds(
     for round_ in range(t):
         if round_:
             coef = _matmul(coef, gram)
-        coef, rank = orthonormalize_coefficients(coef, gram, tol)
+        coef, rank = orthonormalize_rows(coef, tol, gram)
         if rank < k or loss_per_coef * np.linalg.norm(coef, 2) ** 2 > GRAM_ORTHO_BOUND:
             return None
     return AnchorCoefficients(coef, g_a)
@@ -527,8 +510,8 @@ def power_iteration_basis(
     For factored anchors that pass :func:`gram_path_pays` (a dense matrix
     never does), the rounds after the first product ``g_a b^T`` run on
     coefficients over the anchors, orthonormalized under
-    ``K = g_a g_a^T`` (:func:`orthonormalize_coefficients`), and the basis
-    comes back as :class:`AnchorCoefficients`.  Rounding makes its rows orthonormal to
+    ``K = g_a g_a^T`` (:func:`orthonormalize_rows` with ``gram``), and the
+    basis comes back as :class:`AnchorCoefficients`.  Rounding makes its rows orthonormal to
     about ``u ||K||_F ||C||_2^2`` (``u`` the unit roundoff); when that
     estimate exceeds :data:`GRAM_ORTHO_BOUND`, or a row is dropped, the
     rounds rerun on the dense basis from the same first product.
@@ -599,6 +582,6 @@ def gaussian_noise(
     shape: int | tuple[int, ...], sigma: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw i.i.d. centered Gaussian noise with standard deviation ``sigma``."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     return sigma * rng.standard_normal(shape)

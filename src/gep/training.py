@@ -12,7 +12,7 @@ unclipped, noiseless full-batch gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,9 +52,6 @@ __all__ = [
     "gd_train",
     "optimizer_step",
     "calibrate_noise_multiplier",
-    "UtilityPoint",
-    "convex_utility_experiment",
-    "nonprivate_optimum",
 ]
 
 # Substream purposes; one substream per (step, purpose) pair.
@@ -361,95 +358,3 @@ def gd_train(
         return _release(grads, None, None, (math.inf, 0.0), None).v_tilde, {}
 
     return _train(cfg, private, eval_data, step_gradient)
-
-
-def nonprivate_optimum(model: ModelSpec, data: Dataset) -> tuple[np.ndarray, float]:
-    """High-precision minimizer of the empirical loss (L-BFGS oracle)."""
-    from scipy.optimize import minimize
-
-    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        m = model.with_theta(theta)
-        fwd = forward(m, data)
-        loss, _ = evaluate(m, data, fwd)
-        grad = per_sample_factors(m, data, fwd).dense().mean(axis=0)
-        return loss, grad
-
-    result = minimize(
-        objective,
-        model.theta.copy(),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 5000, "ftol": 1e-14, "gtol": 1e-10},
-    )
-    return result.x, float(result.fun)
-
-
-@dataclass(frozen=True)
-class UtilityPoint:
-    """Aggregated outcome of one (method, epsilon) cell."""
-
-    method: str
-    epsilon: float
-    mean_excess_loss: float
-    std_excess_loss: float
-    mean_accuracy: float
-    std_accuracy: float
-    mean_projection_error: float
-
-
-def convex_utility_experiment(
-    base_cfg: TrainConfig,
-    private: Dataset,
-    eval_data: Dataset,
-    methods: tuple[str, ...] = ("gep", "bgep", "gp"),
-    epsilons: tuple[float, ...] = (8.0,),
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
-) -> list[UtilityPoint]:
-    """Compare release methods on a convex task at matched budgets.
-
-    For every (method, epsilon) cell the averaged iterate's excess
-    empirical loss over a high-precision non-private optimum is reported
-    together with final-model accuracy, aggregated over seeds.  Weight
-    decay is disabled so the trained objective matches the oracle's.
-    """
-    if base_cfg.model.kind != "logistic":
-        raise ValueError("the utility experiment expects a convex (logistic) model")
-    _, loss_star = nonprivate_optimum(base_cfg.model, private)
-
-    points = []
-    for method in methods:
-        for eps in epsilons:
-            excesses = []
-            accuracies = []
-            proj_errors = []
-            for seed in seeds:
-                cfg = replace(
-                    base_cfg,
-                    method=method,
-                    budget=DpBudget(eps, base_cfg.budget.delta),
-                    seed=seed,
-                    weight_decay=0.0,
-                    iterate_averaging=True,
-                )
-                averaged, metrics = dp_train(cfg, private, eval_data)
-                loss_avg, _ = evaluate(averaged, private)
-                excesses.append(loss_avg - loss_star)
-                accuracies.append(metrics[-1].eval_accuracy)
-                rates = [
-                    m.projection_error_rate
-                    for m in metrics
-                    if not math.isnan(m.projection_error_rate)
-                ]
-                proj_errors.append(float(np.mean(rates)) if rates else math.nan)
-            points.append(
-                UtilityPoint(
-                    method=method,
-                    epsilon=eps,
-                    mean_excess_loss=float(np.mean(excesses)),
-                    std_excess_loss=float(np.std(excesses)),
-                    mean_accuracy=float(np.mean(accuracies)),
-                    std_accuracy=float(np.std(accuracies)),
-                    mean_projection_error=float(np.mean(proj_errors)),
-                )
-            )
-    return points

@@ -1,4 +1,4 @@
-"""Dense reference for the release kernel: the explicit split and clip.
+"""References the tests check the library against; no library code uses them.
 
 The library releases from factored gradients and never forms an n x p
 matrix.  The functions here do every step the obvious way, on dense
@@ -10,13 +10,29 @@ against an independent computation:
   :class:`gep.release.AnchorBasis`, with every block materialized
   (a block held as anchor coefficients becomes ``np.eye(k) @ block``);
 * ``stable_rank``, by power iteration on the smaller Gram matrix.
+
+The accountant's cost curves have per-order references:
+``rdp_gaussian`` and ``rdp_subsampled_gaussian`` evaluate one order at a
+time.
+
+Acceptance criterion 6 measures excess loss against a high-precision
+non-private optimum: ``nonprivate_optimum`` (scipy's L-BFGS) and
+``convex_utility_experiment``, which aggregates ``UtilityPoint`` cells
+over seeds.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, replace
+
 import numpy as np
 
+from gep.accounting import DpBudget, _log_factorials, _logsumexp
+from gep.data import Dataset
 from gep.linalg import SPECTRAL_TOL
+from gep.models import ModelSpec, evaluate, forward, per_sample_factors
+from gep.training import TrainConfig, dp_train
 
 
 def _as_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -180,3 +196,150 @@ def split(basis, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = project(basis, g)
     r = g - reconstruct(basis, w) if w.size else np.asarray(g, dtype=np.float64).copy()
     return w, r
+
+
+def rdp_gaussian(order: float, s: float, sigma: float) -> float:
+    """Renyi cost of one Gaussian release with sensitivity ``s``.
+
+    Returns ``order * s^2 / (2 sigma^2)``; infinite when ``sigma == 0``
+    with positive sensitivity.
+    """
+    if order <= 1:
+        raise ValueError(f"order must exceed 1, got {order}")
+    if s < 0:
+        raise ValueError("sensitivity must be non-negative")
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
+    if s == 0:
+        return 0.0
+    if sigma == 0:
+        return math.inf
+    return order * s * s / (2.0 * sigma * sigma)
+
+
+def rdp_subsampled_gaussian(order: int, q: float, sigma: float) -> float:
+    """Upper bound on the Renyi cost of a Poisson-subsampled Gaussian.
+
+    Uses the binomial expansion at integer orders:
+
+        (1/(a-1)) * log sum_{j=0..a} C(a,j) (1-q)^(a-j) q^j exp(j(j-1)/(2 sigma^2))
+
+    evaluated in log space.  ``q`` is the probability that any given sample
+    joins the batch; the base mechanism has unit sensitivity and multiplier
+    ``sigma``.
+    """
+    if not float(order).is_integer() or order < 2:
+        raise ValueError(f"subsampled bound needs an integer order >= 2, got {order}")
+    if not 0 <= q <= 1:
+        raise ValueError(f"sampling rate must lie in [0, 1], got {q}")
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
+    if q == 0:
+        return 0.0
+    if sigma == 0:
+        return math.inf
+    a = int(order)
+    if q == 1:
+        return a / (2.0 * sigma * sigma)
+    j = np.arange(a + 1)
+    log_fact = _log_factorials(a)
+    log_binom = log_fact[a] - log_fact[j] - log_fact[a - j]
+    log_terms = (
+        log_binom
+        + (a - j) * math.log1p(-q)
+        + j * math.log(q)
+        + j * (j - 1) / (2.0 * sigma * sigma)
+    )
+    return float(_logsumexp(log_terms)) / (a - 1)
+
+
+def nonprivate_optimum(model: ModelSpec, data: Dataset) -> tuple[np.ndarray, float]:
+    """High-precision minimizer of the empirical loss (L-BFGS oracle)."""
+    from scipy.optimize import minimize
+
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        m = model.with_theta(theta)
+        fwd = forward(m, data)
+        loss, _ = evaluate(m, data, fwd)
+        grad = per_sample_factors(m, data, fwd).dense().mean(axis=0)
+        return loss, grad
+
+    result = minimize(
+        objective,
+        model.theta.copy(),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": 5000, "ftol": 1e-14, "gtol": 1e-10},
+    )
+    return result.x, float(result.fun)
+
+
+@dataclass(frozen=True)
+class UtilityPoint:
+    """Aggregated outcome of one (method, epsilon) cell."""
+
+    method: str
+    epsilon: float
+    mean_excess_loss: float
+    std_excess_loss: float
+    mean_accuracy: float
+    std_accuracy: float
+    mean_projection_error: float
+
+
+def convex_utility_experiment(
+    base_cfg: TrainConfig,
+    private: Dataset,
+    eval_data: Dataset,
+    methods: tuple[str, ...] = ("gep", "bgep", "gp"),
+    epsilons: tuple[float, ...] = (8.0,),
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
+) -> list[UtilityPoint]:
+    """Compare release methods on a convex task at matched budgets.
+
+    For every (method, epsilon) cell the averaged iterate's excess
+    empirical loss over a high-precision non-private optimum is reported
+    together with final-model accuracy, aggregated over seeds.  Weight
+    decay is disabled so the trained objective matches the oracle's.
+    """
+    if base_cfg.model.kind != "logistic":
+        raise ValueError("the utility experiment expects a convex (logistic) model")
+    _, loss_star = nonprivate_optimum(base_cfg.model, private)
+
+    points = []
+    for method in methods:
+        for eps in epsilons:
+            excesses = []
+            accuracies = []
+            proj_errors = []
+            for seed in seeds:
+                cfg = replace(
+                    base_cfg,
+                    method=method,
+                    budget=DpBudget(eps, base_cfg.budget.delta),
+                    seed=seed,
+                    weight_decay=0.0,
+                    iterate_averaging=True,
+                )
+                averaged, metrics = dp_train(cfg, private, eval_data)
+                loss_avg, _ = evaluate(averaged, private)
+                excesses.append(loss_avg - loss_star)
+                accuracies.append(metrics[-1].eval_accuracy)
+                rates = [
+                    m.projection_error_rate
+                    for m in metrics
+                    if not math.isnan(m.projection_error_rate)
+                ]
+                proj_errors.append(float(np.mean(rates)) if rates else math.nan)
+            points.append(
+                UtilityPoint(
+                    method=method,
+                    epsilon=eps,
+                    mean_excess_loss=float(np.mean(excesses)),
+                    std_excess_loss=float(np.std(excesses)),
+                    mean_accuracy=float(np.mean(accuracies)),
+                    std_accuracy=float(np.std(accuracies)),
+                    mean_projection_error=float(np.mean(proj_errors)),
+                )
+            )
+    return points

@@ -1,4 +1,4 @@
-"""Accountant tests: mechanism costs, composition, conversion, calibration."""
+"""Accountant tests: cost curves, repeated releases, conversion, calibration."""
 
 import math
 import os
@@ -21,14 +21,12 @@ from gep.accounting import (
     default_orders,
     epsilon_for_sigma,
     gaussian_curve,
-    rdp_compose,
-    rdp_gaussian,
     rdp_scale,
-    rdp_subsampled_gaussian,
     rdp_to_dp,
     subsampled_gaussian_curve,
 )
 from gep.accounting import _log_binomials, _logsumexp
+from oracle import rdp_gaussian, rdp_subsampled_gaussian
 
 # Frozen oracle values, computed with 50-digit mpmath arithmetic.
 SIGMA_T100 = 11.996314780470203  # 2 sqrt(2*100*log(1e5)) / 8
@@ -51,12 +49,14 @@ def brute_force_subsampled(order: int, q: float, sigma: float) -> float:
 
 
 def test_rdp_gaussian_substitutions():
-    assert rdp_gaussian(2, 1.0, 1.0) == pytest.approx(1.0, abs=0)
-    assert rdp_gaussian(7, 0.0, 1.0) == 0.0
-    assert rdp_gaussian(3, 2.0, 4.0) == pytest.approx(0.375, abs=0)
-    assert math.isinf(rdp_gaussian(2, 1.0, 0.0))
+    assert gaussian_curve([2], 1.0, 1.0).costs[0] == pytest.approx(1.0, abs=0)
+    assert gaussian_curve([7], 0.0, 1.0).costs[0] == 0.0
+    assert gaussian_curve([3], 2.0, 4.0).costs[0] == pytest.approx(0.375, abs=0)
+    # a zero multiplier costs infinity, which no curve holds
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_curve([2], 1.0, 0.0)
     with pytest.raises(ValueError):
-        rdp_gaussian(1.0, 1.0, 1.0)
+        gaussian_curve([1.0], 1.0, 1.0)
 
 
 def test_curve_validation():
@@ -70,26 +70,13 @@ def test_curve_validation():
         RdpCurve([2.0, 3.0], [math.inf, 0.0])
 
 
-def test_compose_identities():
-    orders = [2.0, 4.0, 8.0]
-    curve = gaussian_curve(orders, 1.0, 2.0)
-    doubled = rdp_compose([curve, curve])
-    np.testing.assert_allclose(doubled.costs, 2 * curve.costs)
-    zero = RdpCurve(orders, [0.0, 0.0, 0.0])
-    np.testing.assert_allclose(rdp_compose([curve, zero]).costs, curve.costs)
-    with pytest.raises(ValueError):
-        rdp_compose([curve, gaussian_curve([2.0, 4.0], 1.0, 2.0)])
-
-
 def test_compose_t_copies_matches_scaling():
     orders = default_orders()
     sigma = 3.0
     curve = gaussian_curve(orders, 1.0, sigma)
     t = 17
-    composed = rdp_compose([curve] * t)
-    np.testing.assert_allclose(composed.costs, rdp_scale(curve, t).costs)
     np.testing.assert_allclose(
-        composed.costs, t * orders / (2 * sigma**2), rtol=1e-12
+        rdp_scale(curve, t).costs, t * orders / (2 * sigma**2), rtol=1e-12
     )
 
 
@@ -119,37 +106,35 @@ def test_rdp_to_dp_is_a_minimum():
 
 def test_subsampled_gaussian_edges():
     for order in (2, 5, 17):
-        assert rdp_subsampled_gaussian(order, 0.0, 1.0) == 0.0
+        assert subsampled_gaussian_curve([order], 0.0, 1.0).costs[0] == 0.0
     # q=1 must coincide with the plain Gaussian cost at every integer order
-    for order in range(2, 65):
-        plain = rdp_gaussian(order, 1.0, 2.5)
-        sub = rdp_subsampled_gaussian(order, 1.0, 2.5)
-        assert sub == pytest.approx(plain, rel=1e-12)
+    orders = np.arange(2, 65)
+    plain = gaussian_curve(orders, 1.0, 2.5).costs
+    sub = subsampled_gaussian_curve(orders, 1.0, 2.5).costs
+    np.testing.assert_allclose(sub, plain, rtol=1e-12, atol=0)
     with pytest.raises(ValueError):
-        rdp_subsampled_gaussian(2.5, 0.5, 1.0)  # type: ignore[arg-type]
+        subsampled_gaussian_curve([2.5], 0.5, 1.0)
 
 
 def test_subsampled_gaussian_matches_oracle():
-    assert rdp_subsampled_gaussian(2, 0.01, 1.0) == pytest.approx(
-        SUB_A2_Q001, rel=1e-12
-    )
-    assert rdp_subsampled_gaussian(3, 0.01, 1.0) == pytest.approx(
-        SUB_A3_Q001, rel=1e-12
-    )
-    for order in (2, 3, 5, 8, 16):
-        for q in (0.001, 0.05, 0.3):
-            for sigma in (0.8, 1.0, 4.0):
-                assert rdp_subsampled_gaussian(order, q, sigma) == pytest.approx(
+    a2, a3 = subsampled_gaussian_curve([2, 3], 0.01, 1.0).costs
+    assert a2 == pytest.approx(SUB_A2_Q001, rel=1e-12)
+    assert a3 == pytest.approx(SUB_A3_Q001, rel=1e-12)
+    orders = (2, 3, 5, 8, 16)
+    for q in (0.001, 0.05, 0.3):
+        for sigma in (0.8, 1.0, 4.0):
+            costs = subsampled_gaussian_curve(orders, q, sigma).costs
+            for order, cost in zip(orders, costs):
+                assert cost == pytest.approx(
                     brute_force_subsampled(order, q, sigma), rel=1e-10
                 )
 
 
 def test_subsampled_gaussian_monotone_in_q_and_order():
     qs = [0.001, 0.01, 0.1, 0.5, 1.0]
-    values = [rdp_subsampled_gaussian(4, q, 1.0) for q in qs]
+    values = [subsampled_gaussian_curve([4], q, 1.0).costs[0] for q in qs]
     assert all(a < b for a, b in zip(values, values[1:]))
-    orders = [2, 3, 5, 9, 17]
-    values = [rdp_subsampled_gaussian(a, 0.05, 1.0) for a in orders]
+    values = subsampled_gaussian_curve([2, 3, 5, 9, 17], 0.05, 1.0).costs
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -197,7 +182,7 @@ def test_theorem_style_round_trip():
             sigma = calibrate_sigma_closed_form(budget, 1)
             log_inv = math.log(1 / delta)
             lam = 1 + 2 * log_inv / eps
-            gamma = 2 * rdp_gaussian(lam, 1.0, sigma)
+            gamma = 2 * gaussian_curve([lam], 1.0, sigma).costs[0]
             eps_prime = gamma + log_inv / (lam - 1)
             assert eps_prime <= eps + 1e-9
 
@@ -325,13 +310,24 @@ def test_full_batch_calibration_unchanged_by_vectorized_gaussian_curve(monkeypat
     assert calibrate_sigma_search(budget, 1.0, steps) == sigma
 
 
-def test_import_calibration_and_training_leave_scipy_unloaded():
+def test_import_calibration_and_training_leave_scipy_unloaded(tmp_path):
+    # with scipy blocked, importing it raises: every path below must run
+    # without it, the console commands included
+    config = tmp_path / "tiny.cfg"
+    config.write_text(
+        "method = gep, gp\nseeds = 0\nmodel.kind = logistic\n"
+        "data.kind = gaussian-mixture\ndata.n = 60\ndata.input_dim = 5\n"
+        "data.classes = 2\naux.m = 10\ngep.k = 2\ntrain.steps = 2\n"
+        f"out = {tmp_path / 'runs'}\n"
+    )
     script = textwrap.dedent(
         """
         import sys
 
+        sys.modules["scipy"] = None
         import gep
         from gep.accounting import DpBudget, calibrate_sigma_search
+        from gep.cli import main
         from gep.release import GepConfig
         from gep.tasks import toy_regression_task
         from gep.training import TrainConfig, dp_train
@@ -342,14 +338,29 @@ def test_import_calibration_and_training_leave_scipy_unloaded():
                           budget=DpBudget(8.0, 1e-5), steps=3, aux_data=task.aux,
                           batch="poisson", q=0.5)
         dp_train(cfg, task.private, task.eval)
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        config, out = sys.argv[1:]
+        commands = [
+            ["train", "--config", config],
+            ["report", "--out", out],
+            ["accountant", "--eps", "8", "--delta", "1e-5", "--steps", "100"],
+            ["accountant", "--eps", "8", "--delta", "1e-5", "--steps", "200",
+             "--q", "0.05", "--mode", "search"],
+            ["bench"],
+            ["project-error", "--k", "2", "5", "--n", "100", "--input-dim", "19",
+             "--m", "20"],
+        ]
+        codes = [main(argv) for argv in commands]
+        print("exit codes", codes, file=sys.stderr)
         """
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(gep.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(config), str(tmp_path / "runs")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip().splitlines()[-1] == "exit codes [0, 0, 0, 0, 0, 0]"
 
 
 def random_lse_tables(rng):

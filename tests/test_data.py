@@ -11,6 +11,7 @@ from gep.data import (
     synth_dataset,
     train_eval_split,
 )
+from gep.data import _apply_standardize
 from gep.models import init_model, per_sample_gradients
 from oracle import stable_rank
 
@@ -83,6 +84,15 @@ def test_separable_margin_and_perceptron_oracle():
     assert np.all(y * (x @ w) > 0)
 
 
+@pytest.mark.parametrize("margin", [0.0, -1.0, float("nan"), float("inf"), 3.9, 8.0, 40.0])
+def test_separable_rejects_margins_it_cannot_draw(margin):
+    # NaN and inf never pass the margin test, and 8 standard deviations
+    # almost never: each would resample forever.  The cap on the expected
+    # draw count sits at a margin of about 3.9 for 1000 rows.
+    with pytest.raises(ValueError, match="margin"):
+        synth_dataset("separable", {"n": 1000, "margin": margin}, np.random.default_rng(0))
+
+
 def test_synth_dataset_deterministic():
     params = {"n": 50, "input_dim": 6, "classes": 3}
     a = synth_dataset("gaussian-mixture", params, np.random.default_rng(9))
@@ -143,19 +153,19 @@ def test_ingest_csv_odd_cells_parse_as_float_does(tmp_path):
 def test_ingest_csv_standardize(tmp_path):
     path = tmp_path / "std.csv"
     path.write_text("a,b,label\n1.0,7.0,0\n3.0,7.0,1\n5.0,7.0,0\n")
-    data = ingest_csv(str(path), "label", normalize="per-feature-standardize")
-    np.testing.assert_allclose(data.features[:, 0].mean(), 0.0, atol=1e-12)
-    np.testing.assert_allclose(data.features[:, 0].std(), 1.0, rtol=1e-12)
-    # constant column maps to zeros rather than dividing by zero
-    np.testing.assert_array_equal(data.features[:, 1], np.zeros(3))
-
-    # reusing training statistics on a held-out file
     raw = ingest_csv(str(path), "label")
-    stats = standardize_stats(raw.features)
-    again = ingest_csv(
-        str(path), "label", normalize="per-feature-standardize", stats=stats
-    )
-    np.testing.assert_allclose(again.features, data.features)
+    np.testing.assert_array_equal(raw.features, [[1.0, 7.0], [3.0, 7.0], [5.0, 7.0]])
+    features = _apply_standardize(raw.features, standardize_stats(raw.features))
+    np.testing.assert_allclose(features[:, 0].mean(), 0.0, atol=1e-12)
+    np.testing.assert_allclose(features[:, 0].std(), 1.0, rtol=1e-12)
+    # constant column maps to zeros rather than dividing by zero
+    np.testing.assert_array_equal(features[:, 1], np.zeros(3))
+
+    # statistics of a training split applied to held-out rows
+    stats = standardize_stats(raw.features[:2])
+    again = _apply_standardize(raw.features, stats)
+    np.testing.assert_allclose(again[:, 0], [-1.0, 1.0, 3.0], rtol=1e-12)
+    np.testing.assert_array_equal(again[:, 1], np.zeros(3))
 
 
 def test_ingest_csv_float_labels(tmp_path):

@@ -326,3 +326,20 @@ def test_nan_values_are_config_errors(tmp_path, capsys):
         cfg_path = write_config(tmp_path, text + f"out = {tmp_path / 'r'}\n")
         assert main(["train", "--config", cfg_path]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lines, word",
+    [(("data.kind = lowrank-gradient-task", "data.rank = 1", "model.kind = linear"), "rank"),
+     (("data.kind = separable", "data.margin = nan"), "margin")],
+    ids=["rank-1", "margin-nan"],
+)
+def test_bad_synthetic_data_parameters_are_config_errors(tmp_path, capsys, lines, word):
+    text = BASE_CONFIG
+    for line in lines:
+        key = line.split(" = ")[0]
+        text = re.sub(rf"(?m)^{re.escape(key)} = .*$\n?", "", text) + line + "\n"
+    cfg_path = write_config(tmp_path, text + f"out = {tmp_path / 'r'}\n")
+    assert main(["train", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and word in err

@@ -92,6 +92,22 @@ def test_orthonormalize_matches_reference_bitwise():
     assert counter.macs == expected
 
 
+def test_orthonormalize_under_a_gram_inner_product():
+    # coefficients c over anchors g_a, orthonormalized under K = g_a g_a^T,
+    # hold the rows dense CGS2 gives for c g_a
+    rng = np.random.default_rng(5)
+    g_a = rng.standard_normal((8, 50))
+    c = rng.standard_normal((5, 8))
+    c[3] = c[0] - 2.0 * c[1]  # dependent: dropped
+    q, rank = orthonormalize_rows(c, gram=g_a @ g_a.T)
+    dense, dense_rank = orthonormalize_rows(c @ g_a)
+    assert rank == dense_rank == 4
+    np.testing.assert_allclose((q @ g_a) @ (q @ g_a).T, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(q @ g_a, dense, atol=1e-12)
+    with pytest.raises(ValueError):
+        orthonormalize_rows(c, gram=np.eye(7))
+
+
 def test_orthonormalize_scale_invariant_rank():
     # duplicate directions must be dropped even at large magnitudes
     q, rank = orthonormalize_rows(np.array([[1e8, 1e8], [2e8, 2e8]]))

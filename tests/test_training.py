@@ -9,6 +9,7 @@ import pytest
 import gep.models
 import gep.training
 from gep.accounting import DpBudget, calibrate_sigma_search, epsilon_for_sigma
+from gep.linalg import gaussian_noise, orthonormalize_rows
 from gep.models import evaluate, per_sample_gradients
 from gep.release import METHODS, GepConfig, release_gradient
 from gep.tasks import logistic_mixture_task, toy_regression_task
@@ -16,11 +17,11 @@ from gep.training import (
     DivergenceError,
     TrainConfig,
     calibrate_noise_multiplier,
-    convex_utility_experiment,
     dp_train,
     gd_train,
     optimizer_step,
 )
+from oracle import convex_utility_experiment, nonprivate_optimum
 
 
 def toy_cfg(task, **kwargs):
@@ -342,8 +343,6 @@ def test_convex_experiment_huge_epsilon_matches_nonprivate():
     # the non-private reference run through the same optimizer
     ref_cfg = replace(base, iterate_averaging=True)
     ref_model, _ = gd_train(ref_cfg, task.private, task.eval)
-    from gep.training import nonprivate_optimum
-
     _, loss_star = nonprivate_optimum(base.model, task.private)
     ref_loss, _ = evaluate(ref_model, task.private)
     ref_excess = ref_loss - loss_star
@@ -381,7 +380,7 @@ def test_noiseless_unclipped_run_draws_no_noise():
 @pytest.mark.parametrize(
     "field",
     ["epsilon", "s1", "s2", "lr", "weight_decay", "sigma_override", "release_s1",
-     "release_s2", "release_sigma"],
+     "release_s2", "release_sigma", "noise_sigma", "ortho_tol"],
 )
 def test_nan_is_rejected_at_the_api_boundary(field):
     task = toy_regression_task(6)
@@ -397,6 +396,8 @@ def test_nan_is_rejected_at_the_api_boundary(field):
         "release_s1": lambda: release_gradient("gp", rows, None, nan, 1.0, 0.0, None),
         "release_s2": lambda: release_gradient("gp", rows, None, 1.0, nan, 0.0, None),
         "release_sigma": lambda: release_gradient("gp", rows, None, 1.0, 1.0, nan, None),
+        "noise_sigma": lambda: gaussian_noise(3, nan, np.random.default_rng(0)),
+        "ortho_tol": lambda: orthonormalize_rows(rows, tol=nan),
     }[field]
     with pytest.raises(ValueError):
         build()
