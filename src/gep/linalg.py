@@ -253,12 +253,19 @@ class FactoredGradients:
         delta_products = {}
         for mine, theirs in zip(self.pieces, other.pieces):
             key = (_buffer_key(mine.delta), _buffer_key(theirs.delta))
-            part = delta_products.get(key)
-            if part is None:
-                part = delta_products[key] = _matmul(mine.delta, theirs.delta.T)
-            if mine.act is not None:
-                part = part * _matmul(mine.act, theirs.act.T)
-            out = part if out is None else out + part
+            shared = delta_products.get(key)
+            if shared is None:
+                shared = delta_products[key] = _matmul(mine.delta, theirs.delta.T)
+            if mine.act is None:
+                part = shared
+            else:
+                part = _matmul(mine.act, theirs.act.T)
+                part *= shared
+            # accumulate in place, never into a cached delta product
+            if out is None:
+                out = part.copy() if part is shared else part
+            else:
+                out += part
         return out
 
     def weighted_sum(self, weights: np.ndarray | None = None) -> np.ndarray:
@@ -471,14 +478,33 @@ def gram_path_pays(g_a: FactoredGradients, k: int) -> bool:
     return g_a.n * (widths + k) < k * g_a.p
 
 
+def _power_start(
+    g_a: FactoredGradients, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray | None]:
+    # The first product W_0 = G_a B_0^T of a Gaussian k x p start B_0, and
+    # the anchor Gram K when the Gram path pays (else None).  The columns of
+    # G_a B_0^T are i.i.d. N(0, K), so there W_0 = L Z instead, with
+    # L L^T = K + delta I and Z an m x k Gaussian, and neither B_0 nor a
+    # p-sized product is formed.  The jitter delta = m u tr(K) lets the
+    # Cholesky factor an exactly singular K; it is added to the diagonal of
+    # one copy, since the rounds need K itself.
+    if not gram_path_pays(g_a, k):
+        return g_a.embed(rng.standard_normal((k, g_a.p))), None
+    gram = g_a.cross_gram(g_a)
+    m = g_a.n
+    jittered = gram.copy()
+    jittered.flat[:: m + 1] += m * _UNIT_ROUNDOFF * np.trace(gram)
+    factor = np.linalg.cholesky(jittered)
+    return _matmul(factor, rng.standard_normal((m, k))), gram
+
+
 def _gram_power_rounds(
-    g_a: FactoredGradients, w: np.ndarray, t: int, tol: float
+    g_a: FactoredGradients, gram: np.ndarray, w: np.ndarray, t: int, tol: float
 ) -> AnchorCoefficients | None:
     # Subspace iteration with the basis held as C: after W = G_a B^T, the
     # next basis W^T G_a has coefficients W^T, and each later W is K C^T.
     # None when a row is dropped (a K-norm that small sits below this
     # path's rounding) or the orthogonality loss estimate exceeds the bound.
-    gram = g_a.cross_gram(g_a)
     loss_per_coef = _UNIT_ROUNDOFF * float(np.linalg.norm(gram))
     k = w.shape[1]
     coef = w.T
@@ -489,6 +515,17 @@ def _gram_power_rounds(
         if rank < k or loss_per_coef * np.linalg.norm(coef, 2) ** 2 > GRAM_ORTHO_BOUND:
             return None
     return AnchorCoefficients(coef, g_a)
+
+
+def _dense_power_rounds(g_a: FactoredGradients, w: np.ndarray, t: int, tol: float) -> np.ndarray:
+    # Subspace iteration on the dense k x p basis, from W_0 = w.
+    for round_ in range(t):
+        if round_:
+            w = g_a.embed(basis)
+        basis, rank = orthonormalize_rows(g_a.back_project(w), tol)
+        if rank == 0:
+            break
+    return basis
 
 
 def power_iteration_basis(
@@ -508,13 +545,18 @@ def power_iteration_basis(
     deficient.  The input is validated once, from its row norms.
 
     For factored anchors that pass :func:`gram_path_pays` (a dense matrix
-    never does), the rounds after the first product ``g_a b^T`` run on
-    coefficients over the anchors, orthonormalized under
-    ``K = g_a g_a^T`` (:func:`orthonormalize_rows` with ``gram``), and the
-    basis comes back as :class:`AnchorCoefficients`.  Rounding makes its rows orthonormal to
-    about ``u ||K||_F ||C||_2^2`` (``u`` the unit roundoff); when that
-    estimate exceeds :data:`GRAM_ORTHO_BOUND`, or a row is dropped, the
-    rounds rerun on the dense basis from the same first product.
+    never does), nothing p-sized is drawn or multiplied.  The anchor Gram
+    ``K = g_a g_a^T`` is built once, and the first product
+    ``W_0 = g_a b^T``, whose columns are i.i.d. ``N(0, K)``, is drawn as
+    ``L z`` with ``z`` an ``m x k`` Gaussian and ``L`` the Cholesky factor
+    of ``K + m u tr(K) I`` (``u`` the unit roundoff): a start of about
+    ``m^2 sum(c + a) + m^3 / 3 + m^2 k`` operations instead of ``k p``
+    draws plus ``k m p``.  The rounds then run on coefficients over the
+    anchors, orthonormalized under ``K`` (:func:`orthonormalize_rows` with
+    ``gram``), and the basis comes back as :class:`AnchorCoefficients`.
+    Rounding makes its rows orthonormal to about ``u ||K||_F ||C||_2^2``;
+    when that estimate exceeds :data:`GRAM_ORTHO_BOUND`, or a row is
+    dropped, the rounds rerun on the dense basis from the same ``W_0``.
 
     ``k`` larger than ``min(m, p)`` is clamped with a warning; an all-zero
     input yields an empty basis.
@@ -537,20 +579,12 @@ def power_iteration_basis(
     if k == 0 or not np.any(sq):
         return np.zeros((0, p))
 
-    basis = rng.standard_normal((k, p))
-    w = g_a.embed(basis)
-    if gram_path_pays(g_a, k):
-        held = _gram_power_rounds(g_a, w, t, tol)
+    w, gram = _power_start(g_a, k, rng)
+    if gram is not None:
+        held = _gram_power_rounds(g_a, gram, w, t, tol)
         if held is not None:
             return held
-    for round_ in range(t):
-        if round_:
-            w = g_a.embed(basis)
-        basis = g_a.back_project(w)
-        basis, rank = orthonormalize_rows(basis, tol)
-        if rank == 0:
-            break
-    return basis
+    return _dense_power_rounds(g_a, w, t, tol)
 
 
 def _top_eigenvalue(

@@ -64,10 +64,13 @@ Gram path: every power-iteration row lies in the span of the group's
 (:class:`gep.linalg.AnchorCoefficients`).  A ``"power"`` group takes this
 path when its pieces satisfy ``m (sum(c + a) + k) < k sum(c a)``
 (:func:`gep.linalg.gram_path_pays`), a rule on shapes alone.  Its basis
-is built from the same start draw and first product ``W_0 = G_a B_0^T``
-as the dense rounds; CGS2 then runs on the rows of ``C = W_0^T`` under
-``<u, v> = u K v^T`` with ``K = sum over pieces (D_a D_a^T) o (A_a A_a^T)``,
-and each later round sets ``C <- C K``.  The products the release needs
+starts from the anchor Gram ``K = sum over pieces (D_a D_a^T) o (A_a A_a^T)``:
+the first product ``W_0 = G_a B_0^T`` of the dense rounds has i.i.d.
+``N(0, K)`` columns, so it is drawn as ``W_0 = L Z`` with ``L`` the
+Cholesky factor of ``K`` plus a jitter of ``m u tr(K)`` on its diagonal
+and ``Z`` an ``m x k`` Gaussian, and no ``k x p`` start is drawn.  CGS2
+then runs on the rows of ``C = W_0^T`` under ``<u, v> = u K v^T``, and
+each later round sets ``C <- C K``.  The products the release needs
 become:
 
 * embedding: ``W = G B^T = (sum over pieces (D D_a^T) o (A A_a^T)) C^T``, at
@@ -87,9 +90,9 @@ has ``||r_i||^2`` accurate to about
 ``(2 kappa u + eps_o) / RESIDUAL_GUARD`` relative, and its share of the
 rounding in ``P(G^T b)`` is about ``(kappa u + eps_o) / sqrt(RESIDUAL_GUARD)``
 of ``s2``.  At the bound that is about 1e-11 relative, where a dense
-group has 2e-13.  On the ``mlp-wide`` benchmark's first layer the
-estimate is below 1e-14 and ``kappa`` below 8, which keeps the ``s2``
-bound within 1e-12 relative, as on dense groups.
+group has 2e-13.  On the ``mlp-wide`` benchmark's first layer, at the
+first step, the estimate is 1.6-1.8e-14 and ``kappa`` 12.0-12.7, which
+keeps the ``s2`` bound within 1e-12 relative, as on dense groups.
 """
 
 from __future__ import annotations

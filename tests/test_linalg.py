@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import gep.linalg
 from gep.linalg import (
     FactoredGradients,
     GradientPiece,
@@ -326,3 +327,40 @@ def test_power_iteration_runs_the_dense_products_on_a_dense_matrix():
         expected, _ = orthonormalize_rows((g @ expected.T).T @ g)
     basis = power_iteration_basis(g, 5, 2, np.random.default_rng(15))
     np.testing.assert_array_equal(basis, expected)
+
+
+@pytest.mark.parametrize("bias_first", [False, True], ids=["weight-then-bias", "bias-first"])
+def test_cross_gram_matches_the_dense_product(bias_first, monkeypatch):
+    # a weight block and its bias share one delta on each side, so the
+    # cross Gram computes their delta product once and reuses it
+    rng = np.random.default_rng(16)
+
+    def batch(n):
+        delta, act = rng.standard_normal((n, 3)), rng.standard_normal((n, 4))
+        if bias_first:
+            return FactoredGradients([GradientPiece(0, delta), GradientPiece(3, delta, act)], 15)
+        return FactoredGradients([GradientPiece(0, delta, act), GradientPiece(12, delta)], 15)
+
+    g, h = batch(7), batch(5)
+    factors = [x for f in (g, h) for piece in f.pieces for x in (piece.delta, piece.act)]
+    before = [None if x is None else x.copy() for x in factors]
+    deltas = {id(piece.delta) for piece in g.pieces}
+    products = []
+    matmul = gep.linalg._matmul
+
+    def recording(a, b):
+        out = matmul(a, b)
+        if id(a) in deltas:
+            products.append((out, out.copy()))
+        return out
+
+    monkeypatch.setattr(gep.linalg, "_matmul", recording)
+    cross = g.cross_gram(h)
+    expected = g.dense() @ h.dense().T
+    assert np.max(np.abs(cross - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # the in-place accumulation writes into no factor and no cached product
+    for x, y in zip(factors, before):
+        assert (x is None and y is None) or np.array_equal(x, y)
+    assert len(products) == 1
+    for out, snapshot in products:
+        assert np.array_equal(out, snapshot)

@@ -6,12 +6,13 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gep
 from gep import DpBudget, TrainConfig
 from gep.linalg import (
+    DEFAULT_ORTHO_TOL,
     SPECTRAL_TOL,
     FactoredGradients,
     GradientPiece,
@@ -21,8 +22,8 @@ from gep.linalg import (
     gaussian_noise,
     gram_path_pays,
     orthonormalize_rows,
-    power_iteration_basis,
 )
+from gep.linalg import _dense_power_rounds, _power_start
 from gep.models import (
     GroupLayout,
     ParamGroup,
@@ -822,6 +823,10 @@ def test_gram_shape_rule_picks_wide_mlp_layers_only():
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
+# exactly singular K, held as coefficients (k=4) and falling back (k=6, 8)
+@example(seed=1, c=16, a=12, k=4, extra_m=3, t=1, rank=2, noise=0.0)
+@example(seed=2, c=30, a=24, k=6, extra_m=1, t=2, rank=2, noise=0.0)
+@example(seed=3, c=20, a=18, k=8, extra_m=6, t=2, rank=2, noise=0.0)
 @given(
     seed=st.integers(0, 2**32 - 1),
     c=st.integers(16, 30),
@@ -830,12 +835,19 @@ def test_gram_shape_rule_picks_wide_mlp_layers_only():
     extra_m=st.integers(1, 6),
     t=st.sampled_from([1, 2]),
     rank=st.integers(1, 2),
-    noise_log10=st.sampled_from([-12.0, -9.0, -6.0, -4.0, -1.0, 0.0]),
+    noise=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-4, 0.1, 1.0]),
 )
-def test_gram_basis_is_orthonormal_or_falls_back(seed, c, a, k, extra_m, t, rank, noise_log10):
+def test_gram_basis_is_orthonormal_or_falls_back(seed, c, a, k, extra_m, t, rank, noise):
     rng = np.random.default_rng(seed)
     m = k + extra_m
-    anchor = low_rank_factors(rng, m, c, a, rank, 10.0**noise_log10)
+    anchor = low_rank_factors(rng, m, c, a, rank, noise)
+    if noise == 0.0:
+        # an exactly singular K: a duplicate row and an all-zero row too;
+        # the jittered Cholesky of the start draw still factors it
+        weight, bias = anchor.pieces
+        weight.delta[1], weight.act[1] = weight.delta[0], weight.act[0]
+        weight.delta[-1] = 0.0
+        assert bias.delta is weight.delta
     assert gram_path_pays(anchor, k)
     basis = build_anchor_basis(
         anchor, single_group_layout(anchor.p, k), make_cfg(k=k, m=m, t=t), rng
@@ -844,8 +856,28 @@ def test_gram_basis_is_orthonormal_or_falls_back(seed, c, a, k, extra_m, t, rank
     assert np.max(np.abs(block @ block.T - np.eye(block.shape[0]))) <= 1e-12
     # the anchors span rank^2 + rank directions up to the noise: a larger
     # basis is near rank deficient, beyond what the Gram path can resolve
-    if k > rank * rank + rank and noise_log10 <= -4.0:
+    if k > rank * rank + rank and noise <= 1e-4:
         assert held_kinds(basis) == ["ndarray"]
+
+
+def test_gram_start_draw_has_the_law_of_the_dense_start():
+    # the columns of G_a B_0^T are i.i.d. N(0, K); so are those of W_0 = L z
+    rng = np.random.default_rng(0)
+    m, c, a, k = 12, 8, 6, 20_000
+    delta, act = rng.standard_normal((m, c)), rng.standard_normal((m, a))
+    pieces = [GradientPiece(0, delta, act), GradientPiece(c * a, delta)]
+    anchor = FactoredGradients(pieces, c * a + c)
+    assert gram_path_pays(anchor, 8)
+    gram = anchor.dense() @ anchor.dense().T
+    # E ||W W^T / k - K||_F^2 = (||K||_F^2 + tr(K)^2) / k for N(0, K) columns
+    spread = math.sqrt((np.linalg.norm(gram) ** 2 + np.trace(gram) ** 2) / k)
+    w, held_gram = _power_start(anchor, k, rng)
+    assert held_gram is not None and w.shape == (m, k)
+    dense_start = anchor.embed(rng.standard_normal((k, anchor.p)))
+    isotropic = math.sqrt(np.trace(gram) / m) * rng.standard_normal((m, k))
+    for start in (w, dense_start):
+        assert np.linalg.norm(start @ start.T / k - gram) <= 3 * spread
+    assert np.linalg.norm(isotropic @ isotropic.T / k - gram) > 10 * spread
 
 
 GRAM_MLP = dict(input_dim=24, classes=3, hidden_dim=32, m_aux=40)
@@ -868,9 +900,10 @@ def test_gram_basis_matches_the_dense_rounds(t):
     basis = gram_mlp_basis(task, t=t)
     rng = np.random.default_rng(40)
     for group, block in zip(basis.layout.groups, blocks(basis)):
-        # dense anchors always take the dense rounds
-        cols = anchor.columns(group.offset, group.offset + group.length).dense()
-        dense = power_iteration_basis(cols, group.k_alloc, t, rng)
+        # the group's own start W_0, then the dense rounds on dense anchors
+        cols = anchor.columns(group.offset, group.offset + group.length)
+        w, _ = _power_start(cols, group.k_alloc, rng)
+        dense = _dense_power_rounds(as_factors(cols.dense()), w, t, DEFAULT_ORTHO_TOL)
         assert block.shape == dense.shape
         assert np.max(np.abs(block - dense)) <= 1e-12
     # the same release as from the dense blocks, in fewer multiply-adds
