@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,11 +142,18 @@ def ingest_csv(path: str, label_column: str) -> Dataset:
     caller that standardizes takes :func:`standardize_stats` from its
     training split alone.  Integer-valued label columns become
     classification labels.
+
+    After the header, numpy's C reader parses the body straight from the
+    open file.  Its table is kept only if it raised and warned nothing and
+    has one column per header name; otherwise the body is read again, row
+    by row with ``csv`` and ``float()``'s rules.  That row loop is the only
+    reader of what numpy refuses (quoted cells, ``1_000.25``, rows of
+    blank cells) and the only source of the row and column errors.  Both
+    readers give bitwise the same table.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = next(csv.reader(handle))
         except StopIteration:
             raise CsvParseError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
@@ -155,29 +163,56 @@ def ingest_csv(path: str, label_column: str) -> Dataset:
             )
         label_idx = header.index(label_column)
 
-        rows: list[np.ndarray] = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
-                )
-            # one numpy call parses the row's cells with float()'s rules
-            try:
-                rows.append(np.array(row, dtype=np.float64))
-            except ValueError:
-                raise _cell_error(path, row_num, header, row) from None
+        table = _load_table(handle, len(header))
+        if table is None:
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
+            table = _parse_rows(path, reader, header)
 
-    if not rows:
-        raise CsvParseError(f"{path}: no data rows")
-    table = np.array(rows)
     features = np.delete(table, label_idx, axis=1)
     label_arr = table[:, label_idx].copy()
     # exact integrality: a tolerance would round large regression labels
     if np.all(np.isfinite(label_arr)) and np.all(label_arr == np.rint(label_arr)):
         label_arr = np.rint(label_arr).astype(np.int64)
     return Dataset(features, label_arr, name=path)
+
+
+def _load_table(handle, columns: int) -> np.ndarray | None:
+    """The body as one float table via numpy's reader, or None to fall back.
+
+    The open handle streams to the reader line by line: a body read into
+    one string first would add its own size to the peak memory.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty body warns
+        try:
+            table = np.loadtxt(
+                handle, dtype=np.float64, delimiter=",", comments=None, ndmin=2
+            )
+        except (ValueError, Warning):
+            return None
+    return table if table.shape[1] == columns else None
+
+
+def _parse_rows(path: str, reader, header: list[str]) -> np.ndarray:
+    """The body as one float table, row by row with ``float()``'s rules."""
+    rows: list[np.ndarray] = []
+    for row_num, row in enumerate(reader, start=2):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        if len(row) != len(header):
+            raise CsvParseError(
+                f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
+            )
+        # one numpy call parses the row's cells with float()'s rules
+        try:
+            rows.append(np.array(row, dtype=np.float64))
+        except ValueError:
+            raise _cell_error(path, row_num, header, row) from None
+    if not rows:
+        raise CsvParseError(f"{path}: no data rows")
+    return np.array(rows)
 
 
 def _cell_error(

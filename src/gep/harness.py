@@ -12,7 +12,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .models import (
 )
 from .release import GepConfig, build_anchor_basis, projection_error_rate
 from .tasks import TaskBundle, logistic_mixture_task, lowrank_regression_task
-from .training import StepMetrics, TrainConfig, dp_train
+from .training import StepMetrics, TrainConfig, calibrate_noise_multiplier, dp_train
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -275,6 +275,23 @@ def _train_config(cfg: RunConfig, run: RunSpec, task: TaskBundle) -> TrainConfig
     )
 
 
+def _with_sigma(train_cfg: TrainConfig, sigmas: dict[tuple, float]) -> TrainConfig:
+    """``train_cfg`` with its calibrated noise multiplier set as the override.
+
+    The multiplier is a function of (epsilon, delta, q, steps) alone, so
+    ``sigmas`` holds one per key for the runs of one command: seeds,
+    methods, k and m share it.  A run with an override or no steps is
+    returned as it is; ``dp_train`` calibrates nothing for it.
+    """
+    if train_cfg.steps == 0 or train_cfg.sigma_override is not None:
+        return train_cfg
+    budget = train_cfg.budget
+    key = (budget.epsilon, budget.delta, train_cfg.sampling_rate, train_cfg.steps)
+    if key not in sigmas:
+        sigmas[key] = calibrate_noise_multiplier(train_cfg)
+    return replace(train_cfg, sigma_override=sigmas[key])
+
+
 def _summary_table(results: list[dict]) -> str:
     """Rows: method x k; columns: epsilon; cells: mean +/- std accuracy."""
     cells: dict[tuple[str, int], dict[float, list[float]]] = {}
@@ -331,8 +348,10 @@ def train_command(
     os.makedirs(out_dir, exist_ok=True)
     runs = expand_runs(cfg)
     results = []
-    # the data config is fixed for the whole sweep: one task per aux.m
+    # the data config is fixed for the whole sweep: one task per aux.m,
+    # and one noise multiplier per (epsilon, delta, q, steps)
     tasks: dict[int, TaskBundle] = {}
+    sigmas: dict[tuple, float] = {}
     try:
         for run in runs:
             try:  # a value out of range, for the data or for the run
@@ -342,6 +361,7 @@ def train_command(
                 train_cfg = _train_config(cfg, run, task)
             except ValueError as err:
                 raise ConfigError(str(err)) from None
+            train_cfg = _with_sigma(train_cfg, sigmas)
             model, steps = dp_train(train_cfg, task.private, task.eval)
             rows = [_record(run, step) for step in steps]
             path = os.path.join(out_dir, f"{run.run_id}.metrics.jsonl")

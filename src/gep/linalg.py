@@ -405,10 +405,11 @@ def orthonormalize_rows(
 
     Classical Gram-Schmidt with a second re-orthogonalization pass (CGS2),
     which keeps pairwise inner products at machine precision.  A row whose
-    component orthogonal to the previously accepted rows has norm below
-    ``tol`` (scaled by the row's own norm when that exceeds one) is
-    dropped.  Returns the orthonormal matrix and the number of surviving
-    rows.  A row with a non-finite norm raises ValueError.
+    component orthogonal to the previously accepted rows has norm at most
+    ``tol`` times the row's own norm is dropped.  The test is relative at
+    every scale: a zero row is dropped, and an independent row is kept
+    however small.  Returns the orthonormal matrix and the number of
+    surviving rows.  A row with a non-finite norm raises ValueError.
 
     With ``gram`` given, the inner product is ``<u, v> = u K v^T`` for
     ``K = gram``: on rows ``c`` of coefficients over anchors ``G_a`` with
@@ -442,7 +443,7 @@ def orthonormalize_rows(
                 coeffs = _matmul(kq[:count], v)
                 v = v - _matmul(q[:count].T, coeffs)
         norm, kv = _inner_norm(v, gram)
-        if norm < tol * max(1.0, scale):
+        if not norm > tol * scale:
             continue
         _macs(n_cols)
         q[count] = v / norm

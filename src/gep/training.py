@@ -112,6 +112,11 @@ class TrainConfig:
                 f"m={self.gep.m} anchor gradients"
             )
 
+    @property
+    def sampling_rate(self) -> float:
+        """The accountant's q: ``q`` for Poisson batches, 1 for full ones."""
+        return self.q if self.batch == "poisson" else 1.0
+
 
 @dataclass(frozen=True)
 class StepMetrics:
@@ -183,8 +188,7 @@ def calibrate_noise_multiplier(cfg: TrainConfig) -> float:
     multiplier, however many sums it perturbs (see
     :func:`gep.release.noise_multipliers`), so all methods calibrate alike.
     """
-    q = cfg.q if cfg.batch == "poisson" else 1.0
-    return calibrate_sigma_search(cfg.budget, q, max(cfg.steps, 1))
+    return calibrate_sigma_search(cfg.budget, cfg.sampling_rate, max(cfg.steps, 1))
 
 
 def _epsilon_schedule(cfg: TrainConfig, sigma: float) -> list[float]:
@@ -193,7 +197,7 @@ def _epsilon_schedule(cfg: TrainConfig, sigma: float) -> list[float]:
         return []
     if sigma == 0:
         return [math.inf] * cfg.steps
-    q = cfg.q if cfg.batch == "poisson" else 1.0
+    q = cfg.sampling_rate
     orders = default_orders(cfg.budget, include_analytic=(q == 1.0))
     per_step = subsampled_gaussian_curve(orders, q, sigma)
     return [

@@ -1,8 +1,14 @@
 """Dataset tests: synthetic generators and CSV ingestion."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gep.data
 from gep.data import (
     CsvParseError,
     Dataset,
@@ -182,6 +188,124 @@ def test_ingest_csv_float_labels(tmp_path):
     data = ingest_csv(str(path), "label")
     assert data.labels.dtype == np.int64
     assert data.labels.tolist() == [0, 1, 7]
+
+
+def _ingest(path):
+    """What ``ingest_csv`` gives: its arrays as bytes, or its error."""
+    try:
+        data = ingest_csv(str(path), "label")
+    except (CsvParseError, ValueError) as err:
+        return type(err).__name__, str(err)
+    return data.features.shape, data.features.tobytes(), data.labels.dtype, data.labels.tobytes()
+
+
+def _ingest_both(path, fast):
+    """``ingest_csv`` as it runs and with its row loop forced; ``fast``
+    asserts the first never entered the row loop."""
+    if fast:
+        entered = AssertionError("the row loop was entered")
+        with mock.patch.object(gep.data, "_parse_rows", side_effect=entered):
+            got = _ingest(path)
+    else:
+        got = _ingest(path)
+    with mock.patch.object(gep.data, "_load_table", return_value=None):
+        return got, _ingest(path)
+
+
+# (name, file text, whether numpy's reader takes it)
+ODD_CSVS = [
+    ("plain", "a,b,label\n1.5,2,0\n3,4.25,1\n", True),
+    ("cr-only", "a,b,label\r1.5,2,0\r3,4.25,1\r", True),
+    ("blank-lines", "a,b,label\n\n1.5,2,0\n\n3,4.25,1\n\n", True),
+    ("label-middle", "a,label,b\n1.5,0,2\n3,1,4.25\n", True),
+    ("quoted-header", '"a","b,c",label\n1.5,2,0\n3,4.25,1\n', True),
+    ("padding", "a,b,label\n 1.5 ,\t2\xa0,0\n3,4.25,1\n", True),
+    ("no-final-newline", "a,b,label\n1,2,0\n3,4.25,1", True),
+    ("single-column", "label\n1\n2\n", True),
+    ("nan-label", "a,label\n1,nan\n2,1\n", True),
+    ("overflow", "a,label\n1e400,0\n2,1\n", True),
+    ("bom", "\ufeffa,b,label\n1,2,0\n3,4,1\n", True),
+    ("whitespace-line", "a,b,label\n1,2,0\n \t\n3,4,1\n", False),
+    ("empty-cells-row", "a,b,label\n1,2,0\n,,\n3,4,1\n", False),
+    ("quoted-cell", 'a,b,label\n"1.5",2,0\n3,"4.25",1\n', False),
+    ("underscore", "a,label\n1_000.25,0\n2,1\n", False),
+    ("hash", "a,label\n#1,0\n2,1\n", False),
+    ("short-row", "a,b,label\n1,2,0\n3,4\n", False),
+    ("long-rows", "a,b,label\n1,2,0,9\n3,4,1,9\n", False),
+    ("empty-cell", "a,b,label\n1,,0\n3,4,1\n", False),
+    ("bad-cell", "a,b,label\n1,2,0\n3,4 5,1\n", False),
+    ("header-only", "a,b,label\n", False),
+    ("label-header-only", "label\n\n", False),  # numpy warns, and gives (0, 1)
+]
+
+
+@pytest.mark.parametrize(
+    "text, fast", [case[1:] for case in ODD_CSVS], ids=[case[0] for case in ODD_CSVS]
+)
+def test_ingest_csv_fast_path_agrees_with_the_row_loop(tmp_path, text, fast):
+    path = tmp_path / "odd.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, row_loop = _ingest_both(path, fast)
+    assert got == row_loop
+
+
+# bounded so that no format rounds a cell up to infinity
+_CELL = st.floats(-1e300, 1e300, allow_nan=False, width=64)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    table=st.integers(1, 4).flatmap(
+        lambda cols: st.lists(st.lists(_CELL, min_size=cols, max_size=cols), min_size=1, max_size=5)
+    ),
+    label_at=st.integers(0, 4),
+    integer_labels=st.booleans(),
+    cell_format=st.sampled_from(["{!r}", "{:.6f}", "{:.3e}", "{:+.17g}"]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    blank_after=st.sets(st.integers(0, 5)),
+    quote=st.booleans(),
+)
+def test_ingest_csv_parse_paths_agree(
+    tmp_path_factory, table, label_at, integer_labels, cell_format, newline, blank_after, quote
+):
+    labels = [float(i % 3) if integer_labels else 0.25 * i for i in range(len(table))]
+    label_at = min(label_at, len(table[0]))
+    names = [f"f{j}" for j in range(len(table[0]))]
+    names.insert(label_at, "label")
+    lines = [",".join(names)]
+    for i, row in enumerate(table):
+        cells = [cell_format.format(value) for value in row]
+        cells.insert(label_at, cell_format.format(labels[i]))
+        if quote:
+            cells[0] = f'"{cells[0]}"'
+        lines.append(",".join(cells))
+        if i in blank_after:
+            lines.append("")
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+    got, row_loop = _ingest_both(path, fast=not quote)
+    assert got == row_loop
+    assert isinstance(got[0], tuple), got  # every generated file parses
+
+
+def test_ingest_csv_peak_memory(tmp_path):
+    # a body read into one string before parsing would add its own size
+    rows, features = 2000, 100
+    rng = np.random.default_rng(0)
+    path = tmp_path / "big.csv"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join([f"f{j}" for j in range(features)] + ["label"]) + "\n")
+        for row in rng.standard_normal((rows, features)):
+            handle.write(",".join(f"{v:.6f}" for v in row) + f",{rows % 2}\n")
+    table_bytes = rows * (features + 1) * 8
+    tracemalloc.start()
+    try:
+        data = ingest_csv(str(path), "label")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.n == rows and data.d == features
+    assert peak <= 3.5 * table_bytes, peak / table_bytes
 
 
 def test_train_eval_split_disjoint():

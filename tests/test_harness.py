@@ -180,6 +180,78 @@ def test_train_command_builds_one_task_per_anchor_count(tmp_path, monkeypatch):
         assert path.read_bytes() == (out / path.name).read_bytes()
 
 
+def _count_calibrations(monkeypatch):
+    import gep.training
+
+    calls = []
+    real_search = gep.training.calibrate_sigma_search
+
+    def counting_search(budget, q, invocations):
+        calls.append((budget.epsilon, q, invocations))
+        return real_search(budget, q, invocations)
+
+    monkeypatch.setattr(gep.training, "calibrate_sigma_search", counting_search)
+    return calls
+
+
+GRID_CONFIG = BASE_CONFIG.replace("method = gp", "method = gep, gp").replace(
+    "seeds = 0", "seeds = 0, 1"
+) + "sweep.epsilon = 2, 8\n"
+
+
+def test_train_command_calibrates_each_budget_once(tmp_path, monkeypatch):
+    import gep.harness
+
+    calls = _count_calibrations(monkeypatch)
+    out = tmp_path / "runs"
+    cfg_path = write_config(tmp_path, GRID_CONFIG + f"out = {out}\n")
+    assert main(["train", "--config", cfg_path, "--method", "gep"]) == 0
+    assert sorted(calls) == [(2.0, 1.0, 3), (8.0, 1.0, 3)]  # 4 runs, 2 budgets
+    # the methods of one command share them too
+    calls.clear()
+    assert main(["train", "--config", cfg_path]) == 0
+    assert len(calls) == 2
+    # the same bytes as every run calibrating for itself
+    calls.clear()
+    alone = tmp_path / "alone"
+    with monkeypatch.context() as patch:
+        patch.setattr(gep.harness, "_with_sigma", lambda train_cfg, sigmas: train_cfg)
+        assert main(["train", "--config", cfg_path, "--out", str(alone)]) == 0
+    assert len(calls) == 8
+    files = sorted(alone.glob("*.metrics.jsonl"))
+    assert len(files) == 8
+    for path in files:
+        assert path.read_bytes() == (out / path.name).read_bytes()
+
+
+def test_train_command_calibrates_nothing_it_does_not_run(tmp_path, monkeypatch):
+    calls = _count_calibrations(monkeypatch)
+    zero = write_config(tmp_path, GRID_CONFIG.replace("train.steps = 3", "train.steps = 0")
+                        + f"out = {tmp_path / 'zero'}\n", name="zero.cfg")
+    assert main(["train", "--config", zero]) == 0
+    fixed = write_config(tmp_path, GRID_CONFIG + "privacy.sigma_override = 1.5\n"
+                         + f"out = {tmp_path / 'fixed'}\n", name="fixed.cfg")
+    assert main(["train", "--config", fixed]) == 0
+    assert calls == []
+
+
+def test_train_command_calibration_failure_keeps_earlier_runs(tmp_path, capsys):
+    # the first budget calibrates; the second cannot, and ends the command
+    out = tmp_path / "runs"
+    cfg_path = write_config(
+        tmp_path,
+        GRID_CONFIG.replace("sweep.epsilon = 2, 8", "sweep.epsilon = 8, 1e-9")
+        + f"out = {out}\n",
+    )
+    assert main(["train", "--config", cfg_path, "--method", "gp"]) == 1
+    assert "calibration" in capsys.readouterr().err.lower()
+    assert sorted(path.name for path in out.glob("*.metrics.jsonl")) == [
+        "gp-eps8-k2-m10-seed0.metrics.jsonl",
+        "gp-eps8-k2-m10-seed1.metrics.jsonl",
+    ]
+    assert not (out / "summary.json").exists()
+
+
 def test_train_command_rejects_unknown_key(tmp_path, capsys):
     cfg_path = write_config(tmp_path, BASE_CONFIG + "train.warmup = 5\n")
     assert main(["train", "--config", cfg_path]) == 2

@@ -68,7 +68,7 @@ def reference_cgs2(m, tol=1e-10):
                 q = np.array(accepted)
                 v = v - q.T @ (q @ v)
         norm = float(np.linalg.norm(v))
-        if norm >= tol * max(1.0, scale):
+        if norm > tol * scale:
             accepted.append(v / norm)
     return np.array(accepted).reshape(len(accepted), m.shape[1])
 
@@ -112,6 +112,19 @@ def test_orthonormalize_under_a_gram_inner_product():
 def test_orthonormalize_scale_invariant_rank():
     # duplicate directions must be dropped even at large magnitudes
     q, rank = orthonormalize_rows(np.array([[1e8, 1e8], [2e8, 2e8]]))
+    assert rank == 1
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 3e-7, 1e-8])
+def test_power_iteration_keeps_every_row_of_small_anchors(scale):
+    # the rows of W^T G_a scale with the square of the gradients: an
+    # absolute drop test emptied the basis at 3e-7, and gep ran as gp
+    g = np.random.default_rng(13).standard_normal((40, 300))
+    basis = power_iteration_basis(g * scale, 8, 2, np.random.default_rng(14))
+    assert basis.shape == (8, 300)
+    np.testing.assert_allclose(basis @ basis.T, np.eye(8), atol=1e-12)
+    # and a dependent row is dropped at any scale
+    _, rank = orthonormalize_rows(scale * np.array([[1.0, 2.0], [2.0, 4.0]]))
     assert rank == 1
 
 
