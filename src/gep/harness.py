@@ -278,15 +278,14 @@ def _train_config(cfg: RunConfig, run: RunSpec, task: TaskBundle) -> TrainConfig
 def _with_sigma(train_cfg: TrainConfig, sigmas: dict[tuple, float]) -> TrainConfig:
     """``train_cfg`` with its calibrated noise multiplier set as the override.
 
-    The multiplier is a function of (epsilon, delta, q, steps) alone, so
+    The multiplier is a function of the budget, q and steps alone, so
     ``sigmas`` holds one per key for the runs of one command: seeds,
     methods, k and m share it.  A run with an override or no steps is
     returned as it is; ``dp_train`` calibrates nothing for it.
     """
     if train_cfg.steps == 0 or train_cfg.sigma_override is not None:
         return train_cfg
-    budget = train_cfg.budget
-    key = (budget.epsilon, budget.delta, train_cfg.sampling_rate, train_cfg.steps)
+    key = (train_cfg.budget, train_cfg.sampling_rate, train_cfg.steps)
     if key not in sigmas:
         sigmas[key] = calibrate_noise_multiplier(train_cfg)
     return replace(train_cfg, sigma_override=sigmas[key])
