@@ -10,7 +10,8 @@ and the power-iteration flop count matches its analytic model.
 import numpy as np
 
 from gep.data import Dataset
-from gep.linalg import RandomStream, count_flops
+from gep.harness import bench_command
+from gep.linalg import RandomStream
 from gep.models import per_sample_gradients
 from gep.release import (
     GepConfig,
@@ -86,26 +87,5 @@ print("-> more anchor gradients sharpen the subspace estimate\n")
 print("=" * 70)
 print("4. Cost of one power iteration vs the flop model")
 print("=" * 70)
-m, k, p = 100, 20, 1000
-rng = np.random.default_rng(0)
-anchors = rng.standard_normal((m, p))
-print(f"{'groups':>7s} {'measured':>12s} {'model':>12s} {'ratio':>7s}")
-for g in (1, 2, 5):
-    lengths = [p // g] * g
-    counts = [k // g] * g
-    from gep.models import GroupLayout, ParamGroup
-
-    offset = 0
-    groups = []
-    for i, (length, kg) in enumerate(zip(lengths, counts)):
-        groups.append(ParamGroup(f"g{i}", offset, length, kg))
-        offset += length
-    layout = GroupLayout(tuple(groups))
-    with count_flops() as counter:
-        build_anchor_basis(
-            anchors, layout, GepConfig(k=k, m=m, t=1), np.random.default_rng(1)
-        )
-    model_cost = 2 * m * k * p / g + p * k * k / (g * g)
-    print(f"{g:>7d} {counter.macs:>12d} {model_cost:>12.0f} "
-          f"{counter.macs / model_cost:>7.3f}")
+bench_command(m=100, k=20, p=1000, groups=(1, 2, 5))
 print("-> grouping divides the dominant 2mkp term by the group count")

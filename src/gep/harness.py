@@ -1,8 +1,11 @@
 """Experiment orchestration: runs, metrics files, summaries, cost checks.
 
-Metrics are newline-delimited JSON with a schema header line, one record
-per training step per run, keys in a fixed order so identical runs emit
-byte-identical files.
+A metrics file is newline-delimited JSON for one run: a header with the
+schema, its version and the run (``asdict(RunSpec)``), then one record per
+training step with the :class:`StepMetrics` fields in declaration order,
+so identical runs emit byte-identical files.  ``train`` and ``report``
+build each summary entry with the same function, from the run and its
+last step.
 """
 
 from __future__ import annotations
@@ -10,9 +13,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -62,9 +64,7 @@ __all__ = [
     "report_command",
 ]
 
-METRICS_SCHEMA = {"schema": "gep-metrics", "version": 1}
-
-_RECORD_FIELDS = ("run_id", "method", "seed") + StepMetrics.FIELDS
+METRICS_SCHEMA = {"schema": "gep-metrics", "version": 2}
 
 
 @dataclass(frozen=True)
@@ -84,52 +84,57 @@ class RunSpec:
         )
 
 
-# RunSpec.run_id, read back; the method and epsilon may hold dashes.
-_RUN_ID = re.compile(
-    r"(?P<method>.+?)-eps(?P<epsilon>.+)-k(?P<k>\d+)-m(?P<m>\d+)-seed(?P<seed>-?\d+)"
-)
-
-
-def _parse_run_id(run_id: str) -> RunSpec | None:
-    """The run whose ``run_id`` this is, or None for another format."""
-    match = _RUN_ID.fullmatch(run_id)
-    if match is None:
-        return None
-    try:
-        epsilon = float(match["epsilon"])
-    except ValueError:
-        return None
-    return RunSpec(
-        match["method"], int(match["seed"]), int(match["k"]), int(match["m"]), epsilon
-    )
-
-
-def _record(run: RunSpec, step: StepMetrics) -> dict:
-    row = {"run_id": run.run_id, "method": run.method, "seed": run.seed}
-    for name in StepMetrics.FIELDS:
-        row[name] = getattr(step, name)
-    return row
-
-
-def write_metrics(path: str, rows: list[dict]) -> None:
-    """Write a schema header plus one JSON record per line."""
+def write_metrics(path: str, run: RunSpec, steps: list[StepMetrics]) -> None:
+    """Write a header naming ``run``, then one JSON record per step."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(METRICS_SCHEMA) + "\n")
-        for row in rows:
-            ordered = {name: row[name] for name in _RECORD_FIELDS}
-            handle.write(json.dumps(ordered) + "\n")
+        handle.write(json.dumps({**METRICS_SCHEMA, "run": asdict(run)}) + "\n")
+        for step in steps:
+            handle.write(json.dumps(asdict(step)) + "\n")
 
 
-def read_metrics(path: str) -> list[dict]:
-    """Read a metrics file, validating the schema header."""
-    with open(path, encoding="utf-8") as handle:
-        header_line = handle.readline()
-        if not header_line:
-            raise ValueError(f"{path}: empty metrics file")
-        header = json.loads(header_line)
-        if header.get("schema") != METRICS_SCHEMA["schema"]:
-            raise ValueError(f"{path}: unexpected schema header {header!r}")
-        return [json.loads(line) for line in handle if line.strip()]
+def read_metrics(path: str) -> tuple[RunSpec, list[dict]]:
+    """The run a metrics file's header names, and its step records.
+
+    Raises ValueError, naming ``path``, for a file that is not valid JSON
+    lines, has another schema or version, or whose header or rows do not
+    hold a :class:`RunSpec` and :class:`StepMetrics` field for field.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle if line.strip()]
+    except ValueError as err:  # not UTF-8, or a line that is not JSON
+        raise ValueError(f"{path}: not JSON lines ({err})") from None
+    header = records[0] if records else {}
+    if not isinstance(header, dict) or any(
+        header.get(key) != value for key, value in METRICS_SCHEMA.items()
+    ):
+        raise ValueError(
+            f"{path}: not a {METRICS_SCHEMA['schema']} "
+            f"version {METRICS_SCHEMA['version']} file"
+        )
+    run = header.get("run")
+    # the annotations are strings ("int"), so a bool seed is no int here
+    if not (
+        isinstance(run, dict)
+        and list(run) == [f.name for f in fields(RunSpec)]
+        and all(type(run[f.name]).__name__ == f.type for f in fields(RunSpec))
+    ):
+        raise ValueError(f"{path}: header names no run: {run!r}")
+    names = [f.name for f in fields(StepMetrics)]
+    rows = records[1:]
+    if not all(isinstance(row, dict) and list(row) == names for row in rows):
+        raise ValueError(f"{path}: a row does not hold the StepMetrics fields")
+    return RunSpec(**run), rows
+
+
+def _result(run: RunSpec, final: dict | None) -> dict:
+    """The summary entry of ``run``, whose last step recorded ``final``."""
+    return {
+        **asdict(run),
+        "final_accuracy": final["eval_accuracy"] if final else math.nan,
+        "final_eval_loss": final["eval_loss"] if final else math.nan,
+        "epsilon_spent": final["epsilon_spent"] if final else 0.0,
+    }
 
 
 def expand_runs(cfg: RunConfig) -> list[RunSpec]:
@@ -313,7 +318,8 @@ def _summary_table(results: list[dict]) -> str:
                 row.append("-".ljust(18))
             elif any(math.isnan(a) for a in accs):
                 row.append("n/a".ljust(18))
-            else:
+            else:  # sorted: the same digits in any order of runs
+                accs = sorted(accs)
                 row.append(
                     f"{np.mean(accs):.3f} +/- {np.std(accs):.3f}".ljust(18)
                 )
@@ -362,24 +368,11 @@ def train_command(
                 raise ConfigError(str(err)) from None
             train_cfg = _with_sigma(train_cfg, sigmas)
             model, steps = dp_train(train_cfg, task.private, task.eval)
-            rows = [_record(run, step) for step in steps]
             path = os.path.join(out_dir, f"{run.run_id}.metrics.jsonl")
-            write_metrics(path, rows)
-            final = steps[-1] if steps else None
-            results.append(
-                {
-                    "method": run.method,
-                    "seed": run.seed,
-                    "k": run.k,
-                    "m": run.m,
-                    "epsilon": run.epsilon,
-                    "final_accuracy": final.eval_accuracy if final else math.nan,
-                    "final_eval_loss": final.eval_loss if final else math.nan,
-                    "epsilon_spent": final.epsilon_spent if final else 0.0,
-                    "metrics_path": path,
-                }
-            )
-            print(f"run {run.run_id}: wrote {len(rows)} steps to {path}")
+            write_metrics(path, run, steps)
+            final = asdict(steps[-1]) if steps else None
+            results.append({**_result(run, final), "metrics_path": path})
+            print(f"run {run.run_id}: wrote {len(steps)} steps to {path}")
     except CalibrationError as err:
         print(f"calibration failure: {err}", file=sys.stderr)
         return 1
@@ -605,20 +598,12 @@ def report_command(out_dir: str) -> int:
         return 1
     results = []
     for path in paths:
-        rows = read_metrics(path)
-        if not rows:
-            continue
-        final = rows[-1]
-        run = _parse_run_id(final["run_id"])
-        results.append(
-            {
-                "method": final["method"],
-                "seed": final["seed"],
-                "k": run.k if run is not None else 0,
-                "epsilon": run.epsilon if run is not None else math.nan,
-                "final_accuracy": final["eval_accuracy"],
-            }
-        )
+        try:
+            run, rows = read_metrics(path)
+        except ValueError as err:
+            print(err, file=sys.stderr)
+            return 1
+        results.append(_result(run, rows[-1] if rows else None))
     print(_summary_table(results))
     return 0
 

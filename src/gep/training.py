@@ -38,7 +38,6 @@ from .models import (
 from .release import (
     METHODS,
     GepConfig,
-    _release,
     build_anchor_basis,
     release_gradient,
     stable_rank,
@@ -140,20 +139,6 @@ class StepMetrics:
     clip_fraction_s1: float = math.nan
     clip_fraction_s2: float = math.nan
     epsilon_spent: float = math.nan
-
-    FIELDS = (
-        "step",
-        "train_loss",
-        "eval_loss",
-        "eval_accuracy",
-        "projection_error_rate",
-        "stable_rank_g",
-        "stable_rank_r",
-        "k_effective",
-        "clip_fraction_s1",
-        "clip_fraction_s2",
-        "epsilon_spent",
-    )
 
 
 def optimizer_step(
@@ -350,8 +335,8 @@ def gd_train(
     """Non-private full-batch gradient descent with the same optimizer.
 
     It runs :func:`dp_train`'s step loop on the full batch.  The batch
-    gradient is the mean of the per-sample rows, computed by the release
-    kernel with no clipping and no noise, so it is exactly what the
+    gradient is the mean of the per-sample rows, computed by the ``gp``
+    release at an infinite threshold and σ = 0, so it is exactly what the
     noiseless private path reduces to; the release diagnostics read NaN.
     """
 
@@ -359,6 +344,7 @@ def gd_train(
         t: int, model_t: ModelSpec, private_fwd: Forward | None
     ) -> tuple[np.ndarray, dict]:
         grads = per_sample_factors(model_t, private, private_fwd)
-        return _release(grads, None, None, (math.inf, 0.0), None).v_tilde, {}
+        rel = release_gradient("gp", grads, None, math.inf, math.inf, 0.0, None)
+        return rel.v_tilde, {}
 
     return _train(cfg, private, eval_data, step_gradient)

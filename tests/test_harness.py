@@ -12,12 +12,13 @@ from gep.config import RunConfig
 from gep.harness import (
     METRICS_SCHEMA,
     RunSpec,
-    _parse_run_id,
+    _summary_table,
     build_task,
     expand_runs,
     read_metrics,
     write_metrics,
 )
+from gep.training import StepMetrics
 
 BASE_CONFIG = """
 method = gp
@@ -46,33 +47,86 @@ def write_config(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+# one gp run's header fields, and one of its step rows byte for byte
+_RUN = {"method": "gp", "seed": 0, "k": 2, "m": 10, "epsilon": 8.0}
+_ROW = (
+    '{"step": 0, "train_loss": 0.5, "eval_loss": 0.6, "eval_accuracy": 0.75, '
+    '"projection_error_rate": NaN, "stable_rank_g": NaN, "stable_rank_r": NaN, '
+    '"k_effective": 0, "clip_fraction_s1": 0.0, "clip_fraction_s2": NaN, '
+    '"epsilon_spent": 1.25}'
+)
+
+
 def test_metrics_round_trip(tmp_path):
-    rows = [
-        {
-            "run_id": "gp-eps8-k2-m10-seed0",
-            "method": "gp",
-            "seed": 0,
-            "step": 0,
-            "train_loss": 0.5,
-            "eval_loss": 0.6,
-            "eval_accuracy": 0.75,
-            "projection_error_rate": math.nan,
-            "stable_rank_g": math.nan,
-            "stable_rank_r": math.nan,
-            "k_effective": 0,
-            "clip_fraction_s1": 0.0,
-            "clip_fraction_s2": math.nan,
-            "epsilon_spent": 1.25,
-        }
-    ]
+    run = RunSpec(**_RUN)
+    steps = [StepMetrics(0, 0.5, 0.6, 0.75, clip_fraction_s1=0.0, epsilon_spent=1.25)]
     path = tmp_path / "m.jsonl"
-    write_metrics(str(path), rows)
+    write_metrics(str(path), run, steps)
     lines = path.read_text().splitlines()
-    assert json.loads(lines[0]) == METRICS_SCHEMA
-    parsed = read_metrics(str(path))
-    assert parsed[0]["run_id"] == rows[0]["run_id"]
-    assert parsed[0]["train_loss"] == 0.5
-    assert math.isnan(parsed[0]["projection_error_rate"])
+    assert json.loads(lines[0]) == {**METRICS_SCHEMA, "run": _RUN}
+    assert lines[1:] == [_ROW]
+    parsed_run, rows = read_metrics(str(path))
+    assert parsed_run == run
+    assert rows[0]["train_loss"] == 0.5
+    assert math.isnan(rows[0]["projection_error_rate"])
+
+
+@pytest.mark.parametrize("epsilon", [1e-05, 0.5, 8.0])
+def test_run_id_round_trips(tmp_path, epsilon):
+    # the metrics header carries the run: a method with dashes, a negative
+    # seed and an exponent epsilon come back as they went in
+    runs = (RunSpec("gep", 0, 20, 200, epsilon), RunSpec("random-basis-gep", -1, 2, 10, epsilon))
+    for run in runs:
+        path = tmp_path / f"{run.run_id}.metrics.jsonl"
+        write_metrics(str(path), run, [])
+        assert read_metrics(str(path)) == (run, [])
+    # metrics file names are built from it
+    assert RunSpec("gep", 0, 20, 200, 1e-05).run_id == "gep-eps1e-05-k20-m200-seed0"
+    assert RunSpec("random-basis-gep", -1, 6, 40, 8.0).run_id == (
+        "random-basis-gep-eps8-k6-m40-seed-1"
+    )
+
+
+def _header(version=2, **fields):
+    return json.dumps({"schema": "gep-metrics", "version": version, **fields}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        '{"schema": "other"}\n',
+        _header(1),
+        _header(1, run=_RUN),
+        _header(),
+        _header(run="gp-eps8-k2-m10-seed0"),
+        _header(run={**_RUN, "k": "2"}),
+        _header(run={**_RUN, "seed": True}),
+        _header(run={**_RUN, "extra": 1}),
+        _header(run=_RUN) + "[1, 2]\n",
+        _header(run=_RUN) + '{"step": 0}\n',
+        _header(run=_RUN) + _ROW[:-9],
+        "[]\n" + _ROW,
+    ],
+    ids=[
+        "empty", "other-schema", "version-1", "version-1-with-run", "no-run",
+        "run-id-string", "string-k", "bool-seed", "extra-run-key", "list-row",
+        "short-row", "truncated-row", "list-header",
+    ],
+)
+def test_bad_metrics_files_are_rejected(tmp_path, capsys, text):
+    out = tmp_path / "runs"
+    out.mkdir()
+    good = out / "a.metrics.jsonl"
+    write_metrics(str(good), RunSpec(**_RUN), [])
+    bad = out / "b.metrics.jsonl"
+    bad.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        read_metrics(str(bad))
+    assert main(["report", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{bad}: ") and captured.err.count("\n") == 1
 
 
 def test_expand_runs_grid():
@@ -135,7 +189,9 @@ def test_train_command_writes_metrics_and_summary(tmp_path, capsys):
     assert "gp" in captured
     metrics_files = sorted(out.glob("*.metrics.jsonl"))
     assert len(metrics_files) == 1
-    rows = read_metrics(str(metrics_files[0]))
+    run, rows = read_metrics(str(metrics_files[0]))
+    assert run == RunSpec("gp", 0, 2, 10, 8.0)
+    assert metrics_files[0].name == f"{run.run_id}.metrics.jsonl"
     assert len(rows) == 3
     assert (out / "summary.txt").exists()
     assert (out / "summary.json").exists()
@@ -363,13 +419,34 @@ def test_report_command(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "nothing")]) == 1
 
 
-@pytest.mark.parametrize("epsilon", [1e-05, 0.5, 8.0])
-def test_run_id_round_trips(epsilon):
-    runs = (RunSpec("gep", 0, 20, 200, epsilon), RunSpec("random-basis-gep", -1, 6, 40, epsilon))
-    for run in runs:
-        assert _parse_run_id(run.run_id) == run
-    assert RunSpec("gep", 0, 20, 200, 1e-05).run_id == "gep-eps1e-05-k20-m200-seed0"
-    assert _parse_run_id("not-a-run-id") is None
+GRID_CONFIG = BASE_CONFIG.replace("method = gp", "method = gep, gp").replace(
+    "seeds = 0", "seeds = 0, 1"
+) + "sweep.epsilon = 2, 8\n"
+
+
+@pytest.mark.parametrize("steps", [3, 0])
+def test_report_prints_the_train_summary(tmp_path, capsys, steps):
+    out = tmp_path / "runs"
+    text = GRID_CONFIG.replace("train.steps = 3", f"train.steps = {steps}")
+    cfg_path = write_config(tmp_path, text + f"out = {out}\n")
+    assert main(["train", "--config", cfg_path]) == 0
+    assert len(list(out.glob("*.metrics.jsonl"))) == 8
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    report = capsys.readouterr().out
+    assert report == (out / "summary.txt").read_text()
+    assert report.count("n/a") == (4 if steps == 0 else 0)
+
+
+def test_summary_table_ignores_run_order():
+    # report reads runs in file-name order (seed10 before seed8), train in
+    # grid order; these four means land on a rounding tie in one of the two
+    accs = [0.87, 0.635, 0.82, 0.585]
+    results = [
+        {"method": "gep", "k": 2, "epsilon": 8.0, "final_accuracy": acc} for acc in accs
+    ]
+    assert _summary_table(results) == _summary_table(results[::-1])
+    assert _summary_table(results).endswith("0.728 +/- 0.120   ")
 
 
 def test_report_reads_exponent_epsilons(tmp_path, capsys):
