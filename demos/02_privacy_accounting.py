@@ -27,7 +27,7 @@ print(f"closed-form per-release multiplier: {closed:.4f}")
 searched = calibrate_sigma_search(budget, q=1.0, invocations=200)
 print(f"searched multiplier for the same 200 releases: {searched:.4f}")
 print(f"verification: eps({searched:.4f}) = "
-      f"{epsilon_for_sigma(searched, budget.delta, 1.0, 200)[0]:.4f} <= {budget.epsilon}")
+      f"{epsilon_for_sigma(searched, budget, 1.0, 200)[0]:.4f} <= {budget.epsilon}")
 print("-> optimizing over Renyi orders beats the fixed-order closed form\n")
 
 print("=" * 70)
@@ -47,7 +47,7 @@ print(f"{'sigma':>8s}" + "".join(f"{f'T={t}':>12s}" for t in (50, 100, 200, 400)
 for sigma in (2.0, 4.0, 8.0, 16.0):
     row = [f"{sigma:>8.1f}"]
     for steps in (50, 100, 200, 400):
-        eps, _ = epsilon_for_sigma(sigma, budget.delta, 1.0, steps)
+        eps, _ = epsilon_for_sigma(sigma, budget, 1.0, steps)
         row.append(f"{eps:>12.3f}")
     print("".join(row))
 print("-> double the steps costs roughly sqrt(2) more noise at fixed budget\n")
@@ -57,6 +57,6 @@ print("4. Subsampled calibration for a minibatch run")
 print("=" * 70)
 q, steps = 0.05, 2000
 sigma = calibrate_sigma_search(budget, q=q, invocations=steps)
-eps, order = epsilon_for_sigma(sigma, budget.delta, q, steps)
+eps, order = epsilon_for_sigma(sigma, budget, q, steps)
 print(f"q={q}, {steps} steps: sigma = {sigma:.4f}")
 print(f"verification: spends eps = {eps:.4f} at Renyi order {order:.0f}")

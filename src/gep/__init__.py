@@ -15,6 +15,7 @@ from .accounting import (
     calibrate_sigma_closed_form,
     calibrate_sigma_search,
     default_orders,
+    epsilon_for_sigma,
     rdp_to_dp,
 )
 from .data import CsvParseError, Dataset, ingest_csv, synth_dataset
@@ -83,6 +84,7 @@ __all__ = [
     "count_flops",
     "default_orders",
     "dp_train",
+    "epsilon_for_sigma",
     "evaluate",
     "forward",
     "gaussian_noise",

@@ -37,8 +37,8 @@ __all__ = [
     "default_orders",
     "gaussian_curve",
     "subsampled_gaussian_curve",
-    "rdp_scale",
     "rdp_to_dp",
+    "epsilon_for_sigma",
     "calibrate_sigma_closed_form",
     "calibrate_sigma_search",
     "SIGMA_BRACKET",
@@ -99,22 +99,21 @@ class RdpCurve:
         return f"RdpCurve(orders={self.orders!r}, costs={self.costs!r})"
 
 
-def default_orders(
-    budget: DpBudget | None = None, include_analytic: bool = False
-) -> np.ndarray:
-    """Integer orders 2..256, optionally with the analytic order appended.
+@functools.lru_cache(maxsize=8)
+def default_orders(budget: DpBudget, q: float) -> np.ndarray:
+    """The order grid for ``budget`` at sampling rate ``q``; the only one used.
 
-    The analytic order ``1 + 2 log(1/delta) / epsilon`` is the one used by
-    the closed-form calibration; it is only valid for unsampled mechanisms
-    (the subsampling bound needs integer orders).
+    Integer orders 2..256, plus, when ``q == 1``, the analytic order
+    ``1 + 2 log(1/delta) / epsilon`` that the closed-form calibration uses
+    (the subsampled bound needs integer orders).  The array is read-only
+    and cached per (budget, q).
     """
     orders = np.arange(2, 257, dtype=np.float64)
-    if include_analytic:
-        if budget is None:
-            raise ValueError("analytic order requires a budget")
+    if q == 1.0:
         analytic = 1.0 + 2.0 * math.log(1.0 / budget.delta) / budget.epsilon
-        if analytic > 1 and not np.any(np.isclose(orders, analytic)):
+        if not np.any(np.isclose(orders, analytic)):
             orders = np.sort(np.append(orders, analytic))
+    orders.flags.writeable = False
     return orders
 
 
@@ -216,25 +215,28 @@ def subsampled_gaussian_curve(
     return RdpCurve(grid, _logsumexp(log_terms) / (grid - 1))
 
 
-def rdp_scale(curve: RdpCurve, times: int) -> RdpCurve:
-    """Compose ``times`` identical invocations of one mechanism."""
-    if times < 0:
-        raise ValueError("times must be non-negative")
-    return RdpCurve(curve.orders, curve.costs * times)
+def rdp_to_dp(
+    curve: RdpCurve, delta: float, times: int | np.ndarray = 1
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Compose ``times`` identical releases, then convert to (epsilon, delta)-DP.
 
-
-def rdp_to_dp(curve: RdpCurve, delta: float) -> tuple[float, float]:
-    """Convert an RDP curve to (epsilon, delta)-DP.
-
-    Evaluates ``cost(lam) + log(1/delta) / (lam - 1)`` on the grid and
-    returns the minimum with the minimizing order.
+    The composed cost is ``times * cost(lam)``; the conversion evaluates
+    ``times * cost(lam) + log(1/delta) / (lam - 1)`` on the grid and
+    returns the minimum with the minimizing order.  ``times`` is an int,
+    or a 1-d array of release counts with one (epsilon, order) per entry.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    counts = np.asarray(times)
+    if np.any(counts < 0):
+        raise ValueError("times must be non-negative")
     log_inv_delta = math.log(1.0 / delta)
-    eps = curve.costs + log_inv_delta / (curve.orders - 1.0)
-    best = int(np.argmin(eps))
-    return float(eps[best]), float(curve.orders[best])
+    eps = np.multiply.outer(counts, curve.costs)
+    eps += log_inv_delta / (curve.orders - 1.0)
+    spent, order = eps.min(axis=-1), curve.orders[np.argmin(eps, axis=-1)]
+    if counts.ndim == 0:
+        return float(spent), float(order)
+    return spent, order
 
 
 def calibrate_sigma_closed_form(budget: DpBudget, steps: int) -> float:
@@ -258,53 +260,40 @@ def calibrate_sigma_closed_form(budget: DpBudget, steps: int) -> float:
 
 
 def epsilon_for_sigma(
-    sigma: float,
-    budget_delta: float,
-    q: float,
-    invocations: int,
-    orders: Sequence[float] | None = None,
-) -> tuple[float, float]:
-    """Spent epsilon (and best order) for repeated subsampled releases.
+    sigma: float, budget: DpBudget, q: float, steps: int | np.ndarray
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Spent epsilon (and best order) after ``steps`` subsampled releases.
 
-    A zero multiplier provides no protection and reports infinite epsilon.
+    Each release has unit sensitivity and multiplier ``sigma``; the grid is
+    ``default_orders(budget, q)``, the one calibration searches on.
+    ``steps`` is an int or a 1-d array of step counts, as in
+    :func:`rdp_to_dp`.  A zero multiplier provides no protection and
+    reports infinite epsilon.
     """
     if sigma == 0:
-        return math.inf, math.nan
-    if orders is None:
-        orders = default_orders()
-    per_step = subsampled_gaussian_curve(orders, q, sigma)
-    return rdp_to_dp(rdp_scale(per_step, invocations), budget_delta)
+        if np.ndim(steps) == 0:
+            return math.inf, math.nan
+        return np.full(np.shape(steps), math.inf), np.full(np.shape(steps), math.nan)
+    per_step = subsampled_gaussian_curve(default_orders(budget, q), q, sigma)
+    return rdp_to_dp(per_step, budget.delta, steps)
 
 
-def calibrate_sigma_search(
-    budget: DpBudget,
-    q: float,
-    invocations: int,
-    orders: Sequence[float] | None = None,
-    rel_tol: float = 1e-4,
-) -> float:
+def calibrate_sigma_search(budget: DpBudget, q: float, invocations: int) -> float:
     """Smallest multiplier meeting the budget for repeated subsampled releases.
 
-    Bisects on sigma using the monotonicity of the spent epsilon;
-    ``invocations`` counts unit-sensitivity releases.  A training run
-    makes one per step, whatever the method: a gep step's two perturbed
-    sums together form one release at this multiplier (see
-    :func:`gep.release.noise_multipliers`).
+    Bisects on sigma, to a relative tolerance of 1e-4, using the
+    monotonicity of :func:`epsilon_for_sigma`; ``invocations`` counts
+    unit-sensitivity releases.  A training run makes one per step,
+    whatever the method: a gep step's two perturbed sums together form one
+    release at this multiplier (see :func:`gep.release.noise_multipliers`).
     """
     if not 0 < q <= 1:
         raise ValueError(f"sampling rate must lie in (0, 1], got {q}")
     if invocations < 1:
         raise ValueError("invocations must be >= 1")
-    if orders is None:
-        orders = default_orders(budget, include_analytic=(q == 1.0))
-    orders = np.asarray(orders, dtype=np.float64)
-    if orders.size == 0:
-        raise ValueError("order grid must be non-empty")
-    if q < 1.0 and not np.all(np.equal(np.mod(orders, 1), 0)):
-        raise ValueError("subsampled calibration requires integer orders")
 
     def spent(sigma: float) -> float:
-        return epsilon_for_sigma(sigma, budget.delta, q, invocations, orders)[0]
+        return epsilon_for_sigma(sigma, budget, q, invocations)[0]
 
     lo, hi = SIGMA_BRACKET
     if spent(lo) <= budget.epsilon:
@@ -314,7 +303,7 @@ def calibrate_sigma_search(
             f"even sigma={hi} spends more than epsilon={budget.epsilon} "
             f"over {invocations} invocations at q={q}"
         )
-    while hi - lo > rel_tol * hi:
+    while hi - lo > 1e-4 * hi:
         mid = 0.5 * (lo + hi)
         if spent(mid) <= budget.epsilon:
             hi = mid

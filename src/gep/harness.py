@@ -4,8 +4,8 @@ A metrics file is newline-delimited JSON for one run: a header with the
 schema, its version and the run (``asdict(RunSpec)``), then one record per
 training step with the :class:`StepMetrics` fields in declaration order,
 so identical runs emit byte-identical files.  ``train`` and ``report``
-build each summary entry with the same function, from the run and its
-last step.
+build the summary with the same function, from every metrics file in the
+directory.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ from .accounting import (
     DpBudget,
     calibrate_sigma_closed_form,
     calibrate_sigma_search,
-    default_orders,
     epsilon_for_sigma,
-    gaussian_curve,
-    rdp_scale,
-    rdp_to_dp,
 )
 from .config import ConfigError, RunConfig, load_config
 from .data import (
@@ -127,18 +123,41 @@ def read_metrics(path: str) -> tuple[RunSpec, list[dict]]:
     return RunSpec(**run), rows
 
 
-def _result(run: RunSpec, final: dict | None) -> dict:
-    """The summary entry of ``run``, whose last step recorded ``final``."""
-    return {
-        **asdict(run),
-        "final_accuracy": final["eval_accuracy"] if final else math.nan,
-        "final_eval_loss": final["eval_loss"] if final else math.nan,
-        "epsilon_spent": final["epsilon_spent"] if final else 0.0,
-    }
+def _results(out_dir: str) -> list[dict]:
+    """The summary entry of every metrics file in ``out_dir``, by file name.
+
+    Each entry is the file's run, its last step's accuracy, loss and spent
+    epsilon (NaN, NaN and 0 for a run of no steps) and the file's path.
+    Raises ValueError for a file :func:`read_metrics` refuses.
+    """
+    paths = sorted(
+        os.path.join(out_dir, name)
+        for name in os.listdir(out_dir)
+        if name.endswith(".metrics.jsonl")
+    )
+    results = []
+    for path in paths:
+        run, rows = read_metrics(path)
+        final = rows[-1] if rows else None
+        results.append(
+            {
+                **asdict(run),
+                "final_accuracy": final["eval_accuracy"] if final else math.nan,
+                "final_eval_loss": final["eval_loss"] if final else math.nan,
+                "epsilon_spent": final["epsilon_spent"] if final else 0.0,
+                "metrics_path": path,
+            }
+        )
+    return results
 
 
 def expand_runs(cfg: RunConfig) -> list[RunSpec]:
-    """Cartesian product of methods, seeds, and sweep lists."""
+    """Cartesian product of methods, seeds, and sweep lists.
+
+    Raises ConfigError when two runs share a run id (a repeated seed, or
+    epsilons that agree to ``%g``'s six significant digits), since they
+    would write one metrics file.
+    """
     methods = list(cfg["method"])
     seeds = list(cfg["seeds"])
     ks = list(cfg["sweep.k"]) or [cfg["gep.k"]]
@@ -159,6 +178,11 @@ def expand_runs(cfg: RunConfig) -> list[RunSpec]:
                                 epsilon=float(eps),
                             )
                         )
+    seen: set[str] = set()
+    for run in runs:
+        if run.run_id in seen:
+            raise ConfigError(f"two runs are named {run.run_id!r}")
+        seen.add(run.run_id)
     return runs
 
 
@@ -333,7 +357,11 @@ def train_command(
     out: str | None = None,
     method: str | None = None,
 ) -> int:
-    """Run every sweep point of a configuration and write metrics + summary."""
+    """Run every sweep point of a configuration and write metrics + summary.
+
+    The summary covers every metrics file in the output directory, as
+    :func:`report_command`'s does, including runs of earlier commands.
+    """
     try:
         cfg = load_config(config_path)
         overrides: dict[str, object] = {}
@@ -345,14 +373,13 @@ def train_command(
             overrides["method"] = (method,)
         if overrides:
             cfg = cfg.updated(overrides)
+        runs = expand_runs(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
     out_dir = str(cfg["out"])
     os.makedirs(out_dir, exist_ok=True)
-    runs = expand_runs(cfg)
-    results = []
     # the data config is fixed for the whole sweep: one task per aux.m,
     # and one noise multiplier per (epsilon, delta, q, steps)
     tasks: dict[int, TaskBundle] = {}
@@ -370,8 +397,6 @@ def train_command(
             model, steps = dp_train(train_cfg, task.private, task.eval)
             path = os.path.join(out_dir, f"{run.run_id}.metrics.jsonl")
             write_metrics(path, run, steps)
-            final = asdict(steps[-1]) if steps else None
-            results.append({**_result(run, final), "metrics_path": path})
             print(f"run {run.run_id}: wrote {len(steps)} steps to {path}")
     except CalibrationError as err:
         print(f"calibration failure: {err}", file=sys.stderr)
@@ -380,6 +405,11 @@ def train_command(
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
+    try:
+        results = _results(out_dir)
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 1
     summary = _summary_table(results)
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w", encoding="utf-8") as handle:
@@ -411,9 +441,7 @@ def accountant_command(
             print(f"{err}", file=sys.stderr)
             return 2
         # The closed form covers two releases per step; verify by composing.
-        orders = default_orders(budget, include_analytic=True)
-        curve = rdp_scale(gaussian_curve(orders, 1.0, sigma), 2 * steps)
-        spent, order = rdp_to_dp(curve, delta)
+        spent, order = epsilon_for_sigma(sigma, budget, 1.0, 2 * steps)
         print(f"closed-form sigma = {sigma:.6f} (per-release multiplier)")
         print(
             f"verification: composing {2 * steps} releases at sigma={sigma:.6f} "
@@ -432,7 +460,7 @@ def accountant_command(
     except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    spent, order = epsilon_for_sigma(sigma, delta, q, steps)
+    spent, order = epsilon_for_sigma(sigma, budget, q, steps)
     print(f"searched sigma = {sigma:.6f} (per-step multiplier, q={q:g})")
     print(
         f"verification: {steps} subsampled releases at sigma={sigma:.6f} "
@@ -588,22 +616,14 @@ def report_command(out_dir: str) -> int:
     if not os.path.isdir(out_dir):
         print(f"no such directory: {out_dir}", file=sys.stderr)
         return 1
-    paths = sorted(
-        os.path.join(out_dir, name)
-        for name in os.listdir(out_dir)
-        if name.endswith(".metrics.jsonl")
-    )
-    if not paths:
+    try:
+        results = _results(out_dir)
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 1
+    if not results:
         print(f"no metrics files found in {out_dir}", file=sys.stderr)
         return 1
-    results = []
-    for path in paths:
-        try:
-            run, rows = read_metrics(path)
-        except ValueError as err:
-            print(err, file=sys.stderr)
-            return 1
-        results.append(_result(run, rows[-1] if rows else None))
     print(_summary_table(results))
     return 0
 

@@ -17,14 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .accounting import (
-    DpBudget,
-    calibrate_sigma_search,
-    default_orders,
-    rdp_scale,
-    rdp_to_dp,
-    subsampled_gaussian_curve,
-)
+from .accounting import DpBudget, calibrate_sigma_search, epsilon_for_sigma
 from .data import Dataset
 from .linalg import RandomStream
 from .models import (
@@ -176,21 +169,6 @@ def calibrate_noise_multiplier(cfg: TrainConfig) -> float:
     return calibrate_sigma_search(cfg.budget, cfg.sampling_rate, max(cfg.steps, 1))
 
 
-def _epsilon_schedule(cfg: TrainConfig, sigma: float) -> list[float]:
-    """Budget spent after each step, via the accountant."""
-    if cfg.steps == 0:
-        return []
-    if sigma == 0:
-        return [math.inf] * cfg.steps
-    q = cfg.sampling_rate
-    orders = default_orders(cfg.budget, include_analytic=(q == 1.0))
-    per_step = subsampled_gaussian_curve(orders, q, sigma)
-    return [
-        rdp_to_dp(rdp_scale(per_step, t + 1), cfg.budget.delta)[0]
-        for t in range(cfg.steps)
-    ]
-
-
 def _anchor_batch(
     cfg: TrainConfig, anchors: Dataset, stream: RandomStream, step: int
 ) -> Dataset:
@@ -277,7 +255,9 @@ def dp_train(
     )
     method = METHODS[cfg.method]
     layout = make_group_layout(cfg.model, cfg.gep.k)
-    eps_schedule = _epsilon_schedule(cfg, sigma)
+    eps_schedule = epsilon_for_sigma(  # the budget spent after each step
+        sigma, cfg.budget, cfg.sampling_rate, np.arange(1, cfg.steps + 1)
+    )[0].tolist()
 
     aux = cfg.aux_data
     anchors = aux.subset(np.arange(cfg.gep.m)) if aux.n > cfg.gep.m else aux

@@ -13,7 +13,8 @@ against an independent computation:
 
 The accountant's cost curves have per-order references:
 ``rdp_gaussian`` and ``rdp_subsampled_gaussian`` evaluate one order at a
-time.
+time.  ``epsilon_schedule`` composes a training run's releases one step
+count at a time, on a grid it builds itself.
 
 Acceptance criterion 6 measures excess loss against a high-precision
 non-private optimum: ``nonprivate_optimum`` (scipy's L-BFGS) and
@@ -28,7 +29,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from gep.accounting import DpBudget, _log_factorials, _logsumexp
+from gep.accounting import (
+    DpBudget,
+    _log_factorials,
+    _logsumexp,
+    subsampled_gaussian_curve,
+)
 from gep.data import Dataset
 from gep.linalg import SPECTRAL_TOL
 from gep.models import ModelSpec, evaluate, forward, per_sample_factors
@@ -251,6 +257,29 @@ def rdp_subsampled_gaussian(order: int, q: float, sigma: float) -> float:
         + j * (j - 1) / (2.0 * sigma * sigma)
     )
     return float(_logsumexp(log_terms)) / (a - 1)
+
+
+def epsilon_schedule(sigma: float, budget: DpBudget, q: float, steps: int) -> list[float]:
+    """Epsilon spent after each of ``steps`` releases, one step count at a time.
+
+    For each ``t``, composes ``t`` copies of the per-step curve on integer
+    orders 2..256 (plus the analytic order ``1 + 2 log(1/delta) / epsilon``
+    at ``q == 1``) and converts at the best order.
+    """
+    if sigma == 0:
+        return [math.inf] * steps
+    orders = np.arange(2, 257, dtype=np.float64)
+    if q == 1.0:
+        analytic = 1.0 + 2.0 * math.log(1.0 / budget.delta) / budget.epsilon
+        if not np.any(np.isclose(orders, analytic)):
+            orders = np.sort(np.append(orders, analytic))
+    per_step = subsampled_gaussian_curve(orders, q, sigma)
+    log_inv_delta = math.log(1.0 / budget.delta)
+    spent = []
+    for t in range(1, steps + 1):
+        eps = per_step.costs * t + log_inv_delta / (orders - 1.0)
+        spent.append(float(eps[int(np.argmin(eps))]))
+    return spent
 
 
 def nonprivate_optimum(model: ModelSpec, data: Dataset) -> tuple[np.ndarray, float]:

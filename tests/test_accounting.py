@@ -21,7 +21,6 @@ from gep.accounting import (
     default_orders,
     epsilon_for_sigma,
     gaussian_curve,
-    rdp_scale,
     rdp_to_dp,
     subsampled_gaussian_curve,
 )
@@ -33,6 +32,9 @@ SIGMA_T100 = 11.996314780470203  # 2 sqrt(2*100*log(1e5)) / 8
 SIGMA_T1 = 1.1996314780470203
 SUB_A2_Q001 = 1.7181342207454793e-4  # order 2, q=0.01, sigma=1
 SUB_A3_Q001 = 2.6463757458466135e-4  # order 3, q=0.01, sigma=1
+
+# the library's grid below q = 1: integer orders 2..256
+INTEGER_ORDERS = default_orders(DpBudget(8.0, 1e-5), 0.05)
 
 
 def brute_force_subsampled(order: int, q: float, sigma: float) -> float:
@@ -71,13 +73,29 @@ def test_curve_validation():
 
 
 def test_compose_t_copies_matches_scaling():
-    orders = default_orders()
-    sigma = 3.0
+    orders = INTEGER_ORDERS
+    sigma, delta = 3.0, 1e-5
     curve = gaussian_curve(orders, 1.0, sigma)
-    t = 17
-    np.testing.assert_allclose(
-        rdp_scale(curve, t).costs, t * orders / (2 * sigma**2), rtol=1e-12
-    )
+    steps = np.array([0, 1, 17, 200])
+    spent, best = rdp_to_dp(curve, delta, steps)
+    assert spent.shape == best.shape == steps.shape
+    for t, eps, order in zip(steps, spent, best):
+        composed = t * orders / (2 * sigma**2) + math.log(1 / delta) / (orders - 1)
+        assert eps == pytest.approx(composed.min(), rel=1e-12)
+        assert order == orders[np.argmin(composed)]
+        # the scalar call gives the same entry, bit for bit
+        assert rdp_to_dp(curve, delta, int(t)) == (eps, order)
+    with pytest.raises(ValueError, match="non-negative"):
+        rdp_to_dp(curve, delta, np.array([3, -1]))
+
+
+def test_default_orders_add_the_analytic_order_at_full_batch():
+    budget = DpBudget(0.05, 1e-3)
+    assert np.array_equal(default_orders(budget, 0.5), np.arange(2.0, 257.0))
+    full = default_orders(budget, 1.0)
+    assert np.array_equal(full[:-1], np.arange(2.0, 257.0))
+    assert full[-1] == 1 + 2 * math.log(1 / 1e-3) / 0.05
+    assert not full.flags.writeable
 
 
 def test_rdp_to_dp_zero_curve():
@@ -97,7 +115,7 @@ def test_rdp_to_dp_single_order():
 
 
 def test_rdp_to_dp_is_a_minimum():
-    curve = gaussian_curve(default_orders(), 1.0, 1.5)
+    curve = gaussian_curve(INTEGER_ORDERS, 1.0, 1.5)
     eps, _ = rdp_to_dp(curve, 1e-5)
     log_inv = math.log(1e5)
     for order, cost in zip(curve.orders, curve.costs):
@@ -139,15 +157,16 @@ def test_subsampled_gaussian_monotone_in_q_and_order():
 
 
 def test_epsilon_monotonicity_grid():
-    delta = 1e-5
+    budget = DpBudget(8.0, 1e-5)
     sigmas = [0.5, 1.0, 2.0, 4.0, 8.0]
-    spent = [epsilon_for_sigma(s, delta, 0.1, 50)[0] for s in sigmas]
+    spent = [epsilon_for_sigma(s, budget, 0.1, 50)[0] for s in sigmas]
     assert all(a > b for a, b in zip(spent, spent[1:]))
     steps = [10, 20, 40, 80]
-    spent = [epsilon_for_sigma(2.0, delta, 0.1, t)[0] for t in steps]
+    spent = [epsilon_for_sigma(2.0, budget, 0.1, t)[0] for t in steps]
     assert all(a < b for a, b in zip(spent, spent[1:]))
+    assert np.array_equal(epsilon_for_sigma(2.0, budget, 0.1, np.array(steps))[0], spent)
     qs = [0.01, 0.1, 0.5, 1.0]
-    spent = [epsilon_for_sigma(2.0, delta, q, 50)[0] for q in qs]
+    spent = [epsilon_for_sigma(2.0, budget, q, 50)[0] for q in qs]
     assert all(a < b for a, b in zip(spent, spent[1:]))
 
 
@@ -194,7 +213,7 @@ def test_search_beats_closed_form_at_full_batch():
     searched = calibrate_sigma_search(budget, 1.0, 200)
     assert searched <= closed
     # and the searched multiplier still satisfies the budget
-    eps_spent, _ = epsilon_for_sigma(searched, budget.delta, 1.0, 200)
+    eps_spent, _ = epsilon_for_sigma(searched, budget, 1.0, 200)
     assert eps_spent <= budget.epsilon
 
 
@@ -219,7 +238,7 @@ def test_mechanism_and_budget_validation():
 
 
 def test_subsampled_curve_helper():
-    orders = default_orders()
+    orders = INTEGER_ORDERS
     curve = subsampled_gaussian_curve(orders, 1.0, 2.0)
     np.testing.assert_allclose(curve.costs, gaussian_curve(orders, 1.0, 2.0).costs)
     curve_sub = subsampled_gaussian_curve(orders, 0.1, 2.0)
@@ -236,7 +255,7 @@ def per_order_curve(orders, q, sigma):
 @pytest.mark.parametrize("q", [0.001, 0.05, 0.3, 0.99])
 @pytest.mark.parametrize("sigma", [0.5, 1.1, 4.0, 100.0])
 def test_subsampled_curve_matches_per_order_reference(q, sigma):
-    orders = default_orders()
+    orders = INTEGER_ORDERS
     costs = subsampled_gaussian_curve(orders, q, sigma).costs
     expected = per_order_curve(orders, q, sigma).costs
     # Both take log(1 + x) of a sum near one: below about 1e-3 the costs
@@ -276,7 +295,7 @@ def per_order_gaussian_curve(orders, s, sigma):
 
 
 def test_gaussian_curve_is_bitwise_the_per_order_path():
-    orders = default_orders(DpBudget(8.0, 1e-5), include_analytic=True)
+    orders = default_orders(DpBudget(8.0, 1e-5), 1.0)
     rng = np.random.default_rng(0)
     pairs = [(0.0, 1.0), (1.0, 1.0), (math.sqrt(2.0), 0.3)]
     pairs += list(zip(rng.uniform(0.0, 3.0, 200), 10.0 ** rng.uniform(-2.0, 3.0, 200)))
@@ -288,7 +307,7 @@ def test_gaussian_curve_is_bitwise_the_per_order_path():
 def test_gaussian_curve_errors_match_the_per_order_path():
     import warnings
 
-    orders = default_orders()
+    orders = INTEGER_ORDERS
     cases = [(orders, -1.0, 1.0), (orders, 1.0, -1.0), (orders, 1.0, 0.0), ([1.0, 2.0], 1.0, 1.0)]
     for grid, s, sigma in cases:
         with pytest.raises(ValueError) as expected:
@@ -382,7 +401,7 @@ def test_logsumexp_matches_scipy():
     import scipy
     from scipy.special import logsumexp
 
-    orders = default_orders()
+    orders = INTEGER_ORDERS
     log_binom = _log_binomials(tuple(int(a) for a in orders))
     j = np.arange(log_binom.shape[1])
     rdp_table = log_binom + (orders[:, None] - j) * math.log1p(-0.05) + j * math.log(0.05)

@@ -13,6 +13,7 @@ from gep.harness import (
     METRICS_SCHEMA,
     RunSpec,
     _summary_table,
+    accountant_command,
     build_task,
     expand_runs,
     read_metrics,
@@ -127,6 +128,20 @@ def test_bad_metrics_files_are_rejected(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"{bad}: ") and captured.err.count("\n") == 1
+
+
+def test_train_command_summarizes_no_bad_metrics_file(tmp_path, capsys):
+    # train's summary reads the whole directory, so a file report refuses
+    # fails train too, after its own runs are written
+    out = tmp_path / "runs"
+    out.mkdir()
+    bad = out / "b.metrics.jsonl"
+    bad.write_text('{"schema": "other"}\n')
+    cfg_path = write_config(tmp_path, BASE_CONFIG + f"out = {out}\n")
+    assert main(["train", "--config", cfg_path]) == 1
+    assert capsys.readouterr().err.startswith(f"{bad}: ")
+    assert (out / "gp-eps8-k2-m10-seed0.metrics.jsonl").exists()
+    assert not (out / "summary.txt").exists()
 
 
 def test_expand_runs_grid():
@@ -324,6 +339,20 @@ def test_train_command_calibration_failure(tmp_path, capsys):
     assert "calibration" in capsys.readouterr().err.lower()
 
 
+def test_train_command_rejects_colliding_run_ids(tmp_path, capsys):
+    # both epsilons print as "2": four runs would share one metrics file
+    out = tmp_path / "runs"
+    cfg_path = write_config(
+        tmp_path,
+        BASE_CONFIG.replace("seeds = 0", "seeds = 0, 0")
+        + f"sweep.epsilon = 2, 2.0000001\nout = {out}\n",
+    )
+    assert main(["train", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "gp-eps2-k2-m10-seed0" in err
+    assert not out.exists()
+
+
 def test_train_command_method_and_seed_overrides(tmp_path):
     out = tmp_path / "runs"
     cfg_path = write_config(tmp_path, BASE_CONFIG + f"out = {out}\n")
@@ -364,6 +393,33 @@ def test_accountant_search_mode_beats_closed(capsys):
     assert sigma <= 11.996314780470203
     spent = float(out.split("epsilon = ")[1].split()[0])
     assert spent <= 8.0
+
+
+@pytest.mark.parametrize(
+    "eps, delta, steps, q, mode, expected",
+    [
+        (8.0, 1e-5, 100, 1.0, "closed",
+         "closed-form sigma = 11.996315 (per-release multiplier)\n"
+         "verification: composing 200 releases at sigma=11.996315 "
+         "spends epsilon = 6.352587 <= 8 at order 5.0000\n"),
+        (8.0, 1e-5, 200, 0.05, "search",
+         "searched sigma = 0.895054 (per-step multiplier, q=0.05)\n"
+         "verification: 200 subsampled releases at sigma=0.895054 "
+         "spend epsilon = 7.999853 <= 8 at order 4.0000\n"),
+        # calibrated at the analytic order 1 + 2 log(1e3) / 0.05, past the
+        # integer orders, and verified on the same grid
+        (0.05, 1e-3, 10, 1.0, "search",
+         "searched sigma = 235.510100 (per-step multiplier, q=1)\n"
+         "verification: 10 subsampled releases at sigma=235.510100 "
+         "spend epsilon = 0.049999 <= 0.05 at order 277.3102\n"),
+    ],
+    ids=["closed", "search-q0.05", "search-q1-analytic-order"],
+)
+def test_accountant_certificate(capsys, eps, delta, steps, q, mode, expected):
+    assert accountant_command(eps, delta, steps, q=q, mode=mode) == 0
+    out = capsys.readouterr().out
+    assert out == expected
+    assert float(out.split("epsilon = ")[1].split()[0]) <= eps
 
 
 def test_accountant_huge_epsilon_hits_bracket(capsys):
@@ -436,11 +492,15 @@ def test_report_prints_the_train_summary(tmp_path, capsys, steps):
     report = capsys.readouterr().out
     assert report == (out / "summary.txt").read_text()
     assert report.count("n/a") == (4 if steps == 0 else 0)
+    # a second command into the directory: its summary still covers every run
+    assert main(["train", "--config", cfg_path, "--method", "gp"]) == 0
+    assert (out / "summary.txt").read_text() == report
+    assert len(json.loads((out / "summary.json").read_text())) == 8
 
 
 def test_summary_table_ignores_run_order():
-    # report reads runs in file-name order (seed10 before seed8), train in
-    # grid order; these four means land on a rounding tie in one of the two
+    # file-name order puts seed10 before seed8, grid order after it; these
+    # four means land on a rounding tie in one of the two orders
     accs = [0.87, 0.635, 0.82, 0.585]
     results = [
         {"method": "gep", "k": 2, "epsilon": 8.0, "final_accuracy": acc} for acc in accs

@@ -21,7 +21,7 @@ from gep.training import (
     gd_train,
     optimizer_step,
 )
-from oracle import convex_utility_experiment, nonprivate_optimum
+from oracle import convex_utility_experiment, epsilon_schedule, nonprivate_optimum
 
 
 def toy_cfg(task, **kwargs):
@@ -247,10 +247,38 @@ def test_epsilon_spent_within_budget_and_recomputable():
     model, metrics = dp_train(cfg, task.private, task.eval)
     assert metrics[-1].epsilon_spent <= budget.epsilon + 1e-12
     # independent recomputation through the accountant
-    recomputed, _ = epsilon_for_sigma(sigma, budget.delta, cfg.q, cfg.steps)
+    recomputed, _ = epsilon_for_sigma(sigma, budget, cfg.q, cfg.steps)
     assert metrics[-1].epsilon_spent == pytest.approx(recomputed, rel=1e-12)
     eps = [m.epsilon_spent for m in metrics]
     assert all(b >= a for a, b in zip(eps, eps[1:]))
+
+
+@pytest.mark.parametrize(
+    "batch, q, budget, sigma_override",
+    [
+        ("full", 1.0, DpBudget(0.05, 1e-3), None),
+        ("poisson", 0.05, DpBudget(2.0, 1e-5), None),
+        ("full", 1.0, DpBudget(2.0, 1e-5), 0.0),
+    ],
+    ids=["q1-analytic-order", "q0.05", "sigma0"],
+)
+def test_epsilon_column_is_the_per_step_composition(batch, q, budget, sigma_override):
+    # bitwise the reference that composes each step count apart; at q = 1
+    # every step's best order is the analytic 1 + 2 log(1e3) / 0.05 = 277.3,
+    # past the integer orders
+    task = logistic_mixture_task(5, n=100, input_dim=9, m_aux=20, n_eval=20)
+    cfg = toy_cfg(
+        task, method="gep", gep=GepConfig(k=3, m=20), steps=30, budget=budget,
+        batch=batch, q=q, sigma_override=sigma_override,
+    )
+    sigma = calibrate_noise_multiplier(cfg) if sigma_override is None else sigma_override
+    _, metrics = dp_train(cfg, task.private, task.eval)
+    spent = [m.epsilon_spent for m in metrics]
+    assert spent == epsilon_schedule(sigma, budget, q, cfg.steps)
+    assert all(type(eps) is float for eps in spent)
+    assert spent[-1] <= budget.epsilon or sigma == 0
+    if sigma == 0:
+        assert spent == [math.inf] * cfg.steps
 
 
 def test_every_method_calibrates_to_the_same_step_multiplier():
