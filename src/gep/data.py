@@ -76,14 +76,24 @@ class Dataset:
     @property
     def design(self) -> np.ndarray:
         """The bias-augmented design ``[features, 1]``, built on first use."""
-        design = self._derived.get("design")
-        if design is None:
-            design = _read_only(np.hstack([self.features, np.ones((self.n, 1))]))
-            self._derived["design"] = design
-        return design
+        if "design" not in self._derived:
+            design = np.hstack([self.features, np.ones((self.n, 1))])
+            # its row norms are built with it, so a subset slices both
+            sq = np.einsum("ij,ij->i", design, design)
+            self._derived["design_sq_norms"] = _read_only(sq)
+            self._derived["design"] = _read_only(design)
+        return self._derived["design"]
+
+    @property
+    def design_sq_norms(self) -> np.ndarray:
+        """Each row's squared norm in :attr:`design`, built with it."""
+        if "design_sq_norms" not in self._derived:
+            self.design
+        return self._derived["design_sq_norms"]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        """The rows ``idx``; a cached design is sliced, not rebuilt."""
+        """The rows ``idx``; a cached design and its norms are sliced, not
+        rebuilt."""
         part = copy.copy(self)
         object.__setattr__(part, "features", _read_only(self.features[idx]))
         object.__setattr__(part, "labels", _read_only(self.labels[idx]))
@@ -93,7 +103,7 @@ class Dataset:
         return part
 
     def with_labels(self, labels: np.ndarray) -> "Dataset":
-        """The same rows relabeled; features and design are shared."""
+        """The same rows relabeled; features, design and norms are shared."""
         part = copy.copy(self)
         object.__setattr__(part, "labels", _label_vector(np.array(labels), self.n))
         return part

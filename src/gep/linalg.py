@@ -118,12 +118,15 @@ class GradientPiece(NamedTuple):
     Row ``i`` of the block is ``delta[i] (x) act[i]``, the ``c x a`` outer
     product flattened row-major into the ``c * a`` columns starting at
     ``offset``.  ``act=None`` stands for ``a = 1``: the block is ``delta``
-    itself (bias vectors, or a dense matrix).
+    itself (bias vectors, or a dense matrix).  ``act_sq``, when given, holds
+    each row's ``||act_i||^2``, computed once for an ``act`` that outlives
+    the batch (a dataset's design).
     """
 
     offset: int
     delta: np.ndarray
     act: np.ndarray | None = None
+    act_sq: np.ndarray | None = None
 
     @property
     def width(self) -> int:
@@ -163,6 +166,8 @@ class FactoredGradients:
                 raise ValueError(f"piece delta must be {n} x c, got {piece.delta.shape}")
             if piece.act is not None and (piece.act.ndim != 2 or piece.act.shape[0] != n):
                 raise ValueError(f"piece act must be {n} x a, got {piece.act.shape}")
+            if piece.act_sq is not None and (piece.act is None or piece.act_sq.shape != (n,)):
+                raise ValueError("piece act_sq must hold the n squared norms of its act")
             if piece.offset != offset:
                 raise ValueError("pieces must tile the columns in order")
             offset += piece.width
@@ -185,7 +190,9 @@ class FactoredGradients:
         sq = np.zeros(self.n)
         for piece in self.pieces:
             part = np.einsum("ij,ij->i", piece.delta, piece.delta)
-            if piece.act is not None:
+            if piece.act_sq is not None:
+                part *= piece.act_sq
+            elif piece.act is not None:
                 part *= np.einsum("ij,ij->i", piece.act, piece.act)
             sq += part
         if not np.all(np.isfinite(sq)):
@@ -216,7 +223,7 @@ class FactoredGradients:
                     f"columns {lo}:{hi} cut through a row of the "
                     f"{piece.delta.shape[1]} x {a} gradient piece at {piece.offset}"
                 )
-            out.append(GradientPiece(start - lo, piece.delta[:, first:last], piece.act))
+            out.append(piece._replace(offset=start - lo, delta=piece.delta[:, first:last]))
         return FactoredGradients(out, hi - lo)
 
     def embed(self, basis: np.ndarray | AnchorCoefficients) -> np.ndarray:
@@ -324,7 +331,8 @@ def _embed_piece(piece: GradientPiece, basis: np.ndarray) -> np.ndarray:
     k = basis.shape[0]
     m = basis.reshape(k, c, a)
     if a >= c:
-        t = _matmul(act, m.reshape(k * c, a).T)
+        # a contiguous right operand: OpenBLAS runs a skinny transposed one slowly
+        t = _matmul(act, np.ascontiguousarray(m.reshape(k * c, a).T))
         return np.einsum("nkc,nc->nk", t.reshape(n, k, c), delta)
     t = _matmul(delta, m.transpose(1, 0, 2).reshape(c, k * a))
     return np.einsum("nka,na->nk", t.reshape(n, k, a), act)

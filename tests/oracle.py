@@ -16,6 +16,10 @@ The accountant's cost curves have per-order references:
 time.  ``epsilon_schedule`` composes a training run's releases one step
 count at a time, on a grid it builds itself.
 
+The model layer's arithmetic has row-major references: ``softmax`` and
+``log_softmax`` reduce each row of the n x c logits, and
+``forward_logits`` multiplies by the transposed weight view.
+
 Acceptance criterion 6 measures excess loss against a high-precision
 non-private optimum: ``nonprivate_optimum`` (scipy's L-BFGS) and
 ``convex_utility_experiment``, which aggregates ``UtilityPoint`` cells
@@ -37,7 +41,7 @@ from gep.accounting import (
 )
 from gep.data import Dataset
 from gep.linalg import SPECTRAL_TOL
-from gep.models import ModelSpec, evaluate, forward, per_sample_factors
+from gep.models import ModelSpec, _mlp_unpack, evaluate, forward, per_sample_factors
 from gep.training import TrainConfig, dp_train
 
 
@@ -280,6 +284,31 @@ def epsilon_schedule(sigma: float, budget: DpBudget, q: float, steps: int) -> li
         eps = per_step.costs * t + log_inv_delta / (orders - 1.0)
         spent.append(float(eps[int(np.argmin(eps))]))
     return spent
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of n x c logits."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of n x c logits."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def forward_logits(model: ModelSpec, data: Dataset) -> np.ndarray:
+    """The output layer of each model kind, with the weights as views."""
+    if model.kind == "linear":
+        return data.design @ model.theta
+    if model.kind == "logistic":
+        w = model.theta.reshape(model.output_dim, model.input_dim + 1)
+        return data.design @ w.T
+    w1, b1, w2, b2 = _mlp_unpack(model)
+    hidden = np.tanh(data.features @ w1.T + b1)
+    return hidden @ w2.T + b2
 
 
 def nonprivate_optimum(model: ModelSpec, data: Dataset) -> tuple[np.ndarray, float]:

@@ -344,6 +344,30 @@ def test_dataset_design_is_built_once_and_shared():
         data.with_labels(np.zeros(29))
 
 
+def test_design_norms_are_computed_once_and_shared():
+    rng = np.random.default_rng(12)
+    data = Dataset(rng.standard_normal((40, 6)), rng.integers(0, 2, size=40))
+
+    def norms(d):
+        return np.einsum("ij,ij->i", d.design, d.design)
+
+    idx = np.array([5, 0, 5, 39, 12])
+    fresh = data.subset(idx)  # computed on the subset itself
+    assert fresh.design_sq_norms.tobytes() == norms(fresh).tobytes()
+    assert data.design_sq_norms.tobytes() == norms(data).tobytes()
+    assert data.design_sq_norms is data.design_sq_norms
+    # sliced from the parent's norms: an index array, a mask, no rows
+    for pick in (idx, np.arange(40) % 3 == 1, np.array([], dtype=np.int64)):
+        part = data.subset(pick)
+        assert part.design_sq_norms.tobytes() == norms(part).tobytes()
+    assert data.subset(np.array([], dtype=np.int64)).design_sq_norms.shape == (0,)
+    relabeled = data.with_labels(rng.integers(0, 2, size=40))
+    assert relabeled.design_sq_norms is data.design_sq_norms
+    for d in (data, data.subset(idx), relabeled):
+        with pytest.raises(ValueError, match="read-only"):
+            d.design_sq_norms[0] = 0.0
+
+
 def test_dataset_owns_copies_of_the_arrays_it_was_given():
     rng = np.random.default_rng(8)
     for labels in (rng.integers(0, 3, size=12), rng.standard_normal(12)):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import gep.linalg
+from gep.data import Dataset
 from gep.linalg import (
     FactoredGradients,
     GradientPiece,
@@ -329,6 +330,29 @@ def test_factored_gradients_validation():
     huge = FactoredGradients([GradientPiece(0, delta * 1e160, act * 1e160)], 12)
     with pytest.raises(ValueError, match="overflow"):
         huge.sq_norms()
+    with pytest.raises(ValueError, match="act_sq"):
+        FactoredGradients([GradientPiece(0, delta, act, np.ones(4))], 12)
+    with pytest.raises(ValueError, match="act_sq"):
+        FactoredGradients([GradientPiece(0, delta, None, np.ones(5))], 3)
+
+
+def test_cached_act_norms_give_the_same_bits():
+    rng = np.random.default_rng(16)
+    data = Dataset(rng.standard_normal((50, 7)), np.zeros(50, dtype=np.int64))
+    delta = rng.standard_normal((50, 3))
+    plain = FactoredGradients([GradientPiece(0, delta, data.design), GradientPiece(24, delta)], 27)
+    cached = FactoredGradients(
+        [GradientPiece(0, delta, data.design, data.design_sq_norms), GradientPiece(24, delta)], 27
+    )
+    assert cached.sq_norms().tobytes() == plain.sq_norms().tobytes()
+    # a column cut keeps the norms with the act they belong to
+    assert cached.columns(8, 24).pieces[0].act_sq is data.design_sq_norms
+    # the norms of a finite design do not vouch for delta
+    bad = delta.copy()
+    bad[3, 0] = np.nan
+    poisoned = FactoredGradients([GradientPiece(0, bad, data.design, data.design_sq_norms)], 24)
+    with pytest.raises(ValueError, match="non-finite"):
+        poisoned.sq_norms()
 
 
 def test_power_iteration_runs_the_dense_products_on_a_dense_matrix():

@@ -8,6 +8,8 @@ import pytest
 from gep.data import Dataset, synth_dataset
 from gep.linalg import count_flops
 from gep.models import (
+    _log_softmax,
+    _softmax,
     allocate_basis_counts,
     evaluate,
     forward,
@@ -18,7 +20,7 @@ from gep.models import (
     per_sample_gradients,
 )
 from gep.tasks import mlp_cluster_task
-from oracle import stable_rank
+from oracle import forward_logits, log_softmax, softmax, stable_rank
 
 
 def numerical_gradient(model, data, h=1e-5):
@@ -196,7 +198,7 @@ def test_make_group_layout():
     mlp = init_model("mlp", 10, 3, 8, rng=np.random.default_rng(0), scale=1.0)
     layout = make_group_layout(mlp, 30)
     assert len(layout.groups) == 2
-    assert layout.total_k == 30
+    assert sum(g.k_alloc for g in layout.groups) == 30
     assert layout.dim == mlp.p
     # contiguous tiling
     assert layout.groups[0].offset == 0
@@ -263,3 +265,43 @@ def test_one_forward_feeds_evaluate_and_the_backward_pass(kind):
         evaluate(other, data, fwd)
     with pytest.raises(ValueError, match="another model or dataset"):
         per_sample_factors(model, data.subset(np.arange(data.n)), fwd)
+
+
+def test_softmax_matches_the_row_wise_oracle():
+    rng = np.random.default_rng(10)
+    # two classes: the class-major reductions add and compare the same pairs
+    z = rng.standard_normal((2000, 2)) * 3.0
+    assert _softmax(z).tobytes() == softmax(z).tobytes()
+    assert _log_softmax(z).tobytes() == log_softmax(z).tobytes()
+    # ten classes: numpy's pairwise row sum and the class-major running sum
+    # add the same ten terms in another order
+    z = rng.standard_normal((2000, 10))
+    probs = softmax(z)
+    assert np.all(np.abs(_softmax(z) - probs) <= 4 * np.spacing(probs))
+    # every row's sum is at least 1 (its largest term is exp(0)), so the
+    # order moves the log-sum by ulps of 1 even where an entry is near 0
+    logs = log_softmax(z)
+    assert np.all(np.abs(_log_softmax(z) - logs) <= 4 * np.spacing(np.maximum(np.abs(logs), 1.0)))
+    assert _softmax(z).flags.c_contiguous
+    # far-off logits stay finite: both subtract each row's largest first
+    for offset in (-1e3, 1e3):
+        shifted = z + offset
+        assert np.all(np.isfinite(_softmax(shifted)))
+        assert np.all(np.isfinite(_log_softmax(shifted)))
+        np.testing.assert_allclose(_softmax(shifted).sum(axis=1), 1.0, rtol=1e-14)
+
+
+def test_forward_logits_match_the_oracle():
+    rng = np.random.default_rng(11)
+    data = Dataset(rng.standard_normal((2000, 200)), rng.integers(0, 2, size=2000))
+    model = init_model("logistic", 200, 2, rng=rng, scale=0.5)
+    expected = forward_logits(model, data)
+    # a contiguous weight copy changes only OpenBLAS's summation order
+    got = forward(model, data).logits
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+    # the other kinds multiply as before, bit for bit
+    linear = init_model("linear", 200, 1, rng=rng, scale=0.5)
+    assert forward(linear, data).logits.tobytes() == forward_logits(linear, data).tobytes()
+    small = Dataset(rng.standard_normal((300, 20)), rng.integers(0, 4, size=300))
+    mlp = init_model("mlp", 20, 4, hidden_dim=16, rng=rng, scale=1.0)
+    assert forward(mlp, small).logits.tobytes() == forward_logits(mlp, small).tobytes()
