@@ -18,7 +18,7 @@ __all__ = [
     "ingest_csv",
     "synth_dataset",
     "standardize_stats",
-    "train_eval_split",
+    "split_pool",
 ]
 
 # Cap on the expected number of rows the separable generator draws.
@@ -150,7 +150,7 @@ def ingest_csv(path: str, label_column: str) -> Dataset:
 
     All non-label columns are parsed as float features, unnormalized: a
     caller that standardizes takes :func:`standardize_stats` from its
-    training split alone.  Integer-valued label columns become
+    public pool alone.  Integer-valued label columns become
     classification labels.
 
     After the header, numpy's C reader parses the body straight from the
@@ -385,14 +385,21 @@ def _separable(params: dict, rng: np.random.Generator) -> Dataset:
     return Dataset(features, labels, name="separable")
 
 
-def train_eval_split(
-    data: Dataset, eval_fraction: float, rng: np.random.Generator
-) -> tuple[Dataset, Dataset]:
-    """Shuffle and split into train/eval parts."""
-    if not 0 < eval_fraction < 1:
-        raise ValueError("eval_fraction must lie in (0, 1)")
-    perm = rng.permutation(data.n)
-    n_eval = max(1, int(math.floor(data.n * eval_fraction)))
-    if n_eval >= data.n:
-        raise ValueError("eval split would consume the whole dataset")
-    return data.subset(perm[n_eval:]), data.subset(perm[:n_eval])
+def split_pool(
+    full: Dataset, n_pool: int, n_eval: int
+) -> tuple[Dataset, Dataset, Dataset]:
+    """The public pool, eval and private splits of ``full``, in row order.
+
+    Rows ``[0, n_pool)`` are the pool, the next ``n_eval`` the eval set and
+    the rest, which may not be empty, the private set.
+    """
+    if min(n_pool, n_eval) < 0 or full.n <= n_pool + n_eval:
+        raise ValueError(
+            f"{full.name}: cannot split {full.n} rows into {n_pool} pool, "
+            f"{n_eval} eval and at least one private row"
+        )
+    return (
+        full.subset(np.arange(n_pool)),
+        full.subset(np.arange(n_pool, n_pool + n_eval)),
+        full.subset(np.arange(n_pool + n_eval, full.n)),
+    )

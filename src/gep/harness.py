@@ -30,6 +30,7 @@ from .data import (
     Dataset,
     _apply_standardize,
     ingest_csv,
+    split_pool,
     standardize_stats,
     synth_dataset,
 )
@@ -43,6 +44,7 @@ from .models import (
     per_sample_factors,
 )
 from .release import GepConfig, build_anchor_basis, projection_error_rate
+from .tasks import _AUX, _DATA, _INIT, _SPLIT
 from .tasks import TaskBundle, logistic_mixture_task, lowrank_regression_task
 from .training import StepMetrics, TrainConfig, calibrate_noise_multiplier, dp_train
 
@@ -186,80 +188,67 @@ def expand_runs(cfg: RunConfig) -> list[RunSpec]:
     return runs
 
 
-# Substream purposes for dataset construction.
-_DATA = 0
-_SPLIT = 1
-_INIT = 2
-_AUX = 3
-
-
-def _synth_params(cfg: RunConfig, n: int) -> dict:
-    return {
-        "n": n,
-        "input_dim": cfg["data.input_dim"],
-        "classes": cfg["data.classes"],
-        "sep": cfg["data.sep"],
-        "noise": cfg["data.noise"],
-        "subspace_dim": cfg["data.subspace_dim"],
-        "rank": cfg["data.rank"],
-        "tail": cfg["data.tail"],
-        "margin": cfg["data.margin"],
-        "cluster_weight": cfg["data.cluster_weight"],
-        "dense_weight": cfg["data.dense_weight"],
-        "feature_scale": cfg["data.feature_scale"],
-        "label_mode": cfg["data.label_mode"],
-    }
+def _task_rows(cfg: RunConfig, stream: RandomStream, n_public: int) -> Dataset:
+    """Every row of the task in split order: the CSV's after a shuffle, or
+    a synthetic draw of ``n_public`` rows and then ``data.n`` private ones."""
+    if cfg["data.kind"] == "csv":
+        full = ingest_csv(str(cfg["data.path"]), str(cfg["data.label_column"]))
+        return full.subset(stream.generator(_SPLIT).permutation(full.n))
+    # every data.* key by its short name; a generator reads the ones it uses
+    params = {key[len("data."):]: value for key, value in cfg.as_dict().items()
+              if key.startswith("data.")}
+    params["n"] = int(cfg["data.n"]) + n_public
+    return synth_dataset(str(cfg["data.kind"]), params, stream.generator(_DATA))
 
 
 def build_task(cfg: RunConfig, m_aux: int) -> TaskBundle:
     """Materialize datasets and the initial model for a configuration.
 
     Data generation is keyed by ``data.seed`` only, so every training seed
-    sees the same datasets.  The auxiliary pool is disjoint from both the
-    private and evaluation splits.
+    sees the same datasets.  The rows, synthesized or the CSV's after a
+    shuffle, split as :func:`~gep.data.split_pool` does: ``m_aux`` rows
+    of public pool (none with ``aux.source = synthetic``), then the eval
+    set, then the private set, with the substreams of :mod:`gep.tasks`.
+    ``per-feature-standardize`` takes its statistics from the pool alone,
+    so it needs one.  A classification model has ``data.classes``
+    outputs, and a label outside ``[0, data.classes)`` is a ConfigError.
     """
     stream = RandomStream(int(cfg["data.seed"]))
     n = int(cfg["data.n"])
     n_eval = max(1, int(math.floor(n * float(cfg["data.eval_fraction"]))))
-    aux_source = str(cfg["aux.source"])
-    n_holdout = m_aux if aux_source.startswith("heldout") else 0
-
-    if cfg["data.kind"] == "csv":
-        full = ingest_csv(str(cfg["data.path"]), str(cfg["data.label_column"]))
-        if full.n < n_eval + n_holdout + 1:
-            raise ConfigError(
-                f"csv dataset has {full.n} rows; needs more than "
-                f"{n_eval + n_holdout} for the requested splits"
-            )
-        perm = stream.generator(_SPLIT).permutation(full.n)
-        full = full.subset(perm)
-        if str(cfg["data.normalize"]) == "per-feature-standardize":
-            stats = standardize_stats(full.features[n_eval + n_holdout :])
-            features = _apply_standardize(full.features, stats)
-            full = Dataset(features, full.labels, full.name)
-    else:
-        total = n + n_eval + n_holdout
-        full = synth_dataset(
-            str(cfg["data.kind"]), _synth_params(cfg, total), stream.generator(_DATA)
+    heldout = str(cfg["aux.source"]).startswith("heldout")
+    n_pool = m_aux if heldout else 0
+    standardize = cfg["data.normalize"] == "per-feature-standardize"
+    if standardize and not heldout:
+        raise ConfigError(
+            "data.normalize = per-feature-standardize needs a public pool "
+            "(aux.source = heldout-*) to take its statistics from"
         )
 
-    eval_set = full.subset(np.arange(n_eval))
-    if n_holdout:
-        aux = full.subset(np.arange(n_eval, n_eval + n_holdout))
-    else:
-        aux_rng = stream.generator(_AUX)
-        aux_features = aux_rng.standard_normal((m_aux, full.d))
-        aux_labels = np.zeros(m_aux, dtype=np.int64)
-        aux = Dataset(aux_features, aux_labels, name="synthetic-aux")
-    private = full.subset(np.arange(n_eval + n_holdout, full.n))
+    # the splits alone keep the rows, so the whole table is freed here
+    pool, eval_set, private = split_pool(
+        _task_rows(cfg, stream, n_pool + n_eval), n_pool, n_eval
+    )
+    if standardize:
+        stats = standardize_stats(pool.features)
+        pool, eval_set, private = (
+            Dataset(_apply_standardize(part.features, stats), part.labels, part.name)
+            for part in (pool, eval_set, private)
+        )
+    aux = pool if heldout else Dataset(
+        stream.generator(_AUX).standard_normal((m_aux, private.d)),
+        np.zeros(m_aux, dtype=np.int64),
+        name="synthetic-aux",
+    )
 
     kind = str(cfg["model.kind"])
+    labels = np.concatenate([pool.labels, eval_set.labels, private.labels])
     if kind == "linear":
         output_dim = 1
-    elif np.issubdtype(full.labels.dtype, np.integer):
-        output_dim = int(full.labels.max()) + 1
-        if cfg["data.kind"] != "csv":
-            output_dim = max(output_dim, int(cfg["data.classes"]))
+    elif np.issubdtype(labels.dtype, np.integer):
+        output_dim = int(cfg["data.classes"])
+        if labels.min() < 0 or labels.max() >= output_dim:
+            raise ConfigError(f"labels must lie in [0, data.classes = {output_dim})")
     else:
         raise ConfigError("classification model requires integer labels")
     model = init_model(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, synth_dataset, train_eval_split
+from .data import Dataset, split_pool, synth_dataset
 from .linalg import RandomStream
 from .models import ModelSpec, init_model
 
@@ -24,7 +24,8 @@ __all__ = [
     "toy_regression_task",
 ]
 
-# Substream purposes for task construction.
+# Substream purposes for task construction, here and in
+# ``harness.build_task``.
 _DATA = 0
 _AUX = 1
 _INIT = 2
@@ -68,9 +69,7 @@ def lowrank_regression_task(
     }
     # one pooled draw so every split shares the same feature subspace
     full = synth_dataset("lowrank-gradient-task", params, stream.generator(_DATA))
-    aux = full.subset(np.arange(m_aux))
-    holdout = full.subset(np.arange(m_aux, m_aux + n_eval))
-    private = full.subset(np.arange(m_aux + n_eval, full.n))
+    aux, holdout, private = split_pool(full, m_aux, n_eval)
     model = init_model("linear", input_dim, 1)
     return TaskBundle(model=model, private=private, eval=holdout, aux=aux)
 
@@ -96,9 +95,11 @@ def mlp_cluster_task(
         "subspace_dim": subspace_dim,
     }
     full = synth_dataset("gaussian-mixture", params, stream.generator(_DATA))
-    aux = full.subset(np.arange(m_aux))
-    rest = full.subset(np.arange(m_aux, full.n))
-    private, holdout = train_eval_split(rest, 0.2, stream.generator(_SPLIT))
+    # the rows after the pool are shuffled, then a fifth of them is eval
+    rest = full.n - m_aux
+    perm = stream.generator(_SPLIT).permutation(rest)
+    order = np.concatenate([np.arange(m_aux), m_aux + perm])
+    aux, holdout, private = split_pool(full.subset(order), m_aux, max(1, rest // 5))
     private = private.subset(np.arange(min(n, private.n)))
     model = init_model(
         "mlp", input_dim, classes, hidden_dim, rng=stream.generator(_INIT), scale=1.0
@@ -133,9 +134,7 @@ def logistic_mixture_task(
         "subspace_dim": subspace_dim,
     }
     full = synth_dataset("gaussian-mixture", params, stream.generator(_DATA))
-    aux = full.subset(np.arange(m_aux))
-    holdout = full.subset(np.arange(m_aux, m_aux + n_eval))
-    private = full.subset(np.arange(m_aux + n_eval, full.n))
+    aux, holdout, private = split_pool(full, m_aux, n_eval)
     model = init_model("logistic", input_dim, classes)
     return TaskBundle(model=model, private=private, eval=holdout, aux=aux)
 
@@ -170,9 +169,7 @@ def split_signal_task(
         "feature_scale": feature_scale,
     }
     full = synth_dataset("split-signal", params, stream.generator(_DATA))
-    aux = full.subset(np.arange(m_aux))
-    holdout = full.subset(np.arange(m_aux, m_aux + n_eval))
-    private = full.subset(np.arange(m_aux + n_eval, full.n))
+    aux, holdout, private = split_pool(full, m_aux, n_eval)
     model = init_model("logistic", input_dim, 2)
     return TaskBundle(model=model, private=private, eval=holdout, aux=aux)
 

@@ -13,9 +13,9 @@ from gep.data import (
     CsvParseError,
     Dataset,
     ingest_csv,
+    split_pool,
     standardize_stats,
     synth_dataset,
-    train_eval_split,
 )
 from gep.data import _apply_standardize
 from gep.models import init_model, per_sample_gradients
@@ -308,12 +308,24 @@ def test_ingest_csv_peak_memory(tmp_path):
     assert peak <= 3.5 * table_bytes, peak / table_bytes
 
 
-def test_train_eval_split_disjoint():
+def test_split_pool_disjoint_and_sized():
     rng = np.random.default_rng(5)
     data = Dataset(rng.standard_normal((40, 3)), np.arange(40))
-    train, holdout = train_eval_split(data, 0.25, rng)
-    assert train.n == 30 and holdout.n == 10
-    assert set(train.labels.tolist()).isdisjoint(holdout.labels.tolist())
+    pool, holdout, private = split_pool(data, 6, 10)
+    assert (pool.n, holdout.n, private.n) == (6, 10, 24)
+    # pool, then eval, then private, in row order
+    assert pool.labels.tolist() == list(range(6))
+    assert holdout.labels.tolist() == list(range(6, 16))
+    assert private.labels.tolist() == list(range(16, 40))
+    assert private.features.tobytes() == data.features[16:].tobytes()
+    # no pool at all leaves eval first
+    pool, holdout, private = split_pool(data, 0, 10)
+    assert (pool.n, holdout.n, private.n) == (0, 10, 30)
+    # the private split may not be empty
+    with pytest.raises(ValueError, match="cannot split 40 rows"):
+        split_pool(data, 30, 10)
+    with pytest.raises(ValueError, match="-1 pool"):
+        split_pool(data, -1, 10)
 
 
 def test_dataset_design_is_built_once_and_shared():

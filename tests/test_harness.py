@@ -19,6 +19,8 @@ from gep.harness import (
     read_metrics,
     write_metrics,
 )
+from gep.linalg import RandomStream
+from gep.tasks import _SPLIT
 from gep.training import StepMetrics
 
 BASE_CONFIG = """
@@ -194,6 +196,106 @@ def test_build_task_synthetic_aux():
     task = build_task(cfg, 12)
     assert task.aux.n == 12
     assert task.aux.name == "synthetic-aux"
+
+
+def _csv_config(path, **overrides):
+    return RunConfig({
+        "data.kind": "csv",
+        "data.path": str(path),
+        "data.n": 30,
+        "data.eval_fraction": 0.2,
+        "data.seed": 3,
+        "data.normalize": "per-feature-standardize",
+        "aux.m": 10,
+        **overrides,
+    })
+
+
+def _write_csv(path, features, labels):
+    rows = [",".join([*(repr(float(v)) for v in row), str(int(y))])
+            for row, y in zip(features, labels)]
+    path.write_text("a,b,c,label\n" + "\n".join(rows) + "\n")
+
+
+def _private_csv_rows(cfg, rows):
+    """The CSV rows that build_task puts in the private split."""
+    perm = RandomStream(int(cfg["data.seed"])).generator(_SPLIT).permutation(rows)
+    n_eval = int(cfg["data.n"] * cfg["data.eval_fraction"])
+    return perm[int(cfg["aux.m"]) + n_eval:]
+
+
+def test_standardization_reads_only_the_public_pool(tmp_path):
+    rng = np.random.default_rng(11)
+    features = rng.standard_normal((46, 3)) * [1.0, 5.0, 0.1] + [0.0, 3.0, -2.0]
+    labels = rng.integers(0, 2, size=46)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    _write_csv(first, features, labels)
+    cfg = _csv_config(first)
+    private_rows = _private_csv_rows(cfg, 46)
+    assert len(private_rows) == 30
+    moved = features.copy()
+    moved[private_rows] = 100.0 * rng.standard_normal((30, 3)) + 40.0
+    _write_csv(second, moved, labels)
+
+    a = build_task(cfg, 10)
+    b = build_task(_csv_config(second), 10)
+    assert (a.aux.n, a.eval.n, a.private.n) == (10, 6, 30)
+    assert a.aux.features.tobytes() == b.aux.features.tobytes()
+    assert a.eval.features.tobytes() == b.eval.features.tobytes()
+    assert a.model.theta.shape == b.model.theta.shape
+    assert a.model.output_dim == b.model.output_dim == 2
+    assert a.private.features.tobytes() != b.private.features.tobytes()
+    # the pool is what is standardized
+    np.testing.assert_allclose(a.aux.features.mean(axis=0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(a.aux.features.std(axis=0), 1.0, rtol=1e-12)
+
+
+def test_standardization_applies_to_synthetic_kinds():
+    cfg = RunConfig({
+        "data.kind": "gaussian-mixture",
+        "data.n": 40,
+        "data.input_dim": 4,
+        "data.normalize": "per-feature-standardize",
+        "aux.m": 12,
+    })
+    task = build_task(cfg, 12)
+    np.testing.assert_allclose(task.aux.features.mean(axis=0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(task.aux.features.std(axis=0), 1.0, rtol=1e-12)
+    raw = build_task(cfg.updated({"data.normalize": "none"}), 12)
+    assert task.private.labels.tobytes() == raw.private.labels.tobytes()
+    assert task.private.features.tobytes() != raw.private.features.tobytes()
+
+
+def test_standardization_without_a_public_pool_exits_2(tmp_path, capsys):
+    text = BASE_CONFIG + "aux.source = synthetic\ndata.normalize = per-feature-standardize\n"
+    cfg_path = write_config(tmp_path, text + f"out = {tmp_path / 'r'}\n")
+    assert main(["train", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "public pool" in err
+
+
+def test_class_count_comes_from_the_config(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    features = rng.standard_normal((46, 3))
+    labels = rng.integers(0, 2, size=46)
+    path = tmp_path / "three.csv"
+    cfg = _csv_config(path, **{"data.classes": 3})
+    _write_csv(path, features, labels)
+    # a class no row holds still gets an output
+    assert build_task(cfg, 10).model.output_dim == 3
+    labels[_private_csv_rows(cfg, 46)[0]] = 2
+    _write_csv(path, features, labels)
+    assert build_task(cfg, 10).model.output_dim == 3
+    with pytest.raises(ValueError, match=r"\[0, data.classes = 2\)"):
+        build_task(cfg.updated({"data.classes": 2}), 10)
+    text = (
+        f"data.kind = csv\ndata.path = {path}\ndata.n = 30\ndata.eval_fraction = 0.2\n"
+        f"data.seed = 3\naux.m = 10\ngep.k = 2\ntrain.steps = 1\nmethod = gp\n"
+        f"out = {tmp_path / 'r'}\n"
+    )
+    assert main(["train", "--config", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "data.classes" in err
 
 
 def test_train_command_writes_metrics_and_summary(tmp_path, capsys):
