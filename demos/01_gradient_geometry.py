@@ -6,8 +6,6 @@ over-parameterized MLP, shows exact subspace recovery when gradients are
 exactly low-rank, and sweeps the projection error as the basis grows.
 """
 
-import numpy as np
-
 from gep.linalg import RandomStream
 from gep.models import make_group_layout, per_sample_gradients
 from gep.release import (
@@ -18,6 +16,7 @@ from gep.release import (
     stable_rank,
 )
 from gep.tasks import lowrank_regression_task, mlp_cluster_task
+from gep.training import random_labels
 
 print("=" * 70)
 print("1. Stable rank of a gradient matrix (MLP on clustered data)")
@@ -71,9 +70,7 @@ print("4. The residual is irreducible: its stable rank is much higher")
 print("=" * 70)
 grads = per_sample_gradients(task.model, task.private)
 stream = RandomStream(0)
-relabeled = task.aux.with_labels(
-    stream.generator(1).integers(0, task.model.output_dim, size=task.aux.n)
-)
+relabeled = task.aux.with_labels(random_labels(task.model, task.aux.n, stream.generator(1)))
 anchor_grads = per_sample_gradients(task.model, relabeled)
 layout = make_group_layout(task.model, 40)
 basis = build_anchor_basis(

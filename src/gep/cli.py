@@ -8,7 +8,12 @@ Subcommands:
 * ``project-error`` -- projection-error sweep tables
 * ``report``        -- summarize previously written metrics files
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration error.
+Each subcommand calls one function of :mod:`gep.harness` with the options
+given; an option left out takes that function's default.  Exit codes: 0
+success, 1 runtime failure, 2 configuration error.  The commands raise on
+errors, and :func:`main` alone maps each exception to its message and
+code; a command's own return value is its code otherwise (``bench``
+returns 1 for a ratio outside its band).
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ import argparse
 import sys
 
 from . import harness
+from .accounting import CalibrationError
+from .config import ConfigError
+from .training import DivergenceError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,67 +34,67 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="run experiments from a config file")
-    p_train.add_argument("--config", required=True, help="path to a run config")
-    p_train.add_argument("--seed", type=int, default=None, help="override the seed list")
-    p_train.add_argument("--out", default=None, help="override the output directory")
-    p_train.add_argument("--method", default=None, help="override the method list")
+    def command(name: str, function: str, help: str) -> argparse.ArgumentParser:
+        # SUPPRESS: an option not given is no keyword argument at all
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(function=function)
+        return p
 
-    p_acct = sub.add_parser("accountant", help="calibrate a noise multiplier")
-    p_acct.add_argument("--eps", type=float, required=True)
-    p_acct.add_argument("--delta", type=float, required=True)
-    p_acct.add_argument("--steps", type=int, required=True)
-    p_acct.add_argument("--q", type=float, default=1.0, help="sampling rate (search mode)")
-    p_acct.add_argument("--mode", choices=("closed", "search"), default="closed")
-
-    p_bench = sub.add_parser("bench", help="power-iteration cost model check")
-    p_bench.add_argument("--m", type=int, default=100)
-    p_bench.add_argument("--k", type=int, default=20)
-    p_bench.add_argument("--p", type=int, default=1000)
-    p_bench.add_argument(
-        "--groups", type=int, nargs="+", default=[1, 2, 5], help="group counts to test"
+    p = command("train", "train_command", "run experiments from a config file")
+    p.add_argument(
+        "--config", dest="config_path", metavar="CONFIG", required=True,
+        help="path to a run config",
     )
+    p.add_argument("--seed", type=int, help="override the seed list")
+    p.add_argument("--out", help="override the output directory")
+    p.add_argument("--method", help="override the method list")
 
-    p_proj = sub.add_parser("project-error", help="projection-error sweep tables")
-    p_proj.add_argument("--seed", type=int, default=0)
-    p_proj.add_argument("--k", type=int, nargs="+", default=[2, 5, 10, 20, 40])
-    p_proj.add_argument("--n", type=int, default=400)
-    p_proj.add_argument("--input-dim", type=int, default=199)
-    p_proj.add_argument("--m", type=int, default=100)
-    p_proj.add_argument("--task", choices=("mixture", "lowrank"), default="mixture")
+    p = command("accountant", "accountant_command", "calibrate a noise multiplier")
+    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--q", type=float, help="sampling rate (search mode)")
+    p.add_argument("--mode", choices=harness.ACCOUNTANT_MODES)
 
-    p_report = sub.add_parser("report", help="summarize metrics files")
-    p_report.add_argument("--out", required=True, help="directory holding metrics files")
+    p = command("bench", "bench_command", "power-iteration cost model check")
+    p.add_argument("--m", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--p", type=int)
+    p.add_argument("--groups", type=int, nargs="+", help="group counts to test")
+
+    p = command("project-error", "project_error_command", "projection-error sweep tables")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--k", dest="ks", metavar="K", type=int, nargs="+")
+    p.add_argument("--n", type=int)
+    p.add_argument("--input-dim", type=int)
+    p.add_argument("--m", dest="m_aux", metavar="M", type=int)
+    p.add_argument("--task", dest="task_kind", choices=harness.PROJECT_ERROR_TASKS)
+
+    p = command("report", "report_command", "summarize metrics files")
+    p.add_argument("--out", required=True, help="directory holding metrics files")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "train":
-        return harness.train_command(
-            args.config, seed=args.seed, out=args.out, method=args.method
-        )
-    if args.command == "accountant":
-        return harness.accountant_command(
-            args.eps, args.delta, args.steps, q=args.q, mode=args.mode
-        )
-    if args.command == "bench":
-        return harness.bench_command(
-            m=args.m, k=args.k, p=args.p, groups=tuple(args.groups)
-        )
-    if args.command == "project-error":
-        return harness.project_error_command(
-            seed=args.seed,
-            ks=tuple(args.k),
-            n=args.n,
-            input_dim=args.input_dim,
-            m_aux=args.m,
-            task_kind=args.task,
-        )
-    if args.command == "report":
-        return harness.report_command(args.out)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    args = vars(_build_parser().parse_args(argv))
+    del args["command"]
+    # looked up now, so a wrapper set on gep.harness is the one called
+    function = getattr(harness, args.pop("function"))
+    try:
+        return function(**args)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except CalibrationError as err:
+        print(f"calibration failure: {err}", file=sys.stderr)
+        return 1
+    except DivergenceError as err:
+        print(f"training diverged: {err}", file=sys.stderr)
+        return 1
+    except harness.MetricsError as err:
+        print(err, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

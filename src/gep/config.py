@@ -13,7 +13,10 @@ import os
 from dataclasses import dataclass
 from typing import Mapping
 
+from .data import SYNTH_KINDS
+from .models import MODEL_KINDS
 from .release import METHODS
+from .training import BATCH_RULES
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "emit_config", "load_config", "SCHEMA"]
 
@@ -51,7 +54,6 @@ SCHEMA: dict[str, _Spec] = {
     "data.cluster_weight": _Spec("float", 2.0),
     "data.dense_weight": _Spec("float", 2.0),
     "data.feature_scale": _Spec("float", 1.0),
-    "data.label_mode": _Spec("str", "planted"),
     "data.seed": _Spec("int", 1234),
     "data.eval_fraction": _Spec("float", 0.25),
     "aux.source": _Spec("str", "heldout-random"),
@@ -77,11 +79,11 @@ SCHEMA: dict[str, _Spec] = {
 }
 
 _VALID_CHOICES = {
-    "model.kind": ("linear", "logistic", "mlp"),
-    "data.kind": ("csv", "gaussian-mixture", "separable", "lowrank-gradient-task", "split-signal"),
+    "model.kind": MODEL_KINDS,
+    "data.kind": ("csv",) + SYNTH_KINDS,
     "data.normalize": ("none", "per-feature-standardize"),
     "aux.source": ("heldout-random", "heldout-correct", "synthetic"),
-    "train.batch": ("full", "poisson"),
+    "train.batch": BATCH_RULES,
 }
 
 

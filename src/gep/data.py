@@ -25,9 +25,9 @@ __all__ = [
 SEPARABLE_MAX_DRAWS = 10**7
 
 SYNTH_KINDS = (
-    "lowrank-gradient-task",
     "gaussian-mixture",
     "separable",
+    "lowrank-gradient-task",
     "split-signal",
 )
 
@@ -245,10 +245,10 @@ def synth_dataset(kind: str, params: dict, rng: np.random.Generator) -> Dataset:
     Kinds:
 
     * ``lowrank-gradient-task``: regression features spanning a
-      ``rank - 1`` dimensional subspace with continuous nonzero labels, so
-      the per-sample gradients of a zero-initialized linear model occupy an
-      exact ``rank``-dimensional subspace (features plus the bias
-      direction).  ``tail > 0`` adds isotropic feature noise, turning the
+      ``rank - 1`` dimensional subspace, with labels linear in the latent
+      coordinates plus small noise, so the per-sample gradients of a
+      zero-initialized linear model occupy an exact ``rank``-dimensional
+      subspace (features plus the bias direction).  ``tail > 0`` adds isotropic feature noise, turning the
       gradients approximately low-rank instead.
     * ``gaussian-mixture``: ``classes`` spherical clusters for
       classification; ``subspace_dim > 0`` places the centers in a random
@@ -281,7 +281,6 @@ def _lowrank_gradient_task(params: dict, rng: np.random.Generator) -> Dataset:
     d = int(params.get("input_dim", 99))
     rank = int(params.get("rank", 5))
     tail = float(params.get("tail", 0.0))
-    label_mode = str(params.get("label_mode", "planted"))
     if rank < 2 or rank - 1 > d:
         raise ValueError(f"rank must lie in [2, input_dim + 1], got {rank}")
     if n < 1:
@@ -293,17 +292,10 @@ def _lowrank_gradient_task(params: dict, rng: np.random.Generator) -> Dataset:
     features = latent @ directions
     if tail > 0:
         features = features + tail * rng.standard_normal((n, d))
-    if label_mode == "planted":
-        # labels carry a linear signal, so the mean gradient at the zero
-        # model is systematic rather than an average of random signs
-        weights = rng.standard_normal(rank - 1)
-        labels = latent @ weights + 0.1 * rng.standard_normal(n)
-    elif label_mode == "random":
-        # continuous labels bounded away from zero keep every gradient active
-        raw = rng.standard_normal(n)
-        labels = np.sign(raw) * (0.5 + np.abs(raw))
-    else:
-        raise ValueError(f"unknown label mode {label_mode!r}")
+    # labels carry a linear signal, so the mean gradient at the zero model
+    # is systematic rather than an average of random signs
+    weights = rng.standard_normal(rank - 1)
+    labels = latent @ weights + 0.1 * rng.standard_normal(n)
     return Dataset(features, labels, name="lowrank-gradient-task")
 
 

@@ -6,6 +6,9 @@ training step with the :class:`StepMetrics` fields in declaration order,
 so identical runs emit byte-identical files.  ``train`` and ``report``
 build the summary with the same function, from every metrics file in the
 directory.
+
+The commands raise on bad input and failed runs; ``gep.cli.main`` turns
+each exception into its message and exit code.
 """
 
 from __future__ import annotations
@@ -13,13 +16,11 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .accounting import (
-    CalibrationError,
     DpBudget,
     calibrate_sigma_closed_form,
     calibrate_sigma_search,
@@ -35,21 +36,21 @@ from .data import (
     synth_dataset,
 )
 from .linalg import RandomStream, count_flops
-from .models import (
-    GroupLayout,
-    ParamGroup,
-    allocate_basis_counts,
-    init_model,
-    make_group_layout,
-    per_sample_factors,
-)
-from .release import GepConfig, build_anchor_basis, projection_error_rate
+from .models import group_layout, init_model, make_group_layout, per_sample_factors
+from .release import BASIS_MODES, GepConfig, build_anchor_basis, projection_error_rate
 from .tasks import _AUX, _DATA, _INIT, _SPLIT
 from .tasks import TaskBundle, logistic_mixture_task, lowrank_regression_task
-from .training import StepMetrics, TrainConfig, calibrate_noise_multiplier, dp_train
+from .training import (
+    StepMetrics,
+    TrainConfig,
+    calibrate_noise_multiplier,
+    dp_train,
+    random_labels,
+)
 
 __all__ = [
     "METRICS_SCHEMA",
+    "MetricsError",
     "RunSpec",
     "write_metrics",
     "read_metrics",
@@ -63,6 +64,13 @@ __all__ = [
 ]
 
 METRICS_SCHEMA = {"schema": "gep-metrics", "version": 2}
+
+ACCOUNTANT_MODES = ("closed", "search")
+PROJECT_ERROR_TASKS = ("mixture", "lowrank")
+
+
+class MetricsError(ValueError):
+    """A metrics file, or a directory of them, that cannot be summarized."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,7 @@ def write_metrics(path: str, run: RunSpec, steps: list[StepMetrics]) -> None:
 def read_metrics(path: str) -> tuple[RunSpec, list[dict]]:
     """The run a metrics file's header names, and its step records.
 
-    Raises ValueError, naming ``path``, for a file that is not valid JSON
+    Raises MetricsError, naming ``path``, for a file that is not valid JSON
     lines, has another schema or version, or whose header or rows do not
     hold a :class:`RunSpec` and :class:`StepMetrics` field for field.
     """
@@ -101,12 +109,12 @@ def read_metrics(path: str) -> tuple[RunSpec, list[dict]]:
         with open(path, encoding="utf-8") as handle:
             records = [json.loads(line) for line in handle if line.strip()]
     except ValueError as err:  # not UTF-8, or a line that is not JSON
-        raise ValueError(f"{path}: not JSON lines ({err})") from None
+        raise MetricsError(f"{path}: not JSON lines ({err})") from None
     header = records[0] if records else {}
     if not isinstance(header, dict) or any(
         header.get(key) != value for key, value in METRICS_SCHEMA.items()
     ):
-        raise ValueError(
+        raise MetricsError(
             f"{path}: not a {METRICS_SCHEMA['schema']} "
             f"version {METRICS_SCHEMA['version']} file"
         )
@@ -117,11 +125,11 @@ def read_metrics(path: str) -> tuple[RunSpec, list[dict]]:
         and list(run) == [f.name for f in fields(RunSpec)]
         and all(type(run[f.name]).__name__ == f.type for f in fields(RunSpec))
     ):
-        raise ValueError(f"{path}: header names no run: {run!r}")
+        raise MetricsError(f"{path}: header names no run: {run!r}")
     names = [f.name for f in fields(StepMetrics)]
     rows = records[1:]
     if not all(isinstance(row, dict) and list(row) == names for row in rows):
-        raise ValueError(f"{path}: a row does not hold the StepMetrics fields")
+        raise MetricsError(f"{path}: a row does not hold the StepMetrics fields")
     return RunSpec(**run), rows
 
 
@@ -130,7 +138,7 @@ def _results(out_dir: str) -> list[dict]:
 
     Each entry is the file's run, its last step's accuracy, loss and spent
     epsilon (NaN, NaN and 0 for a run of no steps) and the file's path.
-    Raises ValueError for a file :func:`read_metrics` refuses.
+    Raises MetricsError for a file :func:`read_metrics` refuses.
     """
     paths = sorted(
         os.path.join(out_dir, name)
@@ -348,57 +356,42 @@ def train_command(
 ) -> int:
     """Run every sweep point of a configuration and write metrics + summary.
 
-    The summary covers every metrics file in the output directory, as
+    Every run's task and training config are built before the output
+    directory is made, so a configuration error writes nothing.  The
+    summary covers every metrics file in the output directory, as
     :func:`report_command`'s does, including runs of earlier commands.
     """
-    try:
-        cfg = load_config(config_path)
-        overrides: dict[str, object] = {}
-        if seed is not None:
-            overrides["seeds"] = (int(seed),)
-        if out is not None:
-            overrides["out"] = out
-        if method is not None:
-            overrides["method"] = (method,)
-        if overrides:
-            cfg = cfg.updated(overrides)
-        runs = expand_runs(cfg)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    cfg = load_config(config_path)
+    overrides: dict[str, object] = {}
+    if seed is not None:
+        overrides["seeds"] = (int(seed),)
+    if out is not None:
+        overrides["out"] = out
+    if method is not None:
+        overrides["method"] = (method,)
+    if overrides:
+        cfg = cfg.updated(overrides)
+    # the data config is fixed for the whole sweep: one task per aux.m
+    tasks: dict[int, TaskBundle] = {}
+    plans = []
+    try:  # a value out of range, for the data or for a run
+        for run in expand_runs(cfg):
+            if run.m not in tasks:
+                tasks[run.m] = build_task(cfg.updated({"aux.m": run.m}), run.m)
+            plans.append((run, tasks[run.m], _train_config(cfg, run, tasks[run.m])))
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
     out_dir = str(cfg["out"])
     os.makedirs(out_dir, exist_ok=True)
-    # the data config is fixed for the whole sweep: one task per aux.m,
-    # and one noise multiplier per (epsilon, delta, q, steps)
-    tasks: dict[int, TaskBundle] = {}
-    sigmas: dict[tuple, float] = {}
-    try:
-        for run in runs:
-            try:  # a value out of range, for the data or for the run
-                if run.m not in tasks:
-                    tasks[run.m] = build_task(cfg.updated({"aux.m": run.m}), run.m)
-                task = tasks[run.m]
-                train_cfg = _train_config(cfg, run, task)
-            except ValueError as err:
-                raise ConfigError(str(err)) from None
-            train_cfg = _with_sigma(train_cfg, sigmas)
-            model, steps = dp_train(train_cfg, task.private, task.eval)
-            path = os.path.join(out_dir, f"{run.run_id}.metrics.jsonl")
-            write_metrics(path, run, steps)
-            print(f"run {run.run_id}: wrote {len(steps)} steps to {path}")
-    except CalibrationError as err:
-        print(f"calibration failure: {err}", file=sys.stderr)
-        return 1
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    sigmas: dict[tuple, float] = {}  # one per (epsilon, delta, q, steps)
+    for run, task, train_cfg in plans:
+        model, steps = dp_train(_with_sigma(train_cfg, sigmas), task.private, task.eval)
+        path = os.path.join(out_dir, f"{run.run_id}.metrics.jsonl")
+        write_metrics(path, run, steps)
+        print(f"run {run.run_id}: wrote {len(steps)} steps to {path}")
 
-    try:
-        results = _results(out_dir)
-    except ValueError as err:
-        print(err, file=sys.stderr)
-        return 1
+    results = _results(out_dir)
     summary = _summary_table(results)
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w", encoding="utf-8") as handle:
@@ -414,21 +407,20 @@ def accountant_command(
     eps: float, delta: float, steps: int, q: float = 1.0, mode: str = "closed"
 ) -> int:
     """Print a calibrated noise multiplier and its certificate."""
-    try:
+    if mode not in ACCOUNTANT_MODES:
+        raise ConfigError(f"unknown mode {mode!r}")
+    try:  # the budget, then the calibration's own range checks
         budget = DpBudget(eps, delta)
+        if mode == "closed":
+            if q != 1.0:
+                raise ConfigError("closed mode assumes full batches (q = 1)")
+            sigma = calibrate_sigma_closed_form(budget, steps)
+        else:
+            sigma = calibrate_sigma_search(budget, q, steps)
     except ValueError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+        raise ConfigError(str(err)) from None
 
     if mode == "closed":
-        if q != 1.0:
-            print("config error: closed mode assumes full batches (q = 1)", file=sys.stderr)
-            return 2
-        try:
-            sigma = calibrate_sigma_closed_form(budget, steps)
-        except ValueError as err:
-            print(f"{err}", file=sys.stderr)
-            return 2
         # The closed form covers two releases per step; verify by composing.
         spent, order = epsilon_for_sigma(sigma, budget, 1.0, 2 * steps)
         print(f"closed-form sigma = {sigma:.6f} (per-release multiplier)")
@@ -436,39 +428,21 @@ def accountant_command(
             f"verification: composing {2 * steps} releases at sigma={sigma:.6f} "
             f"spends epsilon = {spent:.6f} <= {eps:g} at order {order:.4f}"
         )
-        return 0
-
-    if mode != "search":
-        print(f"config error: unknown mode {mode!r}", file=sys.stderr)
-        return 2
-    try:
-        sigma = calibrate_sigma_search(budget, q, steps)
-    except CalibrationError as err:
-        print(f"calibration failure: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    spent, order = epsilon_for_sigma(sigma, budget, q, steps)
-    print(f"searched sigma = {sigma:.6f} (per-step multiplier, q={q:g})")
-    print(
-        f"verification: {steps} subsampled releases at sigma={sigma:.6f} "
-        f"spend epsilon = {spent:.6f} <= {eps:g} at order {order:.4f}"
-    )
+    else:
+        spent, order = epsilon_for_sigma(sigma, budget, q, steps)
+        print(f"searched sigma = {sigma:.6f} (per-step multiplier, q={q:g})")
+        print(
+            f"verification: {steps} subsampled releases at sigma={sigma:.6f} "
+            f"spend epsilon = {spent:.6f} <= {eps:g} at order {order:.4f}"
+        )
     return 0
 
 
 def _bench_case(m: int, k: int, p: int, groups: int, rng: np.random.Generator) -> dict:
     lengths = [p // groups] * groups
     lengths[-1] += p - sum(lengths)
-    counts = allocate_basis_counts(lengths, k)
+    layout = group_layout([(f"g{i}", length) for i, length in enumerate(lengths)], k)
     anchor = rng.standard_normal((m, p))
-    offset = 0
-    group_list = []
-    for i, (length, k_g) in enumerate(zip(lengths, counts)):
-        group_list.append(ParamGroup(f"g{i}", offset, length, k_g))
-        offset += length
-    layout = GroupLayout(tuple(group_list))
     cfg = GepConfig(k=k, m=m, t=1, s1=1.0, s2=1.0)
     with count_flops() as counter:
         build_anchor_basis(anchor, layout, cfg, rng)
@@ -519,13 +493,15 @@ def project_error_command(
     task; ``"lowrank"`` uses the exactly low-rank regression task, where a
     power basis of sufficient size drives the error to numerical zero.
     """
+    if task_kind not in PROJECT_ERROR_TASKS:
+        raise ConfigError(f"unknown task {task_kind!r}")
     stream = RandomStream(seed)
     if task_kind == "lowrank":
         bundle = lowrank_regression_task(
             seed, n=n, input_dim=input_dim, rank=5, tail=0.0, m_aux=2 * m_aux
         )
         model = bundle.model
-    elif task_kind == "mixture":
+    else:
         bundle = logistic_mixture_task(
             seed, n=n, input_dim=input_dim, m_aux=2 * m_aux, subspace_dim=8
         )
@@ -536,20 +512,12 @@ def project_error_command(
             rng=stream.generator(9),
             scale=0.1,
         )
-    else:
-        print(f"config error: unknown task {task_kind!r}", file=sys.stderr)
-        return 2
     grads = per_sample_factors(model, bundle.private)
 
     rng_labels = stream.generator(10)
     aux_pool = bundle.aux  # 2 * m_aux rows; the base table uses the first m_aux
-    if model.kind == "linear":
-        random_labels: np.ndarray = rng_labels.standard_normal(aux_pool.n)
-        synthetic_labels: np.ndarray = rng_labels.standard_normal(m_aux)
-    else:
-        random_labels = rng_labels.integers(0, model.output_dim, size=aux_pool.n)
-        synthetic_labels = rng_labels.integers(0, model.output_dim, size=m_aux)
-    relabeled_pool = aux_pool.with_labels(random_labels)
+    relabeled_pool = aux_pool.with_labels(random_labels(model, aux_pool.n, rng_labels))
+    synthetic_labels = random_labels(model, m_aux, rng_labels)
     base = np.arange(m_aux)
     sources = {
         "heldout-random": relabeled_pool.subset(base),
@@ -563,7 +531,7 @@ def project_error_command(
 
     print(f"projection error rate ({task_kind}: n={n}, p={model.p}, m={m_aux})")
     print("basis   source            " + "".join(f"k={k}".ljust(12) for k in ks))
-    for basis_mode in ("power", "random"):
+    for basis_mode in BASIS_MODES:
         for source_name, aux in sources.items():
             anchor_grads = per_sample_factors(model, aux)
             row = [basis_mode.ljust(8) + source_name.ljust(18)]
@@ -600,19 +568,12 @@ def _rate_cell(rate: float) -> str:
     return "<1e-12" if rate < 1e-12 else f"{rate:.4g}"
 
 
-def report_command(out_dir: str) -> int:
+def report_command(out: str) -> int:
     """Summarize every metrics file in a directory."""
-    if not os.path.isdir(out_dir):
-        print(f"no such directory: {out_dir}", file=sys.stderr)
-        return 1
-    try:
-        results = _results(out_dir)
-    except ValueError as err:
-        print(err, file=sys.stderr)
-        return 1
+    if not os.path.isdir(out):
+        raise MetricsError(f"no such directory: {out}")
+    results = _results(out)
     if not results:
-        print(f"no metrics files found in {out_dir}", file=sys.stderr)
-        return 1
+        raise MetricsError(f"no metrics files found in {out}")
     print(_summary_table(results))
     return 0
-

@@ -43,6 +43,7 @@ __all__ = [
     "per_sample_gradients",
     "evaluate",
     "allocate_basis_counts",
+    "group_layout",
     "make_group_layout",
 ]
 
@@ -390,14 +391,17 @@ def allocate_basis_counts(lengths: list[int], k: int) -> list[int]:
     return [int(a) for a in alloc]
 
 
-def _natural_blocks(model: ModelSpec) -> list[tuple[str, int, int]]:
-    d, h, c = model.input_dim, model.hidden_dim, model.output_dim
-    if model.kind == "linear":
-        return [("coef", 0, d + 1)]
-    if model.kind == "logistic":
-        return [("coef", 0, c * (d + 1))]
-    first = h * d + h
-    return [("layer1", 0, first), ("layer2", first, c * h + c)]
+def group_layout(blocks: list[tuple[str, int]], k: int) -> GroupLayout:
+    """Consecutive groups of the given ``(name, length)``, in order.
+
+    The quota ``k`` is split across them by :func:`allocate_basis_counts`.
+    """
+    counts = allocate_basis_counts([length for _, length in blocks], k)
+    groups, offset = [], 0
+    for (name, length), k_g in zip(blocks, counts):
+        groups.append(ParamGroup(name, offset, length, k_g))
+        offset += length
+    return GroupLayout(tuple(groups))
 
 
 def make_group_layout(model: ModelSpec, k: int) -> GroupLayout:
@@ -406,10 +410,9 @@ def make_group_layout(model: ModelSpec, k: int) -> GroupLayout:
     Weight matrices and their bias vectors share a group; the quota ``k``
     is split across groups by the square-root rule.
     """
-    blocks = _natural_blocks(model)
-    counts = allocate_basis_counts([length for _, _, length in blocks], k)
-    groups = tuple(
-        ParamGroup(name, offset, length, k_g)
-        for (name, offset, length), k_g in zip(blocks, counts)
-    )
-    return GroupLayout(groups)
+    d, h, c = model.input_dim, model.hidden_dim, model.output_dim
+    if model.kind == "linear":
+        return group_layout([("coef", d + 1)], k)
+    if model.kind == "logistic":
+        return group_layout([("coef", c * (d + 1))], k)
+    return group_layout([("layer1", h * d + h), ("layer2", c * h + c)], k)

@@ -114,7 +114,7 @@ from .linalg import (
     orthonormalize_rows,
     power_iteration_basis,
 )
-from .models import GroupLayout, ParamGroup
+from .models import GroupLayout, group_layout
 
 __all__ = [
     "METHODS",
@@ -129,8 +129,6 @@ __all__ = [
     "stable_rank",
     "noise_multipliers",
 ]
-
-BASIS_MODES = ("power", "random")
 
 # Rows with ||r||^2 < RESIDUAL_GUARD * ||g||^2 get explicit residuals; see
 # the module docstring.
@@ -167,6 +165,9 @@ METHODS: dict[str, Method] = {
     "gp": Method(None, residual=True),
     "random-basis-gep": Method("random", residual=True),
 }
+
+# The bases the methods build, in table order: ("power", "random").
+BASIS_MODES = tuple(dict.fromkeys(m.basis for m in METHODS.values() if m.basis))
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,7 @@ class AnchorBasis:
 
 def single_group_layout(p: int, k: int, name: str = "all") -> GroupLayout:
     """Layout treating the whole parameter vector as one group."""
-    return GroupLayout((ParamGroup(name, 0, p, k),))
+    return group_layout([(name, p)], k)
 
 
 def build_anchor_basis(

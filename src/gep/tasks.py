@@ -49,7 +49,6 @@ def lowrank_regression_task(
     rank: int = 5,
     tail: float = 0.0,
     m_aux: int = 10,
-    label_mode: str = "planted",
 ) -> TaskBundle:
     """Linear regression whose gradients at the zero model span ``rank`` dims.
 
@@ -65,7 +64,6 @@ def lowrank_regression_task(
         "input_dim": input_dim,
         "rank": rank,
         "tail": tail,
-        "label_mode": label_mode,
     }
     # one pooled draw so every split shares the same feature subspace
     full = synth_dataset("lowrank-gradient-task", params, stream.generator(_DATA))

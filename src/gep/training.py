@@ -44,6 +44,7 @@ __all__ = [
     "gd_train",
     "optimizer_step",
     "calibrate_noise_multiplier",
+    "random_labels",
 ]
 
 # Substream purposes; one substream per (step, purpose) pair.
@@ -51,6 +52,8 @@ PURPOSE_BATCH = 0
 PURPOSE_ANCHOR_LABELS = 1
 PURPOSE_BASIS = 2
 PURPOSE_NOISE = 3
+
+BATCH_RULES = ("full", "poisson")
 
 
 class DivergenceError(RuntimeError):
@@ -84,7 +87,7 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.batch not in ("full", "poisson"):
+        if self.batch not in BATCH_RULES:
             raise ValueError(f"unknown batch rule {self.batch!r}")
         if self.batch == "poisson" and not 0 < self.q <= 1:
             raise ValueError(f"poisson sampling rate must lie in (0, 1], got {self.q}")
@@ -149,13 +152,15 @@ def optimizer_step(
     """
     grad = update + weight_decay * theta
     velocity = momentum * velocity + grad
-    theta = theta - lr * velocity
-    if not np.all(np.isfinite(theta)):
-        raise DivergenceError(
-            "non-finite parameters after update: "
-            f"|update|={float(np.linalg.norm(update)):.3g}, "
-            f"|velocity|={float(np.linalg.norm(velocity)):.3g}, lr={lr}"
-        )
+    # an overflow is reported once, by the check, rather than as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = theta - lr * velocity
+        if not np.all(np.isfinite(theta)):
+            raise DivergenceError(
+                "non-finite parameters after update: "
+                f"|update|={float(np.linalg.norm(update)):.3g}, "
+                f"|velocity|={float(np.linalg.norm(velocity)):.3g}, lr={lr}"
+            )
     return theta, velocity
 
 
@@ -169,16 +174,22 @@ def calibrate_noise_multiplier(cfg: TrainConfig) -> float:
     return calibrate_sigma_search(cfg.budget, cfg.sampling_rate, max(cfg.steps, 1))
 
 
+def random_labels(model: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` labels that carry no signal, for relabeling anchor data.
+
+    Standard-normal targets for a linear model, uniform classes otherwise.
+    """
+    if model.kind == "linear":
+        return rng.standard_normal(n)
+    return rng.integers(0, model.output_dim, size=n)
+
+
 def _anchor_batch(
     cfg: TrainConfig, anchors: Dataset, stream: RandomStream, step: int
 ) -> Dataset:
     if cfg.aux_label_mode == "random-each-step":
         rng = stream.generator(step, PURPOSE_ANCHOR_LABELS)
-        if cfg.model.kind == "linear":
-            labels: np.ndarray = rng.standard_normal(anchors.n)
-        else:
-            labels = rng.integers(0, cfg.model.output_dim, size=anchors.n)
-        return anchors.with_labels(labels)
+        return anchors.with_labels(random_labels(cfg.model, anchors.n, rng))
     return anchors
 
 

@@ -1,5 +1,7 @@
 """Harness and CLI tests: metrics files, commands, exit codes, determinism."""
 
+import argparse
+import inspect
 import json
 import math
 import re
@@ -7,16 +9,20 @@ import re
 import numpy as np
 import pytest
 
-from gep.cli import main
-from gep.config import RunConfig
+from gep import harness
+from gep.cli import _build_parser, main
+from gep.config import ConfigError, RunConfig
 from gep.harness import (
     METRICS_SCHEMA,
+    MetricsError,
     RunSpec,
     _summary_table,
     accountant_command,
     build_task,
     expand_runs,
+    project_error_command,
     read_metrics,
+    report_command,
     write_metrics,
 )
 from gep.linalg import RandomStream
@@ -654,3 +660,83 @@ def test_bad_synthetic_data_parameters_are_config_errors(tmp_path, capsys, lines
     assert main(["train", "--config", cfg_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and word in err
+
+
+@pytest.mark.parametrize(
+    "lines, word",
+    [(("data.kind = split-signal",), "subspace_dim"),
+     (("aux.source = synthetic", "data.normalize = per-feature-standardize"), "public pool"),
+     (("sweep.k = 2, 0",), "k must be")],
+    ids=["split-signal-without-subspace", "standardize-without-pool", "later-run"],
+)
+def test_a_config_error_writes_no_output_directory(tmp_path, capsys, lines, word):
+    # build_task alone sees the first two; the third is the grid's second run
+    text = BASE_CONFIG
+    for line in lines:
+        key = line.split(" = ")[0]
+        text = re.sub(rf"(?m)^{re.escape(key)} = .*$\n?", "", text) + line + "\n"
+    out = tmp_path / "runs"
+    assert main(["train", "--config", write_config(tmp_path, text + f"out = {out}\n")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and word in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_diverging_run_exits_1_and_keeps_earlier_runs(tmp_path, capsys):
+    out = tmp_path / "runs"
+    cfg_path = write_config(tmp_path, BASE_CONFIG + f"out = {out}\n")
+    assert main(["train", "--config", cfg_path, "--method", "gep"]) == 0
+    summary = (out / "summary.json").read_text()
+    diverging = write_config(
+        tmp_path,
+        BASE_CONFIG.replace("train.lr = 0.2", "train.lr = 1e300")
+        + f"privacy.sigma_override = 0\nout = {out}\n",
+        name="diverging.cfg",
+    )
+    capsys.readouterr()
+    assert main(["train", "--config", diverging, "--method", "gp"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("training diverged: non-finite parameters") and err.count("\n") == 1
+    assert [path.name for path in out.glob("*.metrics.jsonl")] == [
+        "gep-eps8-k2-m10-seed0.metrics.jsonl"
+    ]
+    assert (out / "summary.json").read_text() == summary
+
+
+def test_commands_raise_and_main_maps_the_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="unknown mode"):
+        accountant_command(8.0, 1e-5, 10, mode="fast")
+    with pytest.raises(ConfigError, match="unknown task"):
+        project_error_command(task_kind="cubic")
+    with pytest.raises(MetricsError, match="no such directory"):
+        report_command(str(tmp_path / "nothing"))
+    # the closed form's own range check is a config error like the others
+    assert main(["accountant", "--eps", "40", "--delta", "1e-5", "--steps", "10"]) == 2
+    assert capsys.readouterr().err.startswith("config error: epsilon=40")
+
+
+def test_main_calls_the_harness_function_it_finds_at_call_time(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "bench_command", lambda **kw: calls.append(kw) or 7)
+    assert main(["bench"]) == 7
+    assert main(["bench", "--k", "4", "--groups", "1", "3"]) == 7
+    assert calls == [{}, {"k": 4, "groups": [1, 3]}]
+
+
+def test_every_option_is_a_parameter_of_its_harness_function():
+    # an option has no default of its own: the signature's is the only one
+    (commands,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    for sub in commands.choices.values():
+        function = getattr(harness, sub.get_default("function"))
+        params = inspect.signature(function).parameters
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert action.dest in params
+            assert action.required or action.default is argparse.SUPPRESS
+            if action.choices is not None:  # read from the harness
+                assert params[action.dest].default in action.choices

@@ -37,9 +37,9 @@ PRESETS = {
         lowrank_regression_task, 3,
         dict(n=120, input_dim=39, rank=4, tail=0.05, m_aux=40), "423c05c432b66ec9",
     ),
-    "lowrank-1-random": (
+    "lowrank-1-small": (
         lowrank_regression_task, 1,
-        dict(n=60, input_dim=9, rank=3, m_aux=7, label_mode="random"), "ec71eab1218ef5f4",
+        dict(n=60, input_dim=9, rank=3, m_aux=7), "30fde6d5fae0f8d1",
     ),
     "mlp-0": (mlp_cluster_task, 0, {}, "4d7e5b3054e2d3c4"),
     "mlp-wide": (
@@ -107,7 +107,6 @@ def _reference_split(builder, seed: int, kw: dict):
         params = {
             "n": n + m_aux + n_eval, "input_dim": kw.get("input_dim", 99),
             "rank": kw.get("rank", 5), "tail": kw.get("tail", 0.0),
-            "label_mode": kw.get("label_mode", "planted"),
         }
         kind = "lowrank-gradient-task"
     elif builder is logistic_mixture_task:
