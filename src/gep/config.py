@@ -10,13 +10,13 @@ form of ``text`` and parsing is idempotent across the round trip.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .data import SYNTH_KINDS
 from .models import MODEL_KINDS
-from .release import METHODS
-from .training import BATCH_RULES
+from .release import METHODS, GepConfig
+from .training import BATCH_RULES, TrainConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "emit_config", "load_config", "SCHEMA"]
 
@@ -29,6 +29,13 @@ class ConfigError(ValueError):
 class _Spec:
     kind: str  # str | int | float | bool | int_list | float_list | str_list
     default: object
+
+
+def _field_keys(section: str, owner: type, names: tuple[str, ...]) -> dict[str, _Spec]:
+    """``section.<name>`` for each named field of ``owner``: the dataclass owns
+    the key's kind (the field's annotation) and its default."""
+    owned = {f.name: f for f in fields(owner)}
+    return {f"{section}.{n}": _Spec(owned[n].type, owned[n].default) for n in names}
 
 
 SCHEMA: dict[str, _Spec] = {
@@ -59,17 +66,10 @@ SCHEMA: dict[str, _Spec] = {
     "aux.source": _Spec("str", "heldout-random"),
     "aux.m": _Spec("int", 200),
     "gep.k": _Spec("int", 20),
-    "gep.t": _Spec("int", 1),
-    "gep.s1": _Spec("float", 10.0),
-    "gep.s2": _Spec("float", 2.0),
+    **_field_keys("gep", GepConfig, ("t", "s1", "s2")),
     "train.steps": _Spec("int", 100),
-    "train.batch": _Spec("str", "full"),
-    "train.q": _Spec("float", 0.1),
-    "train.lr": _Spec("float", 0.1),
-    "train.momentum": _Spec("float", 0.9),
-    "train.weight_decay": _Spec("float", 1e-4),
-    "train.lr_decay": _Spec("bool", True),
-    "train.track_spectra": _Spec("bool", False),
+    **_field_keys("train", TrainConfig, ("batch", "q", "lr", "momentum", "weight_decay",
+                                         "lr_decay", "track_spectra")),
     "privacy.epsilon": _Spec("float", 8.0),
     "privacy.delta": _Spec("float", 1e-5),
     "privacy.sigma_override": _Spec("float", -1.0),
@@ -167,6 +167,12 @@ class RunConfig:
 
     def as_dict(self) -> dict[str, object]:
         return dict(self._values)
+
+    def section(self, section: str) -> dict[str, object]:
+        """Every ``section.*`` key by its short name."""
+        prefix = section + "."
+        return {key[len(prefix):]: value for key, value in self._values.items()
+                if key.startswith(prefix)}
 
 
 def _check_choices(values: Mapping[str, object]) -> None:

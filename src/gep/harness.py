@@ -13,6 +13,7 @@ each exception into its message and exit code.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -164,30 +165,23 @@ def _results(out_dir: str) -> list[dict]:
 def expand_runs(cfg: RunConfig) -> list[RunSpec]:
     """Cartesian product of methods, seeds, and sweep lists.
 
-    Raises ConfigError when two runs share a run id (a repeated seed, or
-    epsilons that agree to ``%g``'s six significant digits), since they
-    would write one metrics file.
+    Raises ConfigError for an empty method or seed list, a grid of no
+    runs, and when two runs share a run id (a repeated seed, or epsilons
+    that agree to ``%g``'s six significant digits), since they would write
+    one metrics file.
     """
-    methods = list(cfg["method"])
-    seeds = list(cfg["seeds"])
-    ks = list(cfg["sweep.k"]) or [cfg["gep.k"]]
-    ms = list(cfg["sweep.m"]) or [cfg["aux.m"]]
-    epsilons = list(cfg["sweep.epsilon"]) or [cfg["privacy.epsilon"]]
-    runs = []
-    for method in methods:
-        for eps in epsilons:
-            for k in ks:
-                for m in ms:
-                    for seed in seeds:
-                        runs.append(
-                            RunSpec(
-                                method=method,
-                                seed=int(seed),
-                                k=int(k),
-                                m=int(m),
-                                epsilon=float(eps),
-                            )
-                        )
+    for key in ("method", "seeds"):
+        if not cfg[key]:
+            raise ConfigError(f"key {key!r} is empty, so the grid has no runs")
+    ks = cfg["sweep.k"] or (cfg["gep.k"],)
+    ms = cfg["sweep.m"] or (cfg["aux.m"],)
+    epsilons = cfg["sweep.epsilon"] or (cfg["privacy.epsilon"],)
+    runs = [
+        RunSpec(method=method, seed=int(seed), k=int(k), m=int(m), epsilon=float(eps))
+        for method, eps, k, m, seed in itertools.product(
+            cfg["method"], epsilons, ks, ms, cfg["seeds"]
+        )
+    ]
     seen: set[str] = set()
     for run in runs:
         if run.run_id in seen:
@@ -202,9 +196,8 @@ def _task_rows(cfg: RunConfig, stream: RandomStream, n_public: int) -> Dataset:
     if cfg["data.kind"] == "csv":
         full = ingest_csv(str(cfg["data.path"]), str(cfg["data.label_column"]))
         return full.subset(stream.generator(_SPLIT).permutation(full.n))
-    # every data.* key by its short name; a generator reads the ones it uses
-    params = {key[len("data."):]: value for key, value in cfg.as_dict().items()
-              if key.startswith("data.")}
+    # a generator reads the data.* keys it uses, by their short names
+    params = cfg.section("data")
     params["n"] = int(cfg["data.n"]) + n_public
     return synth_dataset(str(cfg["data.kind"]), params, stream.generator(_DATA))
 
@@ -271,33 +264,21 @@ def build_task(cfg: RunConfig, m_aux: int) -> TaskBundle:
 
 
 def _train_config(cfg: RunConfig, run: RunSpec, task: TaskBundle) -> TrainConfig:
+    """The run's training config: each ``gep.*`` and ``train.*`` key is the
+    field of its short name, and the run sets k, m, method and seed."""
     sigma_override = float(cfg["privacy.sigma_override"])
-    gep_cfg = GepConfig(
-        k=run.k,
-        m=run.m,
-        t=int(cfg["gep.t"]),
-        s1=float(cfg["gep.s1"]),
-        s2=float(cfg["gep.s2"]),
-    )
     return TrainConfig(
+        **cfg.section("train"),
         model=task.model,
-        gep=gep_cfg,
+        gep=GepConfig(**{**cfg.section("gep"), "k": run.k, "m": run.m}),
         budget=DpBudget(run.epsilon, float(cfg["privacy.delta"])),
-        steps=int(cfg["train.steps"]),
         aux_data=task.aux,
         method=run.method,
-        batch=str(cfg["train.batch"]),
-        q=float(cfg["train.q"]),
-        lr=float(cfg["train.lr"]),
-        momentum=float(cfg["train.momentum"]),
-        weight_decay=float(cfg["train.weight_decay"]),
-        lr_decay=bool(cfg["train.lr_decay"]),
         seed=run.seed,
         aux_label_mode=(
             "fixed" if cfg["aux.source"] == "heldout-correct" else "random-each-step"
         ),
         sigma_override=None if sigma_override < 0 else sigma_override,
-        track_spectra=bool(cfg["train.track_spectra"]),
     )
 
 
@@ -463,12 +444,17 @@ def bench_command(
     The model is ``2mkp/g + p k^2 / g^2`` for ``g`` evenly split groups;
     measured counts include orthonormalization, so ratios up to 1.5 pass.
     """
+    if any(g < 1 for g in groups):
+        raise ConfigError("group counts must be >= 1")
     rng = np.random.default_rng(0)
+    try:  # the layout's and the config's own range checks
+        cases = [_bench_case(m, k, p, g, rng) for g in groups]
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     print(f"power iteration cost check: m={m} k={k} p={p}")
     print("groups  measured      model         ratio")
     ok = True
-    for g in groups:
-        case = _bench_case(m, k, p, g, rng)
+    for case in cases:
         in_band = 0.9 <= case["ratio"] <= 1.5
         ok = ok and in_band
         flag = "" if in_band else "  <-- outside [0.9, 1.5]"
@@ -496,22 +482,29 @@ def project_error_command(
     if task_kind not in PROJECT_ERROR_TASKS:
         raise ConfigError(f"unknown task {task_kind!r}")
     stream = RandomStream(seed)
-    if task_kind == "lowrank":
-        bundle = lowrank_regression_task(
-            seed, n=n, input_dim=input_dim, rank=5, tail=0.0, m_aux=2 * m_aux
-        )
-        model = bundle.model
-    else:
-        bundle = logistic_mixture_task(
-            seed, n=n, input_dim=input_dim, m_aux=2 * m_aux, subspace_dim=8
-        )
-        model = init_model(
-            bundle.model.kind,
-            bundle.model.input_dim,
-            bundle.model.output_dim,
-            rng=stream.generator(9),
-            scale=0.1,
-        )
+    try:  # the task presets', the layout's and the config's range checks
+        if task_kind == "lowrank":
+            bundle = lowrank_regression_task(
+                seed, n=n, input_dim=input_dim, rank=5, tail=0.0, m_aux=2 * m_aux
+            )
+            model = bundle.model
+        else:
+            bundle = logistic_mixture_task(
+                seed, n=n, input_dim=input_dim, m_aux=2 * m_aux, subspace_dim=8
+            )
+            model = init_model(
+                bundle.model.kind,
+                bundle.model.input_dim,
+                bundle.model.output_dim,
+                rng=stream.generator(9),
+                scale=0.1,
+            )
+        setups = [
+            (k, make_group_layout(model, k), GepConfig(k=k, m=m_aux, t=5, s1=1.0, s2=1.0))
+            for k in ks
+        ]
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     grads = per_sample_factors(model, bundle.private)
 
     rng_labels = stream.generator(10)
@@ -535,9 +528,7 @@ def project_error_command(
         for source_name, aux in sources.items():
             anchor_grads = per_sample_factors(model, aux)
             row = [basis_mode.ljust(8) + source_name.ljust(18)]
-            for k in ks:
-                layout = make_group_layout(model, k)
-                cfg = GepConfig(k=k, m=m_aux, t=5, s1=1.0, s2=1.0)
+            for k, layout, cfg in setups:
                 basis = build_anchor_basis(
                     anchor_grads, layout, cfg, stream.generator(12, k), basis_mode
                 )
@@ -545,16 +536,16 @@ def project_error_command(
             print("".join(row))
 
     # anchor-count sweep at the middle k: error should not grow with m
-    k_mid = ks[len(ks) // 2]
+    k_mid, layout, cfg = setups[len(ks) // 2]
     print(f"\nanchor-count sweep at k={k_mid} (power basis, heldout-random)")
     print("m        error")
     for m_frac in (0.5, 1.0, 2.0):
         m_used = min(relabeled_pool.n, max(k_mid, int(round(m_aux * m_frac))))
         aux_m = relabeled_pool.subset(np.arange(m_used))
         anchor_grads = per_sample_factors(model, aux_m)
-        layout = make_group_layout(model, k_mid)
-        cfg = GepConfig(k=k_mid, m=m_used, t=5, s1=1.0, s2=1.0)
-        basis = build_anchor_basis(anchor_grads, layout, cfg, stream.generator(15, m_used))
+        basis = build_anchor_basis(
+            anchor_grads, layout, replace(cfg, m=m_used), stream.generator(15, m_used)
+        )
         print(f"{m_used:<8d} {_rate_cell(projection_error_rate(grads, basis))}")
     return 0
 

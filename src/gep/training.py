@@ -71,7 +71,7 @@ class TrainConfig:
     aux_data: Dataset
     method: str = "gep"  # a key of gep.release.METHODS
     batch: str = "full"  # "full" or "poisson"
-    q: float = 1.0  # Poisson inclusion probability
+    q: float = 0.1  # Poisson inclusion probability; read with batch="poisson" only
     lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 1e-4

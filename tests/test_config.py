@@ -1,8 +1,19 @@
 """Run-config format tests: parsing, emission, validation."""
 
+from dataclasses import MISSING, fields
+
 import pytest
 
-from gep.config import ConfigError, RunConfig, emit_config, load_config, parse_config
+from gep.config import (
+    SCHEMA,
+    ConfigError,
+    RunConfig,
+    emit_config,
+    load_config,
+    parse_config,
+)
+from gep.release import GepConfig
+from gep.training import TrainConfig
 
 
 def test_defaults_round_trip():
@@ -106,3 +117,20 @@ def test_updated_preserves_validation():
     new = cfg.updated({"train.batch": "poisson"})
     assert new["train.batch"] == "poisson"
     assert cfg["train.batch"] == "full"
+
+
+def test_a_field_with_a_default_owns_its_keys_kind_and_default():
+    owned = []
+    for section, owner in (("gep", GepConfig), ("train", TrainConfig)):
+        for field in fields(owner):
+            key = f"{section}.{field.name}"
+            if key in SCHEMA and field.default is not MISSING:
+                assert (SCHEMA[key].kind, SCHEMA[key].default) == (
+                    field.type, field.default
+                ), key
+                owned.append(key)
+    assert sorted(owned) == sorted(
+        ["gep.t", "gep.s1", "gep.s2"]
+        + [f"train.{name}" for name in
+           ("batch", "q", "lr", "momentum", "weight_decay", "lr_decay", "track_spectra")]
+    )

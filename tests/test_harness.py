@@ -11,12 +11,13 @@ import pytest
 
 from gep import harness
 from gep.cli import _build_parser, main
-from gep.config import ConfigError, RunConfig
+from gep.config import SCHEMA, ConfigError, RunConfig, _format_value, load_config
 from gep.harness import (
     METRICS_SCHEMA,
     MetricsError,
     RunSpec,
     _summary_table,
+    _train_config,
     accountant_command,
     build_task,
     expand_runs,
@@ -666,14 +667,18 @@ def test_bad_synthetic_data_parameters_are_config_errors(tmp_path, capsys, lines
     "lines, word",
     [(("data.kind = split-signal",), "subspace_dim"),
      (("aux.source = synthetic", "data.normalize = per-feature-standardize"), "public pool"),
-     (("sweep.k = 2, 0",), "k must be")],
-    ids=["split-signal-without-subspace", "standardize-without-pool", "later-run"],
+     (("sweep.k = 2, 0",), "k must be"),
+     (("method =",), "'method' is empty"),
+     (("seeds =",), "'seeds' is empty")],
+    ids=["split-signal-without-subspace", "standardize-without-pool", "later-run",
+         "no-method", "no-seed"],
 )
 def test_a_config_error_writes_no_output_directory(tmp_path, capsys, lines, word):
-    # build_task alone sees the first two; the third is the grid's second run
+    # build_task alone sees the first two; the third is the grid's second run,
+    # and the last two make a grid of no runs
     text = BASE_CONFIG
     for line in lines:
-        key = line.split(" = ")[0]
+        key = line.split("=")[0].strip()
         text = re.sub(rf"(?m)^{re.escape(key)} = .*$\n?", "", text) + line + "\n"
     out = tmp_path / "runs"
     assert main(["train", "--config", write_config(tmp_path, text + f"out = {out}\n")]) == 2
@@ -714,6 +719,40 @@ def test_commands_raise_and_main_maps_the_error(tmp_path, capsys):
     # the closed form's own range check is a config error like the others
     assert main(["accountant", "--eps", "40", "--delta", "1e-5", "--steps", "10"]) == 2
     assert capsys.readouterr().err.startswith("config error: epsilon=40")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bench", "--groups", "0"], ["bench", "--k", "0"],
+     ["project-error", "--k", "0"], ["project-error", "--n", "0"]],
+    ids=["bench-groups", "bench-k", "project-error-k", "project-error-n"],
+)
+def test_an_out_of_range_option_is_a_config_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_every_gep_and_train_key_reaches_its_field(tmp_path):
+    values = {
+        "gep.t": 3, "gep.s1": 4.5, "gep.s2": 0.75,
+        "train.batch": "poisson", "train.q": 0.3, "train.lr": 0.05,
+        "train.momentum": 0.5, "train.weight_decay": 0.001,
+        "train.lr_decay": False, "train.track_spectra": True,
+    }
+    assert all(values[key] != SCHEMA[key].default for key in values)
+    text = BASE_CONFIG.replace("gep.s1 = 5.0\ngep.s2 = 1.0\n", "").replace(
+        "train.lr = 0.2\n", ""
+    ) + "".join(f"{key} = {_format_value(value)}\n" for key, value in values.items())
+    cfg = load_config(write_config(tmp_path, text))
+    run = expand_runs(cfg)[0]
+    train_cfg = _train_config(cfg, run, build_task(cfg, run.m))
+    for key, value in values.items():
+        section, name = key.split(".")
+        owner = train_cfg.gep if section == "gep" else train_cfg
+        assert getattr(owner, name) == value and type(getattr(owner, name)) is type(value)
+    assert (train_cfg.gep.k, train_cfg.gep.m, train_cfg.steps) == (2, 10, 3)
 
 
 def test_main_calls_the_harness_function_it_finds_at_call_time(monkeypatch):
