@@ -18,7 +18,7 @@ from .accounting import (
     epsilon_for_sigma,
     rdp_to_dp,
 )
-from .data import CsvParseError, Dataset, ingest_csv, synth_dataset
+from .data import CsvParseError, Dataset, SynthParams, ingest_csv, synth_dataset
 from .linalg import (
     FactoredGradients,
     GradientPiece,
@@ -77,6 +77,7 @@ __all__ = [
     "RandomStream",
     "RdpCurve",
     "StepMetrics",
+    "SynthParams",
     "TrainConfig",
     "build_anchor_basis",
     "calibrate_sigma_closed_form",

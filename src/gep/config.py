@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-from .data import SYNTH_KINDS
+from .data import SYNTH_KINDS, SynthParams
 from .models import MODEL_KINDS
 from .release import METHODS, GepConfig
 from .training import BATCH_RULES, TrainConfig
@@ -31,11 +31,11 @@ class _Spec:
     default: object
 
 
-def _field_keys(section: str, owner: type, names: tuple[str, ...]) -> dict[str, _Spec]:
-    """``section.<name>`` for each named field of ``owner``: the dataclass owns
-    the key's kind (the field's annotation) and its default."""
+def _field_keys(section: str, owner: type, names: tuple[str, ...] = ()) -> dict[str, _Spec]:
+    """``section.<name>`` for each named field of ``owner``, or for every field:
+    the dataclass owns the key's kind (the field's annotation) and its default."""
     owned = {f.name: f for f in fields(owner)}
-    return {f"{section}.{n}": _Spec(owned[n].type, owned[n].default) for n in names}
+    return {f"{section}.{n}": _Spec(owned[n].type, owned[n].default) for n in names or owned}
 
 
 SCHEMA: dict[str, _Spec] = {
@@ -49,18 +49,7 @@ SCHEMA: dict[str, _Spec] = {
     "data.path": _Spec("str", ""),
     "data.label_column": _Spec("str", "label"),
     "data.normalize": _Spec("str", "none"),
-    "data.n": _Spec("int", 2000),
-    "data.input_dim": _Spec("int", 20),
-    "data.classes": _Spec("int", 2),
-    "data.noise": _Spec("float", 1.0),
-    "data.sep": _Spec("float", 3.0),
-    "data.rank": _Spec("int", 5),
-    "data.tail": _Spec("float", 0.0),
-    "data.margin": _Spec("float", 1.0),
-    "data.subspace_dim": _Spec("int", 0),
-    "data.cluster_weight": _Spec("float", 2.0),
-    "data.dense_weight": _Spec("float", 2.0),
-    "data.feature_scale": _Spec("float", 1.0),
+    **_field_keys("data", SynthParams),
     "data.seed": _Spec("int", 1234),
     "data.eval_fraction": _Spec("float", 0.25),
     "aux.source": _Spec("str", "heldout-random"),
@@ -129,16 +118,36 @@ def _format_value(value: object) -> str:
     return _format_scalar(value)
 
 
+_SCALAR_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
+def _has_kind(value: object, kind: str) -> bool:
+    """A bool is no int, an int is a float, a list is a tuple of its item kind."""
+    if kind.endswith("_list"):
+        item_kind = kind[: -len("_list")]
+        return isinstance(value, tuple) and all(_has_kind(v, item_kind) for v in value)
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, _SCALAR_TYPES[kind])
+
+
+_SECTIONS = {  # each section's keys by their short names, in schema order
+    section: {key[len(section) + 1:]: key for key in SCHEMA if key.startswith(section + ".")}
+    for section in dict.fromkeys(key.partition(".")[0] for key in SCHEMA if "." in key)
+}
+
+
 class RunConfig:
     """A validated mapping of configuration keys to typed values."""
 
     def __init__(self, overrides: Mapping[str, object] | None = None):
         self._values = {key: spec.default for key, spec in SCHEMA.items()}
-        if overrides:
-            for key, value in overrides.items():
-                if key not in SCHEMA:
-                    raise ConfigError(f"unknown configuration key {key!r}")
-                self._values[key] = value
+        for key, value in (overrides or {}).items():
+            if key not in SCHEMA:
+                raise ConfigError(f"unknown configuration key {key!r}")
+            if not _has_kind(value, SCHEMA[key].kind):
+                raise ConfigError(f"key {key!r}: {value!r} is not a {SCHEMA[key].kind}")
+            self._values[key] = value
         _check_choices(self._values)
 
     def __getitem__(self, key: str) -> object:
@@ -158,21 +167,14 @@ class RunConfig:
         return f"RunConfig({changed})"
 
     def updated(self, overrides: Mapping[str, object]) -> "RunConfig":
-        merged = dict(self._values)
-        for key, value in overrides.items():
-            if key not in SCHEMA:
-                raise ConfigError(f"unknown configuration key {key!r}")
-            merged[key] = value
-        return RunConfig(merged)
+        return RunConfig({**self._values, **overrides})
 
     def as_dict(self) -> dict[str, object]:
         return dict(self._values)
 
     def section(self, section: str) -> dict[str, object]:
         """Every ``section.*`` key by its short name."""
-        prefix = section + "."
-        return {key[len(prefix):]: value for key, value in self._values.items()
-                if key.startswith(prefix)}
+        return {name: self._values[key] for name, key in _SECTIONS.get(section, {}).items()}
 
 
 def _check_choices(values: Mapping[str, object]) -> None:

@@ -16,6 +16,7 @@ __all__ = [
     "Dataset",
     "CsvParseError",
     "ingest_csv",
+    "SynthParams",
     "synth_dataset",
     "standardize_stats",
     "split_pool",
@@ -23,14 +24,6 @@ __all__ = [
 
 # Cap on the expected number of rows the separable generator draws.
 SEPARABLE_MAX_DRAWS = 10**7
-
-SYNTH_KINDS = (
-    "gaussian-mixture",
-    "separable",
-    "lowrank-gradient-task",
-    "split-signal",
-)
-
 
 class CsvParseError(ValueError):
     """CSV ingestion failure, with row/column context in the message."""
@@ -239,17 +232,37 @@ def _cell_error(
     return CsvParseError(f"{path}: row {row_num}: cannot parse the row as numbers")
 
 
-def synth_dataset(kind: str, params: dict, rng: np.random.Generator) -> Dataset:
+@dataclass(frozen=True)
+class SynthParams:
+    """The generators' settings; each field owns the kind and default of the
+    ``data.*`` key of its name.  A generator checks the ranges it reads."""
+
+    n: int = 2000
+    input_dim: int = 20
+    classes: int = 2
+    noise: float = 1.0
+    sep: float = 3.0
+    rank: int = 5
+    tail: float = 0.0
+    margin: float = 1.0
+    subspace_dim: int = 0
+    cluster_weight: float = 2.0
+    dense_weight: float = 2.0
+    feature_scale: float = 1.0
+
+
+def synth_dataset(kind: str, params: SynthParams, rng: np.random.Generator) -> Dataset:
     """Generate a synthetic dataset; fully deterministic given the generator.
 
-    Kinds:
+    Kinds, each reading the :class:`SynthParams` fields it uses:
 
     * ``lowrank-gradient-task``: regression features spanning a
       ``rank - 1`` dimensional subspace, with labels linear in the latent
       coordinates plus small noise, so the per-sample gradients of a
       zero-initialized linear model occupy an exact ``rank``-dimensional
-      subspace (features plus the bias direction).  ``tail > 0`` adds isotropic feature noise, turning the
-      gradients approximately low-rank instead.
+      subspace (features plus the bias direction).  ``tail > 0`` adds
+      isotropic feature noise, turning the gradients approximately
+      low-rank instead.
     * ``gaussian-mixture``: ``classes`` spherical clusters for
       classification; ``subspace_dim > 0`` places the centers in a random
       low-dimensional subspace.
@@ -265,22 +278,13 @@ def synth_dataset(kind: str, params: dict, rng: np.random.Generator) -> Dataset:
       feature spike (invisible to them).  Estimators that discard what
       falls outside the estimated subspace hit an accuracy floor here.
     """
-    if kind == "lowrank-gradient-task":
-        return _lowrank_gradient_task(params, rng)
-    if kind == "gaussian-mixture":
-        return _gaussian_mixture(params, rng)
-    if kind == "separable":
-        return _separable(params, rng)
-    if kind == "split-signal":
-        return _split_signal(params, rng)
-    raise ValueError(f"unknown synthetic dataset kind {kind!r}")
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown synthetic dataset kind {kind!r}")
+    return _GENERATORS[kind](params, rng)
 
 
-def _lowrank_gradient_task(params: dict, rng: np.random.Generator) -> Dataset:
-    n = int(params.get("n", 200))
-    d = int(params.get("input_dim", 99))
-    rank = int(params.get("rank", 5))
-    tail = float(params.get("tail", 0.0))
+def _lowrank_gradient_task(p: SynthParams, rng: np.random.Generator) -> Dataset:
+    n, d, rank, tail = p.n, p.input_dim, p.rank, p.tail
     if rank < 2 or rank - 1 > d:
         raise ValueError(f"rank must lie in [2, input_dim + 1], got {rank}")
     if n < 1:
@@ -299,13 +303,8 @@ def _lowrank_gradient_task(params: dict, rng: np.random.Generator) -> Dataset:
     return Dataset(features, labels, name="lowrank-gradient-task")
 
 
-def _gaussian_mixture(params: dict, rng: np.random.Generator) -> Dataset:
-    n = int(params.get("n", 1000))
-    d = int(params.get("input_dim", 20))
-    classes = int(params.get("classes", 10))
-    sep = float(params.get("sep", 3.0))
-    noise = float(params.get("noise", 1.0))
-    subspace_dim = int(params.get("subspace_dim", 0))
+def _gaussian_mixture(p: SynthParams, rng: np.random.Generator) -> Dataset:
+    n, d, classes, sep, subspace_dim = p.n, p.input_dim, p.classes, p.sep, p.subspace_dim
     if classes < 2:
         raise ValueError("gaussian-mixture needs at least 2 classes")
     if subspace_dim:
@@ -316,42 +315,34 @@ def _gaussian_mixture(params: dict, rng: np.random.Generator) -> Dataset:
     else:
         centers = rng.standard_normal((classes, d)) * sep
     labels = rng.integers(0, classes, size=n)
-    features = centers[labels] + noise * rng.standard_normal((n, d))
+    features = centers[labels] + p.noise * rng.standard_normal((n, d))
     return Dataset(features, labels.astype(np.int64), name="gaussian-mixture")
 
 
-def _split_signal(params: dict, rng: np.random.Generator) -> Dataset:
-    n = int(params.get("n", 2000))
-    d = int(params.get("input_dim", 199))
-    subdim = int(params.get("subspace_dim", 6))
-    sep = float(params.get("sep", 3.0))
-    cluster_weight = float(params.get("cluster_weight", 2.0))
-    dense_weight = float(params.get("dense_weight", 2.0))
-    feature_scale = float(params.get("feature_scale", 1.0))
+def _split_signal(p: SynthParams, rng: np.random.Generator) -> Dataset:
+    n, d, subdim = p.n, p.input_dim, p.subspace_dim
     if subdim < 1 or subdim > d:
         raise ValueError("subspace_dim must lie in [1, input_dim]")
-    if feature_scale <= 0:
+    if p.feature_scale <= 0:
         raise ValueError("feature_scale must be positive")
     axes, _ = orthonormalize_rows(rng.standard_normal((subdim, d)))
     latent = rng.standard_normal((n, subdim))
-    features = sep * latent @ axes + rng.standard_normal((n, d))
+    features = p.sep * latent @ axes + rng.standard_normal((n, d))
     # label signal: one direction in the spiked subspace, one dense
     w_sub = rng.standard_normal(subdim)
     w_sub /= np.linalg.norm(w_sub)
     dense = rng.standard_normal(d)
     dense /= np.linalg.norm(dense)
-    logits = cluster_weight * (latent @ w_sub) + dense_weight * (features @ dense)
+    logits = p.cluster_weight * (latent @ w_sub) + p.dense_weight * (features @ dense)
     labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-logits))).astype(np.int64)
     # scaling after label assignment leaves the classification problem
     # unchanged while setting the gradient magnitude against fixed
     # clipping thresholds
-    return Dataset(feature_scale * features, labels, name="split-signal")
+    return Dataset(p.feature_scale * features, labels, name="split-signal")
 
 
-def _separable(params: dict, rng: np.random.Generator) -> Dataset:
-    n = int(params.get("n", 1000))
-    d = int(params.get("input_dim", 20))
-    margin = float(params.get("margin", 1.0))
+def _separable(p: SynthParams, rng: np.random.Generator) -> Dataset:
+    n, d, margin = p.n, p.input_dim, p.margin
     if not (margin > 0 and math.isfinite(margin)):
         raise ValueError(f"margin must be positive and finite, got {margin}")
     # a row passes the margin with probability erfc(margin / sqrt(2))
@@ -375,6 +366,15 @@ def _separable(params: dict, rng: np.random.Generator) -> Dataset:
         labels[filled : filled + take] = (rows @ normal > 0).astype(np.int64)
         filled += take
     return Dataset(features, labels, name="separable")
+
+
+_GENERATORS = {  # in the order data.kind's error text lists them
+    "gaussian-mixture": _gaussian_mixture,
+    "separable": _separable,
+    "lowrank-gradient-task": _lowrank_gradient_task,
+    "split-signal": _split_signal,
+}
+SYNTH_KINDS = tuple(_GENERATORS)
 
 
 def split_pool(

@@ -30,6 +30,7 @@ from .accounting import (
 from .config import ConfigError, RunConfig, load_config
 from .data import (
     Dataset,
+    SynthParams,
     _apply_standardize,
     ingest_csv,
     split_pool,
@@ -196,10 +197,11 @@ def _task_rows(cfg: RunConfig, stream: RandomStream, n_public: int) -> Dataset:
     if cfg["data.kind"] == "csv":
         full = ingest_csv(str(cfg["data.path"]), str(cfg["data.label_column"]))
         return full.subset(stream.generator(_SPLIT).permutation(full.n))
-    # a generator reads the data.* keys it uses, by their short names
-    params = cfg.section("data")
-    params["n"] = int(cfg["data.n"]) + n_public
-    return synth_dataset(str(cfg["data.kind"]), params, stream.generator(_DATA))
+    # each SynthParams field is the data.* key of its name
+    data = cfg.section("data")
+    params = {f.name: data[f.name] for f in fields(SynthParams)}
+    params["n"] += n_public
+    return synth_dataset(str(cfg["data.kind"]), SynthParams(**params), stream.generator(_DATA))
 
 
 def build_task(cfg: RunConfig, m_aux: int) -> TaskBundle:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, split_pool, synth_dataset
+from .data import Dataset, SynthParams, split_pool, synth_dataset
 from .linalg import RandomStream
 from .models import ModelSpec, init_model
 
@@ -59,12 +59,7 @@ def lowrank_regression_task(
     """
     stream = RandomStream(seed)
     n_eval = max(20, n // 5)
-    params = {
-        "n": n + m_aux + n_eval,
-        "input_dim": input_dim,
-        "rank": rank,
-        "tail": tail,
-    }
+    params = SynthParams(n=n + m_aux + n_eval, input_dim=input_dim, rank=rank, tail=tail)
     # one pooled draw so every split shares the same feature subspace
     full = synth_dataset("lowrank-gradient-task", params, stream.generator(_DATA))
     aux, holdout, private = split_pool(full, m_aux, n_eval)
@@ -84,14 +79,10 @@ def mlp_cluster_task(
 ) -> TaskBundle:
     """Over-parameterized MLP on clustered data: strongly redundant gradients."""
     stream = RandomStream(seed)
-    params = {
-        "n": n + m_aux + n // 4,
-        "input_dim": input_dim,
-        "classes": classes,
-        "sep": 3.0,
-        "noise": noise,
-        "subspace_dim": subspace_dim,
-    }
+    params = SynthParams(
+        n=n + m_aux + n // 4, input_dim=input_dim, classes=classes, sep=3.0,
+        noise=noise, subspace_dim=subspace_dim,
+    )
     full = synth_dataset("gaussian-mixture", params, stream.generator(_DATA))
     # the rows after the pool are shuffled, then a fifth of them is eval
     rest = full.n - m_aux
@@ -123,14 +114,10 @@ def logistic_mixture_task(
     and a genuine residual.
     """
     stream = RandomStream(seed)
-    params = {
-        "n": n + m_aux + n_eval,
-        "input_dim": input_dim,
-        "classes": classes,
-        "sep": sep,
-        "noise": noise,
-        "subspace_dim": subspace_dim,
-    }
+    params = SynthParams(
+        n=n + m_aux + n_eval, input_dim=input_dim, classes=classes, sep=sep,
+        noise=noise, subspace_dim=subspace_dim,
+    )
     full = synth_dataset("gaussian-mixture", params, stream.generator(_DATA))
     aux, holdout, private = split_pool(full, m_aux, n_eval)
     model = init_model("logistic", input_dim, classes)
@@ -157,15 +144,11 @@ def split_signal_task(
     plateau below the achievable accuracy.
     """
     stream = RandomStream(seed)
-    params = {
-        "n": n + m_aux + n_eval,
-        "input_dim": input_dim,
-        "subspace_dim": subspace_dim,
-        "sep": sep,
-        "cluster_weight": cluster_weight,
-        "dense_weight": dense_weight,
-        "feature_scale": feature_scale,
-    }
+    params = SynthParams(
+        n=n + m_aux + n_eval, input_dim=input_dim, subspace_dim=subspace_dim, sep=sep,
+        cluster_weight=cluster_weight, dense_weight=dense_weight,
+        feature_scale=feature_scale,
+    )
     full = synth_dataset("split-signal", params, stream.generator(_DATA))
     aux, holdout, private = split_pool(full, m_aux, n_eval)
     model = init_model("logistic", input_dim, 2)

@@ -1,5 +1,6 @@
 """Run-config format tests: parsing, emission, validation."""
 
+import re
 from dataclasses import MISSING, fields
 
 import pytest
@@ -12,6 +13,7 @@ from gep.config import (
     load_config,
     parse_config,
 )
+from gep.data import SynthParams
 from gep.release import GepConfig
 from gep.training import TrainConfig
 
@@ -121,7 +123,8 @@ def test_updated_preserves_validation():
 
 def test_a_field_with_a_default_owns_its_keys_kind_and_default():
     owned = []
-    for section, owner in (("gep", GepConfig), ("train", TrainConfig)):
+    owners = (("gep", GepConfig), ("train", TrainConfig), ("data", SynthParams))
+    for section, owner in owners:
         for field in fields(owner):
             key = f"{section}.{field.name}"
             if key in SCHEMA and field.default is not MISSING:
@@ -133,4 +136,28 @@ def test_a_field_with_a_default_owns_its_keys_kind_and_default():
         ["gep.t", "gep.s1", "gep.s2"]
         + [f"train.{name}" for name in
            ("batch", "q", "lr", "momentum", "weight_decay", "lr_decay", "track_spectra")]
+        + [f"data.{field.name}" for field in fields(SynthParams)]
     )
+
+
+@pytest.mark.parametrize("key, value", [
+    ("train.lr", "0.5"),
+    ("train.lr_decay", "false"),
+    ("train.steps", True),
+    ("train.steps", 2.0),
+    ("data.n", None),
+    ("seeds", [0, 1]),
+    ("seeds", (0, "1")),
+    ("sweep.epsilon", (2.0, False)),
+    ("method", "gep"),
+])
+def test_a_value_of_another_kind_is_refused_where_it_enters(key, value):
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        RunConfig({key: value})
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        RunConfig().updated({key: value})
+
+
+def test_an_int_is_a_float_value():
+    cfg = RunConfig({"train.lr": 1, "sweep.epsilon": (2, 8.0)})
+    assert cfg.section("train")["lr"] == 1

@@ -12,6 +12,7 @@ import gep.data
 from gep.data import (
     CsvParseError,
     Dataset,
+    SynthParams,
     ingest_csv,
     split_pool,
     standardize_stats,
@@ -26,7 +27,7 @@ def test_lowrank_task_gradient_rank():
     rng = np.random.default_rng(0)
     data = synth_dataset(
         "lowrank-gradient-task",
-        {"n": 200, "input_dim": 99, "rank": 5},
+        SynthParams(n=200, input_dim=99, rank=5),
         rng,
     )
     model = init_model("linear", 99, 1)
@@ -42,7 +43,7 @@ def test_lowrank_task_with_tail_is_approximately_lowrank():
     rng = np.random.default_rng(1)
     data = synth_dataset(
         "lowrank-gradient-task",
-        {"n": 200, "input_dim": 99, "rank": 5, "tail": 0.1},
+        SynthParams(n=200, input_dim=99, rank=5, tail=0.1),
         rng,
     )
     model = init_model("linear", 99, 1)
@@ -56,7 +57,7 @@ def test_gaussian_mixture_class_balance():
     rng = np.random.default_rng(2)
     n, c = 10_000, 10
     data = synth_dataset(
-        "gaussian-mixture", {"n": n, "input_dim": 8, "classes": c}, rng
+        "gaussian-mixture", SynthParams(n=n, input_dim=8, classes=c), rng
     )
     counts = np.bincount(data.labels, minlength=c)
     sigma = np.sqrt(n * (1 / c) * (1 - 1 / c))
@@ -66,7 +67,7 @@ def test_gaussian_mixture_class_balance():
 def test_separable_margin_and_perceptron_oracle():
     rng = np.random.default_rng(3)
     data = synth_dataset(
-        "separable", {"n": 500, "input_dim": 10, "margin": 1.0}, rng
+        "separable", SynthParams(n=500, input_dim=10, margin=1.0), rng
     )
     # all points respect the margin around some hyperplane; the perceptron
     # mistake bound guarantees convergence to zero training error
@@ -96,17 +97,22 @@ def test_separable_rejects_margins_it_cannot_draw(margin):
     # almost never: each would resample forever.  The cap on the expected
     # draw count sits at a margin of about 3.9 for 1000 rows.
     with pytest.raises(ValueError, match="margin"):
-        synth_dataset("separable", {"n": 1000, "margin": margin}, np.random.default_rng(0))
+        synth_dataset("separable", SynthParams(n=1000, margin=margin), np.random.default_rng(0))
 
 
 def test_synth_dataset_deterministic():
-    params = {"n": 50, "input_dim": 6, "classes": 3}
+    params = SynthParams(n=50, input_dim=6, classes=3)
     a = synth_dataset("gaussian-mixture", params, np.random.default_rng(9))
     b = synth_dataset("gaussian-mixture", params, np.random.default_rng(9))
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.labels, b.labels)
     with pytest.raises(ValueError):
-        synth_dataset("nope", {}, np.random.default_rng(0))
+        synth_dataset("nope", SynthParams(), np.random.default_rng(0))
+
+
+def test_a_misspelled_generator_parameter_is_an_error():
+    with pytest.raises(TypeError, match="margn"):
+        synth_dataset("separable", SynthParams(n=10, margn=3.0), np.random.default_rng(0))
 
 
 def test_ingest_csv_toy(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gep.data import Dataset, synth_dataset
+from gep.data import Dataset, SynthParams, synth_dataset
 from gep.linalg import count_flops
 from gep.models import (
     _log_softmax,
@@ -152,7 +152,7 @@ def test_evaluate_cases():
 def test_evaluate_perfect_separable_fit():
     data = synth_dataset(
         "separable",
-        {"n": 200, "input_dim": 6, "margin": 1.0},
+        SynthParams(n=200, input_dim=6, margin=1.0),
         np.random.default_rng(11),
     )
     # fit by a few steps of full-batch gradient descent

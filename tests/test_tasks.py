@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gep.config import RunConfig
-from gep.data import synth_dataset
+from gep.data import SynthParams, synth_dataset
 from gep.harness import build_task
 from gep.linalg import RandomStream
 from gep.tasks import (
@@ -89,11 +89,11 @@ def _reference_split(builder, seed: int, kw: dict):
     stream = RandomStream(seed)
     if builder is mlp_cluster_task:
         n, m_aux = kw.get("n", 512), kw.get("m_aux", 256)
-        params = {
-            "n": n + m_aux + n // 4, "input_dim": kw.get("input_dim", 20),
-            "classes": kw.get("classes", 4), "sep": 3.0, "noise": 0.6,
-            "subspace_dim": 5,
-        }
+        params = SynthParams(
+            n=n + m_aux + n // 4, input_dim=kw.get("input_dim", 20),
+            classes=kw.get("classes", 4), sep=3.0, noise=0.6,
+            subspace_dim=5,
+        )
         full = synth_dataset("gaussian-mixture", params, stream.generator(0))
         rest = full.subset(np.arange(m_aux, full.n))
         perm = stream.generator(3).permutation(rest.n)
@@ -104,21 +104,22 @@ def _reference_split(builder, seed: int, kw: dict):
     if builder is lowrank_regression_task:
         n, m_aux = kw.get("n", 200), kw.get("m_aux", 10)
         n_eval = max(20, n // 5)
-        params = {
-            "n": n + m_aux + n_eval, "input_dim": kw.get("input_dim", 99),
-            "rank": kw.get("rank", 5), "tail": kw.get("tail", 0.0),
-        }
+        params = SynthParams(
+            n=n + m_aux + n_eval, input_dim=kw.get("input_dim", 99),
+            rank=kw.get("rank", 5), tail=kw.get("tail", 0.0),
+        )
         kind = "lowrank-gradient-task"
     elif builder is logistic_mixture_task:
         n, m_aux, n_eval = kw["n"], kw["m_aux"], kw["n_eval"]
-        params = {
-            "n": n + m_aux + n_eval, "input_dim": kw["input_dim"], "classes": 2,
-            "sep": 1.0, "noise": 1.0, "subspace_dim": 8,
-        }
+        params = SynthParams(
+            n=n + m_aux + n_eval, input_dim=kw["input_dim"], classes=2,
+            sep=1.0, noise=1.0, subspace_dim=8,
+        )
         kind = "gaussian-mixture"
     else:
         n, m_aux, n_eval = kw["n"], kw["m_aux"], kw["n_eval"]
-        params = {**kw, "n": n + m_aux + n_eval}
+        split = {key: v for key, v in kw.items() if key not in ("m_aux", "n_eval")}
+        params = SynthParams(**{"subspace_dim": 6, **split, "n": n + m_aux + n_eval})
         kind = "split-signal"
     full = synth_dataset(kind, params, stream.generator(0))
     return (
