@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import copy
 import csv
+import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -117,6 +119,8 @@ def _label_vector(labels: np.ndarray, n: int) -> np.ndarray:
         )
     if not np.issubdtype(labels.dtype, np.integer):
         labels = np.asarray(labels, dtype=np.float64)
+        if not np.all(np.isfinite(labels)):
+            raise ValueError("labels contain non-finite entries")
     return _read_only(labels)
 
 
@@ -141,95 +145,78 @@ def _apply_standardize(
 def ingest_csv(path: str, label_column: str) -> Dataset:
     """Load a headered CSV file into a Dataset.
 
-    All non-label columns are parsed as float features, unnormalized: a
-    caller that standardizes takes :func:`standardize_stats` from its
-    public pool alone.  Integer-valued label columns become
-    classification labels.
+    Non-label columns become float features, unnormalized: a caller that
+    standardizes takes :func:`standardize_stats` from its public pool.  An
+    integer-valued label column becomes classification labels.
 
-    After the header, numpy's C reader parses the body straight from the
-    open file.  Its table is kept only if it raised and warned nothing and
-    has one column per header name; otherwise the body is read again, row
-    by row with ``csv`` and ``float()``'s rules.  That row loop is the only
-    reader of what numpy refuses (quoted cells, ``1_000.25``, rows of
-    blank cells) and the only source of the row and column errors.  Both
-    readers give bitwise the same table.
+    One ``np.loadtxt`` call reads the body: numbers split by commas,
+    padded with whitespace or quoted with ``"``, empty lines skipped.  A
+    blank cell, a whitespace-only line, ``1_000``, or a cell count other
+    than the header's is a :class:`CsvParseError` that names the file row
+    and the header column.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        try:
-            header = next(csv.reader(handle))
-        except StopIteration:
-            raise CsvParseError(f"{path}: file is empty") from None
+        reader = csv.reader(handle)
+        if (header := next(reader, None)) is None:
+            raise CsvParseError(f"{path}: file is empty")
         header = [h.strip() for h in header]
         if label_column not in header:
             raise CsvParseError(
                 f"{path}: label column {label_column!r} not found in header {header}"
             )
-        label_idx = header.index(label_column)
+        # numpy reads the open file line by line: a body read into one
+        # string first would add its own size to the peak memory
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body warns
+            try:
+                table = np.loadtxt(
+                    handle, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
+                    quotechar='"',
+                )
+            except Warning:
+                raise CsvParseError(f"{path}: no data rows") from None
+            except ValueError as err:
+                raise _parse_error(path, header, reader.line_num, str(err)) from None
+    if table.shape[1] != len(header):  # numpy took its count from the first row
+        message = f"changed from {len(header)} to {table.shape[1]} at row 1"
+        raise _parse_error(path, header, reader.line_num, message)
 
-        table = _load_table(handle, len(header))
-        if table is None:
-            handle.seek(0)
-            reader = csv.reader(handle)
-            next(reader)
-            table = _parse_rows(path, reader, header)
-
-    features = np.delete(table, label_idx, axis=1)
-    label_arr = table[:, label_idx].copy()
+    label_idx = header.index(label_column)
+    features, labels = np.delete(table, label_idx, axis=1), table[:, label_idx]
     # exact integrality: a tolerance would round large regression labels
-    if np.all(np.isfinite(label_arr)) and np.all(label_arr == np.rint(label_arr)):
-        label_arr = np.rint(label_arr).astype(np.int64)
-    return Dataset(features, label_arr, name=path)
+    if np.all(np.isfinite(labels)) and np.all(labels == np.rint(labels)):
+        labels = labels.astype(np.int64)
+    return Dataset(features, labels, name=path)
 
 
-def _load_table(handle, columns: int) -> np.ndarray | None:
-    """The body as one float table via numpy's reader, or None to fall back.
+def _parse_error(path: str, header: list[str], header_lines: int, message: str) -> CsvParseError:
+    """numpy's error ``message`` at the file row and header column it means.
 
-    The open handle streams to the reader line by line: a body read into
-    one string first would add its own size to the peak memory.
+    numpy counts data rows, a bad cell's from 0 and a bad cell count's from
+    1, and takes its cell count from the first row.  A message that names
+    no row is kept as it is.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # an empty body warns
-        try:
-            table = np.loadtxt(
-                handle, dtype=np.float64, delimiter=",", comments=None, ndmin=2
-            )
-        except (ValueError, Warning):
-            return None
-    return table if table.shape[1] == columns else None
-
-
-def _parse_rows(path: str, reader, header: list[str]) -> np.ndarray:
-    """The body as one float table, row by row with ``float()``'s rules."""
-    rows: list[np.ndarray] = []
-    for row_num, row in enumerate(reader, start=2):
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        if len(row) != len(header):
-            raise CsvParseError(
-                f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
-            )
-        # one numpy call parses the row's cells with float()'s rules
-        try:
-            rows.append(np.array(row, dtype=np.float64))
-        except ValueError:
-            raise _cell_error(path, row_num, header, row) from None
-    if not rows:
-        raise CsvParseError(f"{path}: no data rows")
-    return np.array(rows)
-
-
-def _cell_error(
-    path: str, row_num: int, header: list[str], row: list[str]
-) -> CsvParseError:
-    """The parse error naming the first cell of ``row`` that is not a number."""
-    for name, cell in zip(header, row):
-        try:
-            float(cell)
-        except ValueError:
-            return CsvParseError(
-                f"{path}: row {row_num}, column {name!r}: cannot parse {cell!r} as a number"
-            )
-    return CsvParseError(f"{path}: row {row_num}: cannot parse the row as numbers")
+    if cell := re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", message, re.DOTALL):
+        what, row, column = cell[1], int(cell[2]) + 1, int(cell[3]) - 1
+    elif count := re.search(r"changed from (\d+) to (\d+) at row (\d+)", message):
+        first, cells, row = map(int, count.groups())
+        if first != len(header):
+            cells, row = first, 1
+        what, column = f"{cells} cells, the header has {len(header)}", min(cells, len(header))
+    else:
+        return CsvParseError(f"{path}: {message}")
+    # a row starts on each line that is not empty and not inside a quoted cell
+    with open(path, newline="", encoding="utf-8") as handle:
+        quoted = False
+        body = itertools.islice(handle, header_lines, None)
+        for line_num, line in enumerate(body, start=header_lines + 1):
+            if not quoted and line.strip("\r\n"):
+                row -= 1
+                if row == 0:
+                    break
+            quoted ^= line.count('"') % 2 == 1
+    name = repr(header[column]) if column < len(header) else f"{column + 1} (past {header[-1]!r})"
+    return CsvParseError(f"{path}: row {line_num}, column {name}: {what}")
 
 
 @dataclass(frozen=True)

@@ -301,34 +301,35 @@ def _with_sigma(train_cfg: TrainConfig, sigmas: dict[tuple, float]) -> TrainConf
 
 
 def _summary_table(results: list[dict]) -> str:
-    """Rows: method x k; columns: epsilon; cells: mean +/- std accuracy."""
-    cells: dict[tuple[str, int], dict[float, list[float]]] = {}
+    """Rows: method x k; columns: epsilon; cells: mean +/- std final accuracy.
+
+    A cell whose runs record no accuracy, as a regression model's do, shows
+    their final eval loss, marked ``loss``; one of zero-step runs, ``n/a``.
+    Each column is 18 wide, or one more than its widest entry.
+    """
+    cells: dict[tuple[str, int], dict[float, list[dict]]] = {}
     for res in results:
-        key = (res["method"], res["k"])
-        cells.setdefault(key, {}).setdefault(res["epsilon"], []).append(
-            res["final_accuracy"]
-        )
+        cells.setdefault((res["method"], res["k"]), {}).setdefault(res["epsilon"], []).append(res)
     epsilons = sorted({res["epsilon"] for res in results})
     multiple_k = len({k for _, k in cells}) > 1
-    lines = []
-    header = ["method".ljust(18)] + [f"eps={eps:g}".ljust(18) for eps in epsilons]
-    lines.append("".join(header))
+    table = [["method"] + [f"eps={eps:g}" for eps in epsilons]]
     for method, k in sorted(cells):
         label = f"{method} (k={k})" if multiple_k else method
-        row = [label.ljust(18)]
-        for eps in epsilons:
-            accs = cells[(method, k)].get(eps)
-            if accs is None:
-                row.append("-".ljust(18))
-            elif any(math.isnan(a) for a in accs):
-                row.append("n/a".ljust(18))
-            else:  # sorted: the same digits in any order of runs
-                accs = sorted(accs)
-                row.append(
-                    f"{np.mean(accs):.3f} +/- {np.std(accs):.3f}".ljust(18)
-                )
-        lines.append("".join(row))
-    return "\n".join(lines)
+        table.append([label] + [_summary_cell(cells[(method, k)].get(eps)) for eps in epsilons])
+    widths = [max(18, *(len(entry) + 1 for entry in column)) for column in zip(*table)]
+    return "\n".join(
+        "".join(entry.ljust(width) for entry, width in zip(row, widths)) for row in table
+    )
+
+
+def _summary_cell(runs: list[dict] | None) -> str:
+    if runs is None:
+        return "-"
+    for key, mark in (("final_accuracy", ""), ("final_eval_loss", "loss ")):
+        values = sorted(run[key] for run in runs)  # the same digits in any order of runs
+        if not any(math.isnan(value) for value in values):
+            return f"{mark}{np.mean(values):.3f} +/- {np.std(values):.3f}"
+    return "n/a"
 
 
 def train_command(
@@ -380,7 +381,14 @@ def train_command(
     with open(summary_path, "w", encoding="utf-8") as handle:
         handle.write(summary + "\n")
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
+        # strict JSON: a value a run did not record, such as a regression
+        # run's accuracy, is null
+        strict = [
+            {key: None if isinstance(value, float) and not math.isfinite(value) else value
+             for key, value in res.items()}
+            for res in results
+        ]
+        json.dump(strict, handle, indent=2, allow_nan=False)
         handle.write("\n")
     print(summary)
     return 0

@@ -305,6 +305,20 @@ def test_class_count_comes_from_the_config(tmp_path, capsys):
     assert err.startswith("config error:") and "data.classes" in err
 
 
+def test_a_non_finite_csv_label_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "reg.csv"
+    path.write_text("a,label\n" + "".join(f"{i},{0.5 * i}\n" for i in range(45)) + "1,nan\n")
+    out = tmp_path / "r"
+    text = (
+        f"data.kind = csv\ndata.path = {path}\ndata.n = 30\nmodel.kind = linear\n"
+        f"aux.m = 10\ngep.k = 2\ntrain.steps = 1\nmethod = gp\nout = {out}\n"
+    )
+    assert main(["train", "--config", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "labels contain non-finite entries" in err
+    assert not out.exists()
+
+
 def test_train_command_writes_metrics_and_summary(tmp_path, capsys):
     out = tmp_path / "runs"
     cfg_path = write_config(tmp_path, BASE_CONFIG + f"out = {out}\n")
@@ -605,6 +619,31 @@ def test_report_prints_the_train_summary(tmp_path, capsys, steps):
     assert main(["train", "--config", cfg_path, "--method", "gp"]) == 0
     assert (out / "summary.txt").read_text() == report
     assert len(json.loads((out / "summary.json").read_text())) == 8
+
+
+def _refuse(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+@pytest.mark.parametrize("steps", [3, 0])
+def test_a_regression_summary_shows_the_eval_loss(tmp_path, capsys, steps):
+    # a linear model records NaN accuracy at every step
+    text = GRID_CONFIG.replace("train.steps = 3", f"train.steps = {steps}")
+    for line in ("model.kind = linear", "data.kind = lowrank-gradient-task", "data.rank = 3"):
+        key = line.split(" = ")[0]
+        text = re.sub(rf"(?m)^{re.escape(key)} = .*$\n?", "", text) + line + "\n"
+    out = tmp_path / "runs"
+    assert main(["train", "--config", write_config(tmp_path, text + f"out = {out}\n")]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    report = capsys.readouterr().out
+    assert report == (out / "summary.txt").read_text()
+    assert report.count("n/a") == (4 if steps == 0 else 0)
+    assert report.count("loss ") == (0 if steps == 0 else 4)
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_refuse)
+    assert len(summary) == 8
+    assert all(entry["final_accuracy"] is None for entry in summary)
+    assert all((entry["final_eval_loss"] is None) == (steps == 0) for entry in summary)
 
 
 def test_summary_table_ignores_run_order():
