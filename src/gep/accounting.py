@@ -3,7 +3,8 @@
 All costs are expressed in the noise-multiplier convention: a release with
 L2 sensitivity ``s`` perturbed by ``N(0, (sigma * s)^2 I)`` has multiplier
 ``sigma``, and its order-``lam`` Renyi cost is ``lam / (2 sigma^2)``
-regardless of ``s``.
+regardless of ``s``.  :func:`noise_stds` maps a training step's ``sigma``
+to the noise of each sum it perturbs, and :func:`step_multiplier` back.
 
 The subsampled bound is a log-sum-exp over binomial terms, evaluated with
 numpy and ``math`` alone:
@@ -39,6 +40,8 @@ __all__ = [
     "subsampled_gaussian_curve",
     "rdp_to_dp",
     "epsilon_for_sigma",
+    "noise_stds",
+    "step_multiplier",
     "calibrate_sigma_closed_form",
     "calibrate_sigma_search",
     "SIGMA_BRACKET",
@@ -239,6 +242,21 @@ def rdp_to_dp(
     return spent, order
 
 
+def noise_stds(sigma: float, thresholds: Sequence[float]) -> tuple[float, ...]:
+    """Each sum's noise std at step multiplier ``sigma`` (none at 0): ``n`` sums,
+    each divided by its threshold, are one release of sensitivity ``sqrt(n)``."""
+    per_sum = sigma * math.sqrt(len(thresholds))
+    return tuple(per_sum * t if sigma else 0.0 for t in thresholds)
+
+
+def step_multiplier(sums: Sequence[tuple[float, float]]) -> float:
+    """The step multiplier ``(threshold, std)`` sums compose to (Mironov 2017),
+    ``(sum (threshold / std)^2)^(-1/2)``, or 0 if a sum has no noise."""
+    if any(std == 0 for _, std in sums):
+        return 0.0
+    return 1.0 / math.hypot(*(t / std for t, std in sums))
+
+
 def calibrate_sigma_closed_form(budget: DpBudget, steps: int) -> float:
     """Closed-form multiplier for a training run of paired Gaussian releases.
 
@@ -283,9 +301,7 @@ def calibrate_sigma_search(budget: DpBudget, q: float, invocations: int) -> floa
 
     Bisects on sigma, to a relative tolerance of 1e-4, using the
     monotonicity of :func:`epsilon_for_sigma`; ``invocations`` counts
-    unit-sensitivity releases.  A training run makes one per step,
-    whatever the method: a gep step's two perturbed sums together form one
-    release at this multiplier (see :func:`gep.release.noise_multipliers`).
+    unit-sensitivity releases, one per training step (:func:`noise_stds`).
     """
     if not 0 < q <= 1:
         raise ValueError(f"sampling rate must lie in (0, 1], got {q}")

@@ -153,33 +153,46 @@ def ingest_csv(path: str, label_column: str) -> Dataset:
     padded with whitespace or quoted with ``"``, empty lines skipped.  A
     blank cell, a whitespace-only line, ``1_000``, or a cell count other
     than the header's is a :class:`CsvParseError` that names the file row
-    and the header column.
+    and the header column, and so is a byte that is not UTF-8 (a leading
+    byte order mark is skipped), by row.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        if (header := next(reader, None)) is None:
-            raise CsvParseError(f"{path}: file is empty")
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise CsvParseError(
-                f"{path}: label column {label_column!r} not found in header {header}"
-            )
-        # numpy reads the open file line by line: a body read into one
-        # string first would add its own size to the peak memory
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty body warns
-            try:
-                table = np.loadtxt(
-                    handle, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
-                    quotechar='"',
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            if (header := next(reader, None)) is None:
+                raise CsvParseError(f"{path}: file is empty")
+            header = [h.strip() for h in header]
+            if label_column not in header:
+                raise CsvParseError(
+                    f"{path}: label column {label_column!r} not found in header {header}"
                 )
-            except Warning:
-                raise CsvParseError(f"{path}: no data rows") from None
-            except ValueError as err:
-                raise _parse_error(path, header, reader.line_num, str(err)) from None
-    if table.shape[1] != len(header):  # numpy took its count from the first row
-        message = f"changed from {len(header)} to {table.shape[1]} at row 1"
-        raise _parse_error(path, header, reader.line_num, message)
+            # numpy reads the open file line by line: a body read into one
+            # string first would add its own size to the peak memory
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty body warns
+                try:
+                    table = np.loadtxt(
+                        handle, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
+                        quotechar='"',
+                    )
+                except Warning:
+                    raise CsvParseError(f"{path}: no data rows") from None
+                except UnicodeDecodeError:
+                    raise
+                except ValueError as err:
+                    raise _parse_error(path, header, reader.line_num, str(err)) from None
+        if table.shape[1] != len(header):  # numpy took its count from the first row
+            message = f"changed from {len(header)} to {table.shape[1]} at row 1"
+            raise _parse_error(path, header, reader.line_num, message)
+    except UnicodeDecodeError:  # its position counts from a decoded chunk
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            row = len((raw[: err.start] + b"x").splitlines())  # the csv reader's lines
+            byte = raw[err.start]
+            raise CsvParseError(f"{path}: row {row}: byte {byte:#04x} is not UTF-8") from None
 
     label_idx = header.index(label_column)
     features, labels = np.delete(table, label_idx, axis=1), table[:, label_idx]
@@ -206,7 +219,7 @@ def _parse_error(path: str, header: list[str], header_lines: int, message: str) 
     else:
         return CsvParseError(f"{path}: {message}")
     # a row starts on each line that is not empty and not inside a quoted cell
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         quoted = False
         body = itertools.islice(handle, header_lines, None)
         for line_num, line in enumerate(body, start=header_lines + 1):

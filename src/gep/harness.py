@@ -26,6 +26,7 @@ from .accounting import (
     calibrate_sigma_closed_form,
     calibrate_sigma_search,
     epsilon_for_sigma,
+    step_multiplier,
 )
 from .config import ConfigError, RunConfig, load_config
 from .data import (
@@ -412,8 +413,8 @@ def accountant_command(
         raise ConfigError(str(err)) from None
 
     if mode == "closed":
-        # The closed form covers two releases per step; verify by composing.
-        spent, order = epsilon_for_sigma(sigma, budget, 1.0, 2 * steps)
+        # Two releases per step: compose the steps, each at its pair's multiplier.
+        spent, order = epsilon_for_sigma(step_multiplier(((1.0, sigma),) * 2), budget, 1.0, steps)
         print(f"closed-form sigma = {sigma:.6f} (per-release multiplier)")
         print(
             f"verification: composing {2 * steps} releases at sigma={sigma:.6f} "

@@ -21,11 +21,8 @@ thresholds and the multiplier, reads the method's entry, and runs the
 one kernel, ``_release``.
 
 Noise convention: ``sigma`` is the unit-sensitivity multiplier of one
-step, the one the accountant composes.  A step that perturbs ``parts``
-sums, each clipped at its own threshold, is one release of sensitivity
-``sqrt(parts)`` after normalizing each sum by its threshold, so every sum
-gets noise of std ``sigma * sqrt(parts) * threshold``
-(:func:`noise_multipliers`).
+step, the one the accountant composes; :func:`gep.accounting.noise_stds`
+turns it into each released sum's noise std.
 
 The kernel takes the gradients in factored form
 (:class:`gep.linalg.FactoredGradients`): each block of ``g_i`` is an
@@ -104,6 +101,7 @@ from typing import Callable
 
 import numpy as np
 
+from .accounting import noise_stds
 from .linalg import (
     SPECTRAL_TOL,
     AnchorCoefficients,
@@ -127,7 +125,6 @@ __all__ = [
     "release_gradient",
     "projection_error_rate",
     "stable_rank",
-    "noise_multipliers",
 ]
 
 # Rows with ||r||^2 < RESIDUAL_GUARD * ||g||^2 get explicit residuals; see
@@ -152,11 +149,6 @@ class Method:
 
     basis: str | None
     residual: bool
-
-    @property
-    def parts(self) -> int:
-        """Sums perturbed per step."""
-        return (self.basis is not None) + self.residual
 
 
 METHODS: dict[str, Method] = {
@@ -213,6 +205,7 @@ class PrivateRelease:
     clip_fraction_s1: float
     clip_fraction_s2: float
     projection_error_rate: float
+    sums: tuple[tuple[float, float], ...]  # (threshold, noise std) per sum perturbed
 
 
 class AnchorBasis:
@@ -304,19 +297,6 @@ def build_anchor_basis(
             block, _ = orthonormalize_rows(rng.standard_normal((k_g, group.length)))
         blocks.append(block)
     return AnchorBasis(layout, blocks)
-
-
-def noise_multipliers(sigma: float, parts: int) -> float:
-    """Per-sum noise multiplier of a step that perturbs ``parts`` sums.
-
-    ``sigma`` is the step's unit-sensitivity multiplier.  Each released
-    sum gets Gaussian noise of standard deviation
-    ``sigma * sqrt(parts) * threshold``: dividing every sum by its
-    threshold makes the step one release of sensitivity ``sqrt(parts)``
-    at noise std ``sigma * sqrt(parts)``.  One-part releases (bgep, gp)
-    spend ``sigma`` as is.
-    """
-    return sigma * math.sqrt(parts)
 
 
 def _clip_scales(
@@ -488,6 +468,7 @@ def _release(
         clip_fraction_s1=clip1,
         clip_fraction_s2=clip2,
         projection_error_rate=error_rate,
+        sums=tuple(part for part in (embedding, residual) if part is not None),
     )
 
 
@@ -507,9 +488,8 @@ def release_gradient(
     (None for ``gp``).  Embedding rows are clipped at ``s1`` and residual
     rows at ``s2`` (the residual is taken against the unclipped
     embedding), and, when there is no basis, whole rows at ``s1``; that
-    clip fraction is reported as ``clip_fraction_s1``.  Every released sum
-    gets noise std ``noise_multipliers(sigma, parts) * threshold``, and
-    none at ``sigma = 0``, even for an infinite threshold.  The estimate
+    clip fraction is reported as ``clip_fraction_s1``.  The released sums
+    get the noise stds :func:`gep.accounting.noise_stds` gives.  The estimate
     is ``v_tilde = (w_tilde B + r_tilde) / n``, with ``w_tilde B`` mapped
     back group by group; ``bgep`` leaves ``r_tilde`` out, so it converges
     to the batch gradient minus the mean residual.
@@ -522,18 +502,15 @@ def release_gradient(
         raise ValueError("clipping thresholds must be positive")
     if not sigma >= 0:
         raise ValueError("sigma must be calibrated to a value >= 0")
-    block = noise_multipliers(sigma, spec.parts)
-
-    def part(threshold: float) -> tuple[float, float]:
-        return threshold, (block * threshold if block else 0.0)
-
+    thresholds = (s1, s2) if spec.basis and spec.residual else (s1,)
+    sums = list(zip(thresholds, noise_stds(sigma, thresholds)))
     g = as_factors(g)
     if basis is None:
-        rel = _release(g, None, None, part(s1), rng)
+        rel = _release(g, None, None, sums[0], rng)
         return replace(
             rel, clip_fraction_s1=rel.clip_fraction_s2, clip_fraction_s2=math.nan
         )
-    return _release(g, basis, part(s1), part(s2) if spec.residual else None, rng)
+    return _release(g, basis, sums[0], sums[1] if spec.residual else None, rng)
 
 
 def projection_error_rate(

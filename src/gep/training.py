@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .accounting import DpBudget, calibrate_sigma_search, epsilon_for_sigma
+from .accounting import DpBudget, calibrate_sigma_search, epsilon_for_sigma, step_multiplier
 from .data import Dataset
 from .linalg import RandomStream
 from .models import (
@@ -168,8 +168,8 @@ def calibrate_noise_multiplier(cfg: TrainConfig) -> float:
     """Smallest per-step noise multiplier that keeps the run within budget.
 
     Every method spends one unit-sensitivity release per step at this
-    multiplier, however many sums it perturbs (see
-    :func:`gep.release.noise_multipliers`), so all methods calibrate alike.
+    multiplier, however many sums it perturbs
+    (:func:`gep.accounting.noise_stds`), so all methods calibrate alike.
     """
     return calibrate_sigma_search(cfg.budget, cfg.sampling_rate, max(cfg.steps, 1))
 
@@ -248,12 +248,13 @@ def dp_train(
     Unless ``cfg.sigma_override`` is set, the noise multiplier is
     calibrated so the full run fits the budget (the per-step epsilons in
     the metrics are recomputed through the accountant, not assumed).
-    Each step draws the batch, builds the anchor basis the method names
-    and makes one :func:`gep.release.release_gradient` call; an empty
-    Poisson batch leaves the parameters as they are.  The step loop is
+    Each step draws the batch, builds the anchor basis the method names and
+    makes one :func:`gep.release.release_gradient` call, whose sums must
+    compose to that multiplier (:func:`gep.accounting.step_multiplier`); an
+    empty Poisson batch leaves the parameters as they are.  The step loop is
     the one :func:`gd_train` runs.  With ``cfg.iterate_averaging`` the
-    returned model carries the average of the per-step iterates instead
-    of the final one; the metrics always describe the actual iterates.
+    returned model carries the average of the per-step iterates instead of
+    the final one; the metrics always describe the actual iterates.
     """
     if cfg.steps == 0:  # nothing to calibrate or release
         return gd_train(cfg, private, eval_data)
@@ -299,6 +300,8 @@ def dp_train(
             )
         noise = stream.generator(t, PURPOSE_NOISE)
         rel = release_gradient(cfg.method, grads, basis, cfg.gep.s1, cfg.gep.s2, sigma, noise)
+        if (realized := step_multiplier(rel.sums)) < sigma * (1 - 1e-12):
+            raise RuntimeError(f"step {t} released at multiplier {realized!r}, not {sigma!r}")
         diagnostics = {
             "projection_error_rate": rel.projection_error_rate,
             "k_effective": rel.k_effective,

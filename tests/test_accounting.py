@@ -9,6 +9,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gep
 from gep.accounting import (
@@ -21,7 +23,9 @@ from gep.accounting import (
     default_orders,
     epsilon_for_sigma,
     gaussian_curve,
+    noise_stds,
     rdp_to_dp,
+    step_multiplier,
     subsampled_gaussian_curve,
 )
 from gep.accounting import _log_binomials, _logsumexp
@@ -434,3 +438,25 @@ def test_log_binomials_no_less_accurate_than_gammaln():
 
     assert worst(table[a - 2, j]) <= worst(reference)
     assert np.all(table[np.arange(2, 257)[:, None] < np.arange(257)] == -np.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sigma=st.floats(1e-8, 1e8),
+    thresholds=st.lists(st.floats(1e-8, 1e8), min_size=1, max_size=2),
+)
+def test_step_multiplier_inverts_noise_stds(sigma, thresholds):
+    sums = tuple(zip(thresholds, noise_stds(sigma, thresholds)))
+    assert abs(step_multiplier(sums) - sigma) <= 4 * math.ulp(sigma)
+
+
+def test_step_multiplier_of_missing_or_halved_noise():
+    # sigma = 0 perturbs nothing, even at an infinite threshold
+    assert noise_stds(0.0, (1.0, math.inf)) == (0.0, 0.0)
+    assert step_multiplier(((1.0, 0.0), (2.0, 0.0))) == 0.0
+    assert step_multiplier(((1.0, 0.0), (2.0, 3.0))) == 0.0
+    # half the noise on one of two sums: (2 / sigma^2 + 1 / (2 sigma^2))^(-1/2)
+    for sigma in (0.3, 1.5, 40.0):
+        (s1, std1), (s2, std2) = zip((3.0, 0.5), noise_stds(sigma, (3.0, 0.5)))
+        halved = step_multiplier(((s1, std1 / 2), (s2, std2)))
+        assert halved == pytest.approx(sigma * math.sqrt(2 / 5), rel=1e-15)

@@ -147,6 +147,29 @@ def test_ingest_csv_errors(tmp_path):
         ingest_csv(str(header_only), "label")
 
 
+def test_ingest_csv_reads_a_byte_order_mark(tmp_path):
+    text = "label,a,b\n" + "".join(f"{i % 3},{i / 7!r},{-i}\n" for i in range(40))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    a, b = ingest_csv(str(plain), "label"), ingest_csv(str(marked), "label")
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.labels.dtype == b.labels.dtype == np.int64
+    assert a.labels.tolist() == b.labels.tolist()
+
+
+# a byte in the header line, one in the first 8 KiB the text layer decodes,
+# and one far past it, in a chunk numpy decodes
+@pytest.mark.parametrize("row", [1, 4, 1500])
+def test_ingest_csv_names_the_row_of_a_byte_that_is_not_utf8(tmp_path, row):
+    lines = ["a,b,label\n"] + [f"{i}.5,{i}.25,{i % 2}\n" for i in range(2000)]
+    raw = "".join(lines[: row - 1]).encode() + b"1\xff" + "".join(lines[row - 1 :]).encode()
+    path = tmp_path / "latin.csv"
+    path.write_bytes(raw)
+    with pytest.raises(CsvParseError, match=f"latin.csv: row {row}: byte 0xff is not UTF-8"):
+        ingest_csv(str(path), "label")
+
+
 def test_ingest_csv_odd_cells_parse_as_float_does(tmp_path):
     cells = [[" 1.5 ", "1e-3", '"1000.25"', "0"], ["-2.5E+2", "\t+.5", "-0", "1"]]
     path = tmp_path / "odd.csv"

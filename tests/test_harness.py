@@ -319,6 +319,21 @@ def test_a_non_finite_csv_label_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_csv_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"a,label\n" + b"".join(b"%d,%d\n" % (i, i % 2) for i in range(45))
+                     + b"1\xff,0\n")
+    out = tmp_path / "r"
+    text = (
+        f"data.kind = csv\ndata.path = {path}\ndata.n = 30\n"
+        f"aux.m = 10\ngep.k = 2\ntrain.steps = 1\nmethod = gp\nout = {out}\n"
+    )
+    assert main(["train", "--config", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{path}: row 47: byte 0xff" in err
+    assert not out.exists()
+
+
 def test_train_command_writes_metrics_and_summary(tmp_path, capsys):
     out = tmp_path / "runs"
     cfg_path = write_config(tmp_path, BASE_CONFIG + f"out = {out}\n")

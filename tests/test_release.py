@@ -37,7 +37,6 @@ from gep.release import (
     GepConfig,
     build_anchor_basis,
     RESIDUAL_GUARD,
-    noise_multipliers,
     projection_error_rate,
     release_gradient,
     single_group_layout,
@@ -419,18 +418,33 @@ def test_public_names_resolve():
     assert gep.release_gradient is gep.release.release_gradient
 
 
-def test_noise_multipliers():
-    assert noise_multipliers(1.5, 2) == 1.5 * math.sqrt(2.0)
-    assert noise_multipliers(1.5, 1) == 1.5
-    assert noise_multipliers(0.0, 2) == 0.0
+def test_release_records_the_sums_it_perturbed():
+    rng = np.random.default_rng(0)
+    g, anchor = exact_rank_gradients(rng, 12, 16, 30, 4)
+    s1, s2 = 3.0, 0.5
+    for sigma in (1.5, 0.0):
+        two, one = sigma * math.sqrt(2.0), sigma
+        expected = {
+            "gep": ((s1, two * s1), (s2, two * s2)),
+            "bgep": ((s1, one * s1),),
+            "gp": ((s1, one * s1),),  # every row all residual, clipped at s1
+            "random-basis-gep": ((s1, two * s1), (s2, two * s2)),
+        }
+        for name, method in METHODS.items():
+            basis = None
+            if method.basis is not None:
+                layout = single_group_layout(30, 4)
+                basis = build_anchor_basis(anchor, layout, make_cfg(), rng, method.basis)
+            rel = release_gradient(name, g, basis, s1, s2, sigma, rng)
+            assert rel.sums == expected[name], (name, sigma)
 
 
 def test_method_table():
-    assert {name: (m.basis, m.parts) for name, m in METHODS.items()} == {
-        "gep": ("power", 2),
-        "bgep": ("power", 1),
-        "gp": (None, 1),
-        "random-basis-gep": ("random", 2),
+    assert {name: (m.basis, m.residual) for name, m in METHODS.items()} == {
+        "gep": ("power", True),
+        "bgep": ("power", False),
+        "gp": (None, True),
+        "random-basis-gep": ("random", True),
     }
     with pytest.raises(ValueError, match="basis mode"):
         build_anchor_basis(

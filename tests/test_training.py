@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gep.models
+import gep.release
 import gep.training
 from gep.accounting import DpBudget, calibrate_sigma_search, epsilon_for_sigma
 from gep.linalg import gaussian_noise, orthonormalize_rows
@@ -294,6 +295,21 @@ def test_every_method_calibrates_to_the_same_step_multiplier():
         expected = calibrate_sigma_search(budget, q, 10)
         for method in METHODS:
             assert calibrate_noise_multiplier(replace(cfg, method=method)) == expected
+
+
+def test_a_release_below_the_charged_multiplier_stops_the_run(monkeypatch):
+    # half the embedding's noise leaves the step at sigma * sqrt(2/5)
+    task = logistic_mixture_task(9, n=100, input_dim=19, m_aux=30, n_eval=30)
+    cfg = toy_cfg(task, method="gep", gep=GepConfig(k=4, m=30), steps=3, sigma_override=1.5)
+    planned = gep.release.noise_stds
+
+    def halved(sigma, thresholds):
+        first, *rest = planned(sigma, thresholds)
+        return (first / 2, *rest)
+
+    monkeypatch.setattr(gep.release, "noise_stds", halved)
+    with pytest.raises(RuntimeError, match=r"step 0 released at multiplier 0\.9486.*1\.5"):
+        dp_train(cfg, task.private, task.eval)
 
 
 @pytest.mark.parametrize("method", ["gep", "bgep", "gp"])
