@@ -406,9 +406,7 @@ class AnchorCoefficients:
         return _matmul(g.cross_gram(self.anchors), self.coef.T)
 
 
-def orthonormalize_rows(
-    m: np.ndarray, tol: float = DEFAULT_ORTHO_TOL, gram: np.ndarray | None = None
-) -> tuple[np.ndarray, int]:
+def orthonormalize_rows(m: np.ndarray, tol: float = DEFAULT_ORTHO_TOL) -> tuple[np.ndarray, int]:
     """Orthonormalize the rows of ``m``, dropping linearly dependent ones.
 
     Classical Gram-Schmidt with a second re-orthogonalization pass (CGS2),
@@ -418,12 +416,6 @@ def orthonormalize_rows(
     every scale: a zero row is dropped, and an independent row is kept
     however small.  Returns the orthonormal matrix and the number of
     surviving rows.  A row with a non-finite norm raises ValueError.
-
-    With ``gram`` given, the inner product is ``<u, v> = u K v^T`` for
-    ``K = gram``: on rows ``c`` of coefficients over anchors ``G_a`` with
-    ``K = G_a G_a^T``, the result holds the orthonormalized rows of
-    ``c G_a`` as coefficients, at ``m^2`` per row for the norms and ``m``
-    per projection, never ``p``.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -431,46 +423,34 @@ def orthonormalize_rows(
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n_rows, n_cols = m.shape
-    if gram is not None and gram.shape != (n_cols, n_cols):
-        raise ValueError(f"gram must be {n_cols} x {n_cols}, got shape {gram.shape}")
     if n_rows == 0 or n_cols == 0:
         return np.zeros((0, n_cols)), 0
 
-    # accepted rows fill q from the top; CGS2 runs against the prefix.  kq
-    # holds the rows K q_j the inner products take (q itself when K = I).
+    # accepted rows fill q from the top; CGS2 runs against the prefix
     q = np.empty((n_rows, n_cols))
-    kq = q if gram is None else np.empty((n_rows, n_cols))
     count = 0
     for i in range(n_rows):
         v = m[i]
-        scale, _ = _inner_norm(v, gram)
+        scale = _norm(v)
         if not math.isfinite(scale):
             raise ValueError(f"row {i} of m is not finite or its norm overflows")
         for _ in range(2):
             if count:
-                coeffs = _matmul(kq[:count], v)
+                coeffs = _matmul(q[:count], v)
                 v = v - _matmul(q[:count].T, coeffs)
-        norm, kv = _inner_norm(v, gram)
+        norm = _norm(v)
         if not norm > tol * scale:
             continue
         _macs(n_cols)
         q[count] = v / norm
-        if gram is not None:
-            _macs(n_cols)
-            kq[count] = kv / norm
         count += 1
     return q[:count], count
 
 
-def _inner_norm(v: np.ndarray, gram: np.ndarray | None) -> tuple[float, np.ndarray]:
-    # sqrt(v K v^T) and K v; with no K the Euclidean norm, bitwise
-    # np.linalg.norm(v), and v itself
-    if gram is None:
-        _macs(2 * v.size)
-        return math.sqrt(v @ v), v
-    kv = _matmul(gram, v)
-    _macs(v.size)
-    return math.sqrt(max(float(v @ kv), 0.0)), kv
+def _norm(v: np.ndarray) -> float:
+    # bitwise np.linalg.norm(v)
+    _macs(2 * v.size)
+    return math.sqrt(v @ v)
 
 
 def gram_path_pays(g_a: FactoredGradients, k: int) -> bool:
@@ -508,30 +488,37 @@ def _power_start(
 
 
 def _gram_power_rounds(
-    g_a: FactoredGradients, gram: np.ndarray, w: np.ndarray, t: int, tol: float
+    g_a: FactoredGradients, gram: np.ndarray, w: np.ndarray, t: int
 ) -> AnchorCoefficients | None:
     # Subspace iteration with the basis held as C: after W = G_a B^T, the
     # next basis W^T G_a has coefficients W^T, and each later W is K C^T.
-    # None when a row is dropped (a K-norm that small sits below this
-    # path's rounding) or the orthogonality loss estimate exceeds the bound.
+    # Each round orthonormalizes C under <u, v> = u K v^T by Cholesky QR
+    # twice: S = (C K) C^T = L L^T, then C <- L^-1 C.  None when a LAPACK
+    # call fails (S does not factor) or the orthogonality loss estimate is
+    # not within the bound; an overflow that leaves NaN does either.
     loss_per_coef = _UNIT_ROUNDOFF * float(np.linalg.norm(gram))
-    k = w.shape[1]
     coef = w.T
     for round_ in range(t):
         if round_:
             coef = _matmul(coef, gram)
-        coef, rank = orthonormalize_rows(coef, tol, gram)
-        if rank < k or loss_per_coef * np.linalg.norm(coef, 2) ** 2 > GRAM_ORTHO_BOUND:
+        try:
+            for _ in range(2):
+                factor = np.linalg.cholesky(_matmul(_matmul(coef, gram), coef.T))
+                coef = _matmul(np.linalg.inv(factor), coef)
+            loss = loss_per_coef * np.linalg.norm(coef, 2) ** 2
+        except np.linalg.LinAlgError:
+            return None
+        if not loss <= GRAM_ORTHO_BOUND:
             return None
     return AnchorCoefficients(coef, g_a)
 
 
-def _dense_power_rounds(g_a: FactoredGradients, w: np.ndarray, t: int, tol: float) -> np.ndarray:
+def _dense_power_rounds(g_a: FactoredGradients, w: np.ndarray, t: int) -> np.ndarray:
     # Subspace iteration on the dense k x p basis, from W_0 = w.
     for round_ in range(t):
         if round_:
             w = g_a.embed(basis)
-        basis, rank = orthonormalize_rows(g_a.back_project(w), tol)
+        basis, rank = orthonormalize_rows(g_a.back_project(w))
         if rank == 0:
             break
     return basis
@@ -542,7 +529,6 @@ def power_iteration_basis(
     k: int,
     t: int,
     rng: np.random.Generator,
-    tol: float = DEFAULT_ORTHO_TOL,
 ) -> np.ndarray | AnchorCoefficients:
     """Estimate an orthonormal basis of the top-``k`` right singular subspace.
 
@@ -560,12 +546,14 @@ def power_iteration_basis(
     ``L z`` with ``z`` an ``m x k`` Gaussian and ``L`` the Cholesky factor
     of ``K + m u tr(K) I`` (``u`` the unit roundoff): a start of about
     ``m^2 sum(c + a) + m^3 / 3 + m^2 k`` operations instead of ``k p``
-    draws plus ``k m p``.  The rounds then run on coefficients over the
-    anchors, orthonormalized under ``K`` (:func:`orthonormalize_rows` with
-    ``gram``), and the basis comes back as :class:`AnchorCoefficients`.
-    Rounding makes its rows orthonormal to about ``u ||K||_F ||C||_2^2``;
-    when that estimate exceeds :data:`GRAM_ORTHO_BOUND`, or a row is
-    dropped, the rounds rerun on the dense basis from the same ``W_0``.
+    draws plus ``k m p``.  The rounds then run on the ``k x m``
+    coefficients ``C`` over the anchors, orthonormalized under
+    ``<u, v> = u K v^T`` by Cholesky QR twice (``S = C K C^T = L L^T``,
+    ``C <- L^-1 C``), and the basis comes back as
+    :class:`AnchorCoefficients`.  Rounding makes its rows orthonormal to
+    about ``u ||K||_F ||C||_2^2``; when a Cholesky factorization fails or
+    that estimate is not within :data:`GRAM_ORTHO_BOUND`, the rounds rerun
+    on the dense basis, with CGS2, from the same ``W_0``.
 
     ``k`` larger than ``min(m, p)`` is clamped with a warning; an all-zero
     input yields an empty basis.
@@ -590,10 +578,10 @@ def power_iteration_basis(
 
     w, gram = _power_start(g_a, k, rng)
     if gram is not None:
-        held = _gram_power_rounds(g_a, gram, w, t, tol)
+        held = _gram_power_rounds(g_a, gram, w, t)
         if held is not None:
             return held
-    return _dense_power_rounds(g_a, w, t, tol)
+    return _dense_power_rounds(g_a, w, t)
 
 
 def _top_eigenvalue(

@@ -65,10 +65,11 @@ starts from the anchor Gram ``K = sum over pieces (D_a D_a^T) o (A_a A_a^T)``:
 the first product ``W_0 = G_a B_0^T`` of the dense rounds has i.i.d.
 ``N(0, K)`` columns, so it is drawn as ``W_0 = L Z`` with ``L`` the
 Cholesky factor of ``K`` plus a jitter of ``m u tr(K)`` on its diagonal
-and ``Z`` an ``m x k`` Gaussian, and no ``k x p`` start is drawn.  CGS2
-then runs on the rows of ``C = W_0^T`` under ``<u, v> = u K v^T``, and
-each later round sets ``C <- C K``.  The products the release needs
-become:
+and ``Z`` an ``m x k`` Gaussian, and no ``k x p`` start is drawn.  The
+rows of ``C = W_0^T`` are orthonormalized under ``<u, v> = u K v^T`` by
+Cholesky QR twice, ``S = (C K) C^T = L L^T`` and ``C <- L^-1 C``, and each
+later round sets ``C <- C K`` and orthonormalizes again.  The products the
+release needs become:
 
 * embedding: ``W = G B^T = (sum over pieces (D D_a^T) o (A A_a^T)) C^T``, at
   ``n m (c + a)`` per piece plus ``n m k`` instead of ``n k c a``;
@@ -77,19 +78,20 @@ become:
   of ``w_tilde`` and the guarded rows.
 
 Rounding leaves the materialized rows orthonormal to about
-``u ||K||_F ||C||_2^2`` (``u`` the unit roundoff).  A group whose
-estimate exceeds ``GRAM_ORTHO_BOUND`` (1e-13), or whose CGS2 drops a row,
-reruns the dense rounds from the same ``W_0``, so near rank-deficient
-anchors stay dense.  On a Gram group the guard statement above carries
-that loss: with ``kappa = ||C||_2 ||K||_F^(1/2)`` (at most about 30 under
-the bound) and ``eps_o`` the orthogonality loss, a row outside the guard
-has ``||r_i||^2`` accurate to about
+``u ||K||_F ||C||_2^2`` (``u`` the unit roundoff).  A group whose ``S``
+does not factor, or whose estimate is not within ``GRAM_ORTHO_BOUND``
+(1e-13), reruns the dense rounds, with CGS2, from the same ``W_0``, so
+near rank-deficient anchors stay dense.  On a Gram group the guard
+statement above carries that loss: with ``kappa = ||C||_2 ||K||_F^(1/2)``
+(at most about 30 under the bound) and ``eps_o`` the orthogonality loss,
+a row outside the guard has ``||r_i||^2`` accurate to about
 ``(2 kappa u + eps_o) / RESIDUAL_GUARD`` relative, and its share of the
 rounding in ``P(G^T b)`` is about ``(kappa u + eps_o) / sqrt(RESIDUAL_GUARD)``
 of ``s2``.  At the bound that is about 1e-11 relative, where a dense
 group has 2e-13.  On the ``mlp-wide`` benchmark's first layer, at the
-first step, the estimate is 1.6-1.8e-14 and ``kappa`` 12.0-12.7, which
-keeps the ``s2`` bound within 1e-12 relative, as on dense groups.
+first step of training seeds 0-9, the estimate is 5.6-7.2e-15 and
+``kappa`` 7.1-8.1, which keeps the ``s2`` bound within 1e-12 relative, as
+on dense groups.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ _DATA = 0
 _AUX = 1
 _INIT = 2
 _SPLIT = 3
+_AUX_LABELS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +169,7 @@ def toy_regression_task(seed: int, n: int = 32, input_dim: int = 4) -> TaskBundl
     eval_labels = np.hstack([eval_features, np.ones((n // 2, 1))]) @ true_w
     holdout = Dataset(eval_features, eval_labels, name="toy-regression-eval")
     aux_features = stream.generator(_AUX).standard_normal((n // 2, input_dim))
-    aux_labels = stream.generator(_AUX, 1).standard_normal(n // 2)
+    aux_labels = stream.generator(_AUX_LABELS).standard_normal(n // 2)
     aux = Dataset(aux_features, aux_labels, name="toy-regression-aux")
     model = init_model("linear", input_dim, 1)
     return TaskBundle(model=model, private=private, eval=holdout, aux=aux)

@@ -364,6 +364,21 @@ def test_train_command_is_byte_deterministic(tmp_path):
     assert first == second
 
 
+def test_heldout_correct_aux_trains_on_its_own_labels(tmp_path, monkeypatch):
+    import gep.training
+
+    def refused(model, n, rng):
+        raise AssertionError("random anchor labels drawn")
+
+    monkeypatch.setattr(gep.training, "random_labels", refused)
+    out = tmp_path / "runs"
+    text = BASE_CONFIG.replace("method = gp", "method = gep, bgep")
+    cfg_path = write_config(tmp_path, text + f"aux.source = heldout-correct\nout = {out}\n")
+    assert main(["train", "--config", cfg_path]) == 0
+    runs = [read_metrics(str(f)) for f in sorted(out.glob("*.metrics.jsonl"))]
+    assert [(run.method, len(rows)) for run, rows in runs] == [("bgep", 3), ("gep", 3)]
+
+
 def test_train_command_builds_one_task_per_anchor_count(tmp_path, monkeypatch):
     import gep.harness
 

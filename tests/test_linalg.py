@@ -94,20 +94,47 @@ def test_orthonormalize_matches_reference_bitwise():
     assert counter.macs == expected
 
 
-def test_orthonormalize_under_a_gram_inner_product():
-    # coefficients c over anchors g_a, orthonormalized under K = g_a g_a^T,
-    # hold the rows dense CGS2 gives for c g_a
+def test_gram_rounds_make_a_fixed_number_of_products_per_round(monkeypatch):
+    # the Gram path orthonormalizes its k coefficient rows as one block:
+    # C K, then twice (C K) C^T and L^-1 C, whatever k; CGS2 made about
+    # four products per row
     rng = np.random.default_rng(5)
-    g_a = rng.standard_normal((8, 50))
-    c = rng.standard_normal((5, 8))
-    c[3] = c[0] - 2.0 * c[1]  # dependent: dropped
-    q, rank = orthonormalize_rows(c, gram=g_a @ g_a.T)
-    dense, dense_rank = orthonormalize_rows(c @ g_a)
-    assert rank == dense_rank == 4
-    np.testing.assert_allclose((q @ g_a) @ (q @ g_a).T, np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(q @ g_a, dense, atol=1e-12)
-    with pytest.raises(ValueError):
-        orthonormalize_rows(c, gram=np.eye(7))
+    m, c, a = 16, 30, 24
+    delta, act = rng.standard_normal((m, c)), rng.standard_normal((m, a))
+    anchor = FactoredGradients([GradientPiece(0, delta, act), GradientPiece(c * a, delta)], 750)
+    matmul = gep.linalg._matmul
+    calls = []
+
+    def counting(x, y):
+        calls.append(None)
+        return matmul(x, y)
+
+    monkeypatch.setattr(gep.linalg, "_matmul", counting)
+    per_round = set()
+    for k in (3, 6, 12):
+        counts = []
+        for t in (1, 2):
+            calls.clear()
+            basis = power_iteration_basis(anchor, k, t, np.random.default_rng(k))
+            assert isinstance(basis, gep.linalg.AnchorCoefficients)
+            counts.append(len(calls))
+        per_round.add(counts[1] - counts[0])
+    assert per_round == {7}
+
+
+def test_gram_rounds_fall_back_when_their_products_overflow():
+    # S = C K C^T grows as the fourth power of the gradients and overflows
+    # at 1e80, where K is still finite: the rounds hand over to the dense
+    # ones, whose CGS2 then names the row that overflows
+    rng = np.random.default_rng(6)
+    delta, act = 1e80 * rng.standard_normal((10, 30)), rng.standard_normal((10, 24))
+    anchor = FactoredGradients([GradientPiece(0, delta, act), GradientPiece(720, delta)], 750)
+    w, gram = gep.linalg._power_start(anchor, 4, rng)
+    assert np.all(np.isfinite(gram))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert gep.linalg._gram_power_rounds(anchor, gram, w, 1) is None
+        with pytest.raises(ValueError, match="row 0 of m is not finite or its norm overflows"):
+            power_iteration_basis(anchor, 4, 1, rng)
 
 
 def test_orthonormalize_scale_invariant_rank():

@@ -184,6 +184,9 @@ def test_allocate_basis_counts_sqrt_rule():
     # caps at the block dimension
     counts = allocate_basis_counts([2, 1000], 40)
     assert counts[0] <= 2 and sum(counts) == 40
+    # quotas 2:3 after rounding, the first capped at 1: the freed unit
+    # goes to the group with room
+    assert allocate_basis_counts([1, 4], 5) == [1, 4]
     with pytest.raises(ValueError):
         allocate_basis_counts([10, 10], 1)
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import gep
 from gep import DpBudget, TrainConfig
 from gep.linalg import (
-    DEFAULT_ORTHO_TOL,
     SPECTRAL_TOL,
     FactoredGradients,
     GradientPiece,
@@ -917,7 +916,7 @@ def test_gram_basis_matches_the_dense_rounds(t):
         # the group's own start W_0, then the dense rounds on dense anchors
         cols = anchor.columns(group.offset, group.offset + group.length)
         w, _ = _power_start(cols, group.k_alloc, rng)
-        dense = _dense_power_rounds(as_factors(cols.dense()), w, t, DEFAULT_ORTHO_TOL)
+        dense = _dense_power_rounds(as_factors(cols.dense()), w, t)
         assert block.shape == dense.shape
         assert np.max(np.abs(block - dense)) <= 1e-12
     # the same release as from the dense blocks, in fewer multiply-adds

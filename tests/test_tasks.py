@@ -23,7 +23,9 @@ from gep.tasks import (
     lowrank_regression_task,
     mlp_cluster_task,
     split_signal_task,
+    toy_regression_task,
 )
+from gep.training import PURPOSE_ANCHOR_LABELS, random_labels
 
 CRITERION_6 = dict(
     n=2000, input_dim=199, m_aux=400, n_eval=500, subspace_dim=6, sep=3.0,
@@ -170,3 +172,12 @@ def test_a_train_config_builds_the_criterion_6_task():
     assert _same_rows(built.aux, preset.aux)
     assert (built.model.kind, built.model.output_dim) == ("logistic", 2)
     assert built.model.theta.tobytes() == preset.model.theta.tobytes()
+
+
+def test_toy_aux_labels_are_not_a_relabeling_draw():
+    # the aux labels have a one-label substream of their own: drawn at
+    # (1, 1), they were step 1's anchor relabeling in a run of the same seed
+    task = toy_regression_task(0)
+    rng = RandomStream(0).generator(1, PURPOSE_ANCHOR_LABELS)
+    relabeled = random_labels(task.model, task.aux.n, rng)
+    assert not np.array_equal(task.aux.labels, relabeled)

@@ -312,6 +312,20 @@ def test_a_release_below_the_charged_multiplier_stops_the_run(monkeypatch):
         dp_train(cfg, task.private, task.eval)
 
 
+def test_fixed_anchor_labels_draw_no_random_labels(monkeypatch):
+    task = logistic_mixture_task(9, n=60, input_dim=9, m_aux=20, n_eval=20)
+    cfg = toy_cfg(task, method="gep", gep=GepConfig(k=3, m=20), steps=3, sigma_override=1.0)
+
+    def refused(model, n, rng):
+        raise AssertionError("random anchor labels drawn")
+
+    monkeypatch.setattr(gep.training, "random_labels", refused)
+    _, metrics = dp_train(replace(cfg, aux_label_mode="fixed"), task.private, task.eval)
+    assert len(metrics) == 3
+    with pytest.raises(AssertionError, match="random anchor labels drawn"):
+        dp_train(cfg, task.private, task.eval)
+
+
 @pytest.mark.parametrize("method", ["gep", "bgep", "gp"])
 def test_track_spectra_reports_ranks_and_changes_nothing_else(method):
     task = logistic_mixture_task(4, n=80, input_dim=9, m_aux=20, n_eval=20)
