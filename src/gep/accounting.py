@@ -178,6 +178,21 @@ def _log_binomials(orders: tuple[int, ...]) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=8)
+def _log_sampling_terms(orders: tuple[int, ...], q: float) -> np.ndarray:
+    """``log C(a, j) + (a - j) log(1 - q) + j log q`` for each order ``a``
+    (rows) and ``j = 0 .. max a``: the sigma-free part of the
+    subsampled-Gaussian log terms, read-only and cached per (order grid,
+    q), since a calibration search evaluates it at one grid and rate.
+    """
+    log_binom = _log_binomials(orders)
+    j = np.arange(log_binom.shape[1], dtype=np.float64)
+    a = np.asarray(orders, dtype=np.float64)[:, None]
+    table = log_binom + (a - j) * math.log1p(-q) + j * math.log(q)
+    table.flags.writeable = False
+    return table
+
+
 def subsampled_gaussian_curve(
     orders: Sequence[float], q: float, sigma: float
 ) -> RdpCurve:
@@ -206,15 +221,9 @@ def subsampled_gaussian_curve(
         return RdpCurve(grid, np.zeros(grid.size))
     if sigma == 0:
         return RdpCurve(grid, np.full(grid.size, math.inf))
-    log_binom = _log_binomials(tuple(int(a) for a in grid))
-    j = np.arange(log_binom.shape[1], dtype=np.float64)
-    a = grid[:, None]
-    log_terms = (
-        log_binom
-        + (a - j) * math.log1p(-q)
-        + j * math.log(q)
-        + j * (j - 1) / (2.0 * sigma * sigma)
-    )
+    sampling = _log_sampling_terms(tuple(int(a) for a in grid), q)
+    j = np.arange(sampling.shape[1], dtype=np.float64)
+    log_terms = sampling + j * (j - 1) / (2.0 * sigma * sigma)
     return RdpCurve(grid, _logsumexp(log_terms) / (grid - 1))
 
 

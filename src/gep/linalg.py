@@ -5,11 +5,12 @@ the random generator handed in, so every caller can reproduce results
 bit-for-bit from a seed.  Matrices are plain float64 numpy arrays with one
 row per sample / basis vector.
 
-Per-sample gradients travel as :class:`FactoredGradients`: every block of
-a gradient row is an outer product ``delta_i (x) a_i`` of a backpropagated
-error and a layer input, so the kernels work on the factors and never
-form the n x p gradient matrix.  A dense matrix is the trivial case of one
-piece with ``a = 1`` (see :func:`as_factors`).
+Per-sample gradients travel as :class:`FactoredGradients`: every layer's
+block of a gradient row is an outer product ``delta_i (x) a_i`` of a
+backpropagated error and the layer's bias-augmented input, so the kernels
+work on the factors and never form the n x p gradient matrix.  A dense
+matrix is the trivial case of one piece with ``a = 1`` (see
+:func:`as_factors`).
 """
 
 from __future__ import annotations
@@ -118,9 +119,9 @@ class GradientPiece(NamedTuple):
     Row ``i`` of the block is ``delta[i] (x) act[i]``, the ``c x a`` outer
     product flattened row-major into the ``c * a`` columns starting at
     ``offset``.  ``act=None`` stands for ``a = 1``: the block is ``delta``
-    itself (bias vectors, or a dense matrix).  ``act_sq``, when given, holds
-    each row's ``||act_i||^2``, computed once for an ``act`` that outlives
-    the batch (a dataset's design).
+    itself (a dense matrix wrapped by :func:`as_factors`).  ``act_sq``,
+    when given, holds each row's ``||act_i||^2``, computed once for an
+    ``act`` that outlives the batch (a dataset's design).
     """
 
     offset: int
@@ -137,7 +138,8 @@ class GradientPiece(NamedTuple):
 class FactoredGradients:
     """An n x p matrix of per-sample gradients held as outer-product pieces.
 
-    The pieces tile the columns ``0 .. p`` in order.  Every kernel below
+    The pieces tile the columns ``0 .. p`` in order: one per model layer,
+    or one ``a = 1`` piece for a dense matrix.  Every kernel below
     works piece by piece through these identities, where ``g_i`` is row
     ``i`` and ``M_j`` is row ``j`` of a basis restricted to a piece and
     reshaped to ``c x a``:
@@ -248,29 +250,23 @@ class FactoredGradients:
         """``G H^T`` (n x m) against a batch ``H`` of the same columns.
 
         When the two batches have pieces of the same shapes, each piece
-        adds ``(delta delta_h^T) o (a a_h^T)``, and pieces that share a
-        ``delta`` buffer on both sides (a weight block and its bias) share
-        its product.  Otherwise ``H`` is materialized and embedded.
+        adds ``(delta delta_h^T) o (a a_h^T)``.  Otherwise ``H`` is
+        materialized and embedded.
         """
         if other.p != self.p:
             raise ValueError(f"cross Gram of {self.p} and {other.p} columns")
         if _piece_shapes(self) != _piece_shapes(other):
             return self.embed(other.dense())
         out = None
-        delta_products = {}
         for mine, theirs in zip(self.pieces, other.pieces):
-            key = (_buffer_key(mine.delta), _buffer_key(theirs.delta))
-            shared = delta_products.get(key)
-            if shared is None:
-                shared = delta_products[key] = _matmul(mine.delta, theirs.delta.T)
-            if mine.act is None:
-                part = shared
-            else:
-                part = _matmul(mine.act, theirs.act.T)
-                part *= shared
-            # accumulate in place, never into a cached delta product
+            part = _matmul(mine.delta, theirs.delta.T)
+            if mine.act is not None:
+                acts = _matmul(mine.act, theirs.act.T)
+                acts *= part
+                part = acts
+            # accumulate in place, into an act product or a copy
             if out is None:
-                out = part.copy() if part is shared else part
+                out = part if mine.act is not None else part.copy()
             else:
                 out += part
         return out
@@ -313,11 +309,6 @@ def _piece_shapes(g: FactoredGradients) -> list[tuple[int, int, int | None]]:
         (x.offset, x.delta.shape[1], None if x.act is None else x.act.shape[1])
         for x in g.pieces
     ]
-
-
-def _buffer_key(x: np.ndarray) -> tuple:
-    # views of one array with equal shape and strides hold the same matrix
-    return x.__array_interface__["data"][0], x.shape, x.strides
 
 
 def _embed_piece(piece: GradientPiece, basis: np.ndarray) -> np.ndarray:

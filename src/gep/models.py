@@ -6,17 +6,17 @@ Three model families are supported, all over a flat parameter vector:
   per-sample loss ``0.5 * (x.w - y)^2``;
 * ``logistic`` -- softmax regression (>= 2 classes) with augmented bias,
   per-sample cross-entropy;
-* ``mlp``      -- one tanh hidden layer followed by softmax, explicit bias
-  vectors.
+* ``mlp``      -- one tanh hidden layer followed by softmax, each layer
+  stored as ``[W | b]``, bias last.
 
 The tanh activation keeps every loss smooth, so gradients can be checked
 against central finite differences.
 
-Every per-sample gradient block of these models is an outer product
-``delta_i (x) a_i`` of the backpropagated error at a layer's output and
-that layer's input (``a = 1`` for a bias vector), so the backward pass
-returns the factors (:func:`per_sample_factors`) and the n x p matrix is
-only formed on request (:func:`per_sample_gradients`).  Both the backward
+Every layer's per-sample gradient is one outer product
+``delta_i (x) [a_i, 1]`` of the backpropagated error at the layer's output
+and the layer's bias-augmented input, so the backward pass returns the
+factors (:func:`per_sample_factors`) and the n x p matrix is only formed
+on request (:func:`per_sample_gradients`).  Both the backward
 pass and :func:`evaluate` start from one :func:`forward` result, so a
 caller holding it runs no second forward pass.
 """
@@ -99,7 +99,7 @@ def param_count(kind: str, input_dim: int, output_dim: int, hidden_dim: int = 0)
             raise ValueError("mlp model needs at least 2 classes")
         if hidden_dim < 1:
             raise ValueError("mlp model needs hidden_dim >= 1")
-        return hidden_dim * input_dim + hidden_dim + output_dim * hidden_dim + output_dim
+        return hidden_dim * (input_dim + 1) + output_dim * (hidden_dim + 1)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -123,15 +123,11 @@ def init_model(
         if rng is None:
             raise ValueError("random initialization needs a generator")
         if kind == "mlp":
-            w1 = rng.standard_normal((hidden_dim, input_dim)) * (
-                scale / math.sqrt(input_dim)
-            )
-            w2 = rng.standard_normal((output_dim, hidden_dim)) * (
-                scale / math.sqrt(hidden_dim)
-            )
-            theta = np.concatenate(
-                [w1.ravel(), np.zeros(hidden_dim), w2.ravel(), np.zeros(output_dim)]
-            )
+            layers = []
+            for rows, fan_in in ((hidden_dim, input_dim), (output_dim, hidden_dim)):
+                w = rng.standard_normal((rows, fan_in)) * (scale / math.sqrt(fan_in))
+                layers.append(np.hstack([w, np.zeros((rows, 1))]).ravel())
+            theta = np.concatenate(layers)
         else:
             theta = rng.standard_normal(p) * scale
     return ModelSpec(kind, input_dim, output_dim, hidden_dim, theta)
@@ -181,18 +177,11 @@ def _class_labels(model: ModelSpec, data: Dataset) -> np.ndarray:
     return y
 
 
-def _mlp_unpack(model: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _mlp_layers(model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    # views of [W1 | b1] (h x (d + 1)) and [W2 | b2] (c x (h + 1))
     d, h, c = model.input_dim, model.hidden_dim, model.output_dim
-    theta = model.theta
-    i = 0
-    w1 = theta[i : i + h * d].reshape(h, d)
-    i += h * d
-    b1 = theta[i : i + h]
-    i += h
-    w2 = theta[i : i + c * h].reshape(c, h)
-    i += c * h
-    b2 = theta[i : i + c]
-    return w1, b1, w2, b2
+    split = h * (d + 1)
+    return model.theta[:split].reshape(h, d + 1), model.theta[split:].reshape(c, h + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +189,8 @@ class Forward:
     """One forward pass of ``model`` over ``data``.
 
     ``logits`` is the output layer: the n predictions of a linear model,
-    the n x c class scores otherwise.  ``hidden`` is the MLP's tanh layer.
+    the n x c class scores otherwise.  ``hidden`` is the MLP's tanh layer
+    and a column of ones, ``n x (h + 1)``: its second layer's input.
     """
 
     model: ModelSpec
@@ -212,8 +202,8 @@ class Forward:
 def forward(model: ModelSpec, data: Dataset) -> Forward:
     """The forward pass that :func:`evaluate` and :func:`per_sample_factors` share.
 
-    Linear and softmax regression read the dataset's cached bias-augmented
-    design, so no call copies the features.
+    Every model reads the dataset's cached bias-augmented design, so no
+    call copies the features; each MLP layer is one product with ``[W | b]``.
     """
     _check_batch(model, data)
     if model.kind == "linear":
@@ -223,9 +213,11 @@ def forward(model: ModelSpec, data: Dataset) -> Forward:
         # OpenBLAS multiplies a tall matrix by a transposed c-column view
         # about 3x slower than by a contiguous copy of it
         return Forward(model, data, data.design @ np.ascontiguousarray(w.T))
-    w1, b1, w2, b2 = _mlp_unpack(model)
-    hidden = np.tanh(data.features @ w1.T + b1)
-    return Forward(model, data, hidden @ w2.T + b2, hidden)
+    layer1, layer2 = _mlp_layers(model)
+    hidden = np.empty((data.n, model.hidden_dim + 1))
+    hidden[:, -1] = 1.0
+    np.tanh(data.design @ layer1.T, out=hidden[:, :-1])
+    return Forward(model, data, hidden @ layer2.T, hidden)
 
 
 def _forward_of(model: ModelSpec, data: Dataset, fwd: Forward | None) -> Forward:
@@ -241,44 +233,37 @@ def per_sample_factors(
 ) -> FactoredGradients:
     """Per-sample gradients w.r.t. the flat parameters, as outer products.
 
-    The pieces, in parameter order:
+    One piece per layer, in parameter order:
 
     * ``linear``: ``resid (x) [x, 1]``;
     * ``logistic``: ``(probs - onehot) (x) [x, 1]``, a ``c x (d + 1)`` block;
-    * ``mlp``: ``delta1 (x) x`` and ``delta1`` for the first layer, then
-      ``delta2 (x) hidden`` and ``delta2`` for the second, where
+    * ``mlp``: ``delta1 (x) [x, 1]``, an ``h x (d + 1)`` block, then
+      ``delta2 (x) [hidden, 1]``, a ``c x (h + 1)`` block, where
       ``delta2 = probs - onehot`` and
       ``delta1 = (delta2 W2) * (1 - hidden^2)``.
 
-    Each piece lies inside one group of :func:`make_group_layout`.  ``fwd``
-    is ``forward(model, batch)`` when the caller already has it.
+    Each piece is one group of :func:`make_group_layout`; ``[x, 1]`` is the
+    batch's cached design.  ``fwd`` is ``forward(model, batch)`` when the
+    caller already has it.
     """
     fwd = _forward_of(model, batch, fwd)
-    n = batch.n
-
     if model.kind == "linear":
-        resid = fwd.logits - np.asarray(batch.labels, dtype=np.float64)
-        piece = GradientPiece(0, resid[:, None], batch.design, batch.design_sq_norms)
-        return FactoredGradients((piece,), model.p)
-
-    y = _class_labels(model, batch)
-    delta = _softmax(fwd.logits)
-    delta[np.arange(n), y] -= 1.0
-    if model.kind == "logistic":
+        delta = (fwd.logits - np.asarray(batch.labels, dtype=np.float64))[:, None]
+    else:
+        y = _class_labels(model, batch)
+        delta = _softmax(fwd.logits)
+        delta[np.arange(batch.n), y] -= 1.0
+    if model.kind != "mlp":
         piece = GradientPiece(0, delta, batch.design, batch.design_sq_norms)
         return FactoredGradients((piece,), model.p)
 
     # mlp: delta is the docstring's delta2
-    hidden = fwd.hidden
-    w1, _, w2, _ = _mlp_unpack(model)
-    delta1 = (delta @ w2) * (1.0 - hidden * hidden)
-    h, d = w1.shape
-    second = h * d + h
+    layer1, layer2 = _mlp_layers(model)
+    hidden = fwd.hidden[:, :-1]
+    delta1 = (delta @ layer2[:, :-1]) * (1.0 - hidden * hidden)
     pieces = (
-        GradientPiece(0, delta1, batch.features),
-        GradientPiece(h * d, delta1),
-        GradientPiece(second, delta, hidden),
-        GradientPiece(second + delta.shape[1] * h, delta),
+        GradientPiece(0, delta1, batch.design, batch.design_sq_norms),
+        GradientPiece(layer1.size, delta, fwd.hidden),
     )
     return FactoredGradients(pieces, model.p)
 
@@ -407,12 +392,13 @@ def group_layout(blocks: list[tuple[str, int]], k: int) -> GroupLayout:
 def make_group_layout(model: ModelSpec, k: int) -> GroupLayout:
     """Partition the model's parameters into per-layer basis groups.
 
-    Weight matrices and their bias vectors share a group; the quota ``k``
-    is split across groups by the square-root rule.
+    Each group is one layer's ``[W | b]`` block, the columns of one piece
+    of :func:`per_sample_factors`; the quota ``k`` is split across groups
+    by the square-root rule.
     """
     d, h, c = model.input_dim, model.hidden_dim, model.output_dim
     if model.kind == "linear":
         return group_layout([("coef", d + 1)], k)
     if model.kind == "logistic":
         return group_layout([("coef", c * (d + 1))], k)
-    return group_layout([("layer1", h * d + h), ("layer2", c * h + c)], k)
+    return group_layout([("layer1", h * (d + 1)), ("layer2", c * (h + 1))], k)

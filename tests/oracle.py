@@ -41,7 +41,7 @@ from gep.accounting import (
 )
 from gep.data import Dataset
 from gep.linalg import SPECTRAL_TOL
-from gep.models import ModelSpec, _mlp_unpack, evaluate, forward, per_sample_factors
+from gep.models import ModelSpec, evaluate, forward, per_sample_factors
 from gep.training import TrainConfig, dp_train
 
 
@@ -306,9 +306,12 @@ def forward_logits(model: ModelSpec, data: Dataset) -> np.ndarray:
     if model.kind == "logistic":
         w = model.theta.reshape(model.output_dim, model.input_dim + 1)
         return data.design @ w.T
-    w1, b1, w2, b2 = _mlp_unpack(model)
-    hidden = np.tanh(data.features @ w1.T + b1)
-    return hidden @ w2.T + b2
+    # each layer is stored as [W | b], bias last; the bias is added apart
+    d, h, c = model.input_dim, model.hidden_dim, model.output_dim
+    layer1 = model.theta[: h * (d + 1)].reshape(h, d + 1)
+    layer2 = model.theta[h * (d + 1) :].reshape(c, h + 1)
+    hidden = np.tanh(data.features @ layer1[:, :d].T + layer1[:, d])
+    return hidden @ layer2[:, :h].T + layer2[:, h]
 
 
 def nonprivate_optimum(model: ModelSpec, data: Dataset) -> tuple[np.ndarray, float]:

@@ -395,8 +395,8 @@ def test_power_iteration_runs_the_dense_products_on_a_dense_matrix():
 
 @pytest.mark.parametrize("bias_first", [False, True], ids=["weight-then-bias", "bias-first"])
 def test_cross_gram_matches_the_dense_product(bias_first, monkeypatch):
-    # a weight block and its bias share one delta on each side, so the
-    # cross Gram computes their delta product once and reuses it
+    # a block and a bias piece that share one delta on each side: the
+    # pieces' products add up to the dense one
     rng = np.random.default_rng(16)
 
     def batch(n):
@@ -422,9 +422,8 @@ def test_cross_gram_matches_the_dense_product(bias_first, monkeypatch):
     cross = g.cross_gram(h)
     expected = g.dense() @ h.dense().T
     assert np.max(np.abs(cross - expected)) <= 1e-12 * np.max(np.abs(expected))
-    # the in-place accumulation writes into no factor and no cached product
+    # the in-place accumulation writes into no factor and no delta product
     for x, y in zip(factors, before):
         assert (x is None and y is None) or np.array_equal(x, y)
-    assert len(products) == 1
     for out, snapshot in products:
         assert np.array_equal(out, snapshot)

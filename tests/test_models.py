@@ -253,6 +253,24 @@ def test_factored_identities_match_dense(kind):
 
 
 @pytest.mark.parametrize("kind", ["linear", "logistic", "mlp"])
+def test_every_layer_is_one_piece_on_a_bias_augmented_input(kind):
+    # delta (x) [a, 1] per layer: one piece per basis group, none with a = 1
+    model, data = random_model_and_data(kind, np.random.default_rng(12), n=9)
+    factors = per_sample_factors(model, data)
+    groups = make_group_layout(model, 2).groups
+    assert [(piece.offset, piece.width) for piece in factors.pieces] == [
+        (group.offset, group.length) for group in groups
+    ]
+    assert all(piece.act is not None for piece in factors.pieces)
+    first = factors.pieces[0]
+    assert first.act is data.design and first.act_sq is data.design_sq_norms
+    if kind == "mlp":
+        hidden = factors.pieces[1].act
+        assert hidden.shape == (data.n, model.hidden_dim + 1)
+        assert np.all(hidden[:, -1] == 1.0)
+
+
+@pytest.mark.parametrize("kind", ["linear", "logistic", "mlp"])
 def test_one_forward_feeds_evaluate_and_the_backward_pass(kind):
     rng = np.random.default_rng(9)
     model, data = random_model_and_data(kind, rng, n=15)

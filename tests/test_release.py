@@ -620,8 +620,8 @@ def test_factored_release_matches_dense_and_oracle(kind, method):
     task = MODEL_TASKS[kind]()
     factors = per_sample_factors(task.model, task.private)
     if kind == "mlp":
-        assert any(piece.act is None for piece in factors.pieces)  # bias pieces
-    assert any(piece.act is not None for piece in factors.pieces)
+        assert len(factors.pieces) == 2  # one [W | b] piece per layer
+    assert all(piece.act is not None for piece in factors.pieces)
     g = factors.dense()
     layout = make_group_layout(task.model, 6)
     basis = build_anchor_basis(

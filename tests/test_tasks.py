@@ -80,10 +80,24 @@ def _digest(task) -> str:
             h.update(np.ascontiguousarray(
                 arr if arr.dtype.kind == "i" else arr.astype(np.float32)
             ).tobytes())
-    h.update(task.model.theta.astype(np.float32).tobytes())
     model = task.model
+    h.update(_block_order(model).astype(np.float32).tobytes())
     h.update(repr((model.kind, model.input_dim, model.output_dim, model.hidden_dim)).encode())
     return h.hexdigest()[:16]
+
+
+def _block_order(model) -> np.ndarray:
+    """theta with an MLP's layers as W1, b1, W2, b2, the order the digests
+    were first taken in; each layer is stored as [W | b]."""
+    if model.kind != "mlp":
+        return model.theta
+    d, h = model.input_dim, model.hidden_dim
+    layers = np.split(model.theta, [h * (d + 1)])
+    blocks = []
+    for layer, width in zip(layers, (d, h)):
+        rows = layer.reshape(-1, width + 1)
+        blocks += [rows[:, :width].ravel(), rows[:, width]]
+    return np.concatenate(blocks)
 
 
 def _reference_split(builder, seed: int, kw: dict):
