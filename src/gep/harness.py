@@ -7,8 +7,9 @@ so identical runs emit byte-identical files.  ``train`` and ``report``
 build the summary with the same function, from every metrics file in the
 directory.
 
-The commands raise on bad input and failed runs; ``gep.cli.main`` turns
-each exception into its message and exit code.
+Each configuration's task comes from :func:`gep.tasks.build_task`.  The
+commands raise on bad input and failed runs; ``gep.cli.main`` turns each
+exception into its message and exit code.
 """
 
 from __future__ import annotations
@@ -29,20 +30,11 @@ from .accounting import (
     step_multiplier,
 )
 from .config import ConfigError, RunConfig, load_config
-from .data import (
-    Dataset,
-    SynthParams,
-    _apply_standardize,
-    ingest_csv,
-    split_pool,
-    standardize_stats,
-    synth_dataset,
-)
+from .data import Dataset
 from .linalg import RandomStream, count_flops
 from .models import group_layout, init_model, make_group_layout, per_sample_factors
 from .release import BASIS_MODES, GepConfig, build_anchor_basis, projection_error_rate
-from .tasks import _AUX, _DATA, _INIT, _SPLIT
-from .tasks import TaskBundle, logistic_mixture_task, lowrank_regression_task
+from .tasks import TaskBundle, build_task, logistic_mixture_task, lowrank_regression_task
 from .training import (
     StepMetrics,
     TrainConfig,
@@ -58,7 +50,6 @@ __all__ = [
     "write_metrics",
     "read_metrics",
     "expand_runs",
-    "build_task",
     "train_command",
     "accountant_command",
     "bench_command",
@@ -190,80 +181,6 @@ def expand_runs(cfg: RunConfig) -> list[RunSpec]:
             raise ConfigError(f"two runs are named {run.run_id!r}")
         seen.add(run.run_id)
     return runs
-
-
-def _task_rows(cfg: RunConfig, stream: RandomStream, n_public: int) -> Dataset:
-    """Every row of the task in split order: the CSV's after a shuffle, or
-    a synthetic draw of ``n_public`` rows and then ``data.n`` private ones."""
-    if cfg["data.kind"] == "csv":
-        full = ingest_csv(str(cfg["data.path"]), str(cfg["data.label_column"]))
-        return full.subset(stream.generator(_SPLIT).permutation(full.n))
-    # each SynthParams field is the data.* key of its name
-    data = cfg.section("data")
-    params = {f.name: data[f.name] for f in fields(SynthParams)}
-    params["n"] += n_public
-    return synth_dataset(str(cfg["data.kind"]), SynthParams(**params), stream.generator(_DATA))
-
-
-def build_task(cfg: RunConfig, m_aux: int) -> TaskBundle:
-    """Materialize datasets and the initial model for a configuration.
-
-    Data generation is keyed by ``data.seed`` only, so every training seed
-    sees the same datasets.  The rows, synthesized or the CSV's after a
-    shuffle, split as :func:`~gep.data.split_pool` does: ``m_aux`` rows
-    of public pool (none with ``aux.source = synthetic``), then the eval
-    set, then the private set, with the substreams of :mod:`gep.tasks`.
-    ``per-feature-standardize`` takes its statistics from the pool alone,
-    so it needs one.  A classification model has ``data.classes``
-    outputs, and a label outside ``[0, data.classes)`` is a ConfigError.
-    """
-    stream = RandomStream(int(cfg["data.seed"]))
-    n = int(cfg["data.n"])
-    n_eval = max(1, int(math.floor(n * float(cfg["data.eval_fraction"]))))
-    heldout = str(cfg["aux.source"]).startswith("heldout")
-    n_pool = m_aux if heldout else 0
-    standardize = cfg["data.normalize"] == "per-feature-standardize"
-    if standardize and not heldout:
-        raise ConfigError(
-            "data.normalize = per-feature-standardize needs a public pool "
-            "(aux.source = heldout-*) to take its statistics from"
-        )
-
-    # the splits alone keep the rows, so the whole table is freed here
-    pool, eval_set, private = split_pool(
-        _task_rows(cfg, stream, n_pool + n_eval), n_pool, n_eval
-    )
-    if standardize:
-        stats = standardize_stats(pool.features)
-        pool, eval_set, private = (
-            Dataset(_apply_standardize(part.features, stats), part.labels, part.name)
-            for part in (pool, eval_set, private)
-        )
-    aux = pool if heldout else Dataset(
-        stream.generator(_AUX).standard_normal((m_aux, private.d)),
-        np.zeros(m_aux, dtype=np.int64),
-        name="synthetic-aux",
-    )
-
-    kind = str(cfg["model.kind"])
-    labels = np.concatenate([pool.labels, eval_set.labels, private.labels])
-    if kind == "linear":
-        output_dim = 1
-    elif np.issubdtype(labels.dtype, np.integer):
-        output_dim = int(cfg["data.classes"])
-        if labels.min() < 0 or labels.max() >= output_dim:
-            raise ConfigError(f"labels must lie in [0, data.classes = {output_dim})")
-    else:
-        raise ConfigError("classification model requires integer labels")
-    model = init_model(
-        kind,
-        private.d,
-        output_dim,
-        int(cfg["model.hidden_dim"]),
-        rng=stream.generator(_INIT),
-        scale=float(cfg["model.init_scale"]),
-    )
-    return TaskBundle(model=model, private=private, eval=eval_set, aux=aux)
 
 
 def _train_config(cfg: RunConfig, run: RunSpec, task: TaskBundle) -> TrainConfig:

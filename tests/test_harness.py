@@ -738,13 +738,17 @@ def test_bad_synthetic_data_parameters_are_config_errors(tmp_path, capsys, lines
      (("aux.source = synthetic", "data.normalize = per-feature-standardize"), "public pool"),
      (("sweep.k = 2, 0",), "k must be"),
      (("method =",), "'method' is empty"),
-     (("seeds =",), "'seeds' is empty")],
+     (("seeds =",), "'seeds' is empty")]
+    + [((f"data.eval_fraction = {f}",), "'data.eval_fraction'")
+       for f in ("inf", "nan", "0", "-0.5", "1e308")],
     ids=["split-signal-without-subspace", "standardize-without-pool", "later-run",
-         "no-method", "no-seed"],
+         "no-method", "no-seed", "eval-inf", "eval-nan", "eval-0", "eval-negative",
+         "eval-overflow"],
 )
 def test_a_config_error_writes_no_output_directory(tmp_path, capsys, lines, word):
-    # build_task alone sees the first two; the third is the grid's second run,
-    # and the last two make a grid of no runs
+    # build_task alone sees the first two and the eval fractions (not
+    # positive, or times data.n not finite); the third is the grid's second
+    # run, and the next two make a grid of no runs
     text = BASE_CONFIG
     for line in lines:
         key = line.split("=")[0].strip()

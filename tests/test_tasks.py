@@ -1,24 +1,29 @@
-"""Task builder tests: the presets and ``gep train`` share one split.
+"""Task builder tests: the presets and ``gep train`` share one builder.
 
-Every pooled preset and ``harness.build_task`` split their rows with
+``gep.tasks.build_task`` builds every config's task, and the split-signal,
+logistic-mixture and low-rank presets are configs built through it; the
+MLP preset splits its shuffled rows itself.  All of them split with
 ``data.split_pool``: public pool, then eval, then private.  The presets'
 outputs are pinned two ways.  Against a reference split of the same
 pooled draw, written out here as the presets did it before they shared
 ``split_pool``, they must match bitwise on any machine.  Their digests,
 taken over float32 roundings so that a BLAS kernel's last bit on another
-CPU does not move them, pin the draws themselves.
+CPU does not move them, pin the draws themselves.  A preset's config
+survives its text form, so a run that records it rebuilds the task.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from gep.config import RunConfig
+import gep.tasks
+from gep.config import RunConfig, emit_config, parse_config
 from gep.data import SynthParams, synth_dataset
-from gep.harness import build_task
 from gep.linalg import RandomStream
 from gep.tasks import (
+    build_task,
     logistic_mixture_task,
     lowrank_regression_task,
     mlp_cluster_task,
@@ -186,6 +191,36 @@ def test_a_train_config_builds_the_criterion_6_task():
     assert _same_rows(built.aux, preset.aux)
     assert (built.model.kind, built.model.output_dim) == ("logistic", 2)
     assert built.model.theta.tobytes() == preset.model.theta.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, spec in PRESETS.items() if spec[0] is not mlp_cluster_task)
+)
+def test_a_preset_config_rebuilds_its_task_from_text(name, monkeypatch):
+    builder, seed, kw, _ = PRESETS[name]
+    handed = []
+
+    def recording(cfg, m_aux):
+        handed.append((cfg, m_aux))
+        return build_task(cfg, m_aux)
+
+    monkeypatch.setattr(gep.tasks, "build_task", recording)
+    task = builder(seed, **kw)
+    ((cfg, m_aux),) = handed
+    rebuilt = build_task(parse_config(emit_config(cfg)), m_aux)
+    for part in ("private", "eval", "aux"):
+        assert _same_rows(getattr(rebuilt, part), getattr(task, part))
+    assert rebuilt.model.theta.tobytes() == task.model.theta.tobytes()
+    spec = ("kind", "input_dim", "output_dim", "hidden_dim")
+    assert [getattr(rebuilt.model, f) for f in spec] == [getattr(task.model, f) for f in spec]
+
+
+@pytest.mark.parametrize("n, n_eval", [(22, 15), (23, 13), (39, 31)])
+def test_the_eval_set_is_its_fraction_of_n_to_the_nearest_row(n, n_eval):
+    assert math.floor(n * (n_eval / n)) == n_eval - 1  # a floor lands one row short
+    cfg = RunConfig({"data.n": n, "data.eval_fraction": n_eval / n, "aux.m": 5})
+    task = build_task(cfg, 5)
+    assert (task.eval.n, task.private.n, task.aux.n) == (n_eval, n, 5)
 
 
 def test_toy_aux_labels_are_not_a_relabeling_draw():
