@@ -219,21 +219,25 @@ def _with_sigma(train_cfg: TrainConfig, sigmas: dict[tuple, float]) -> TrainConf
 
 
 def _summary_table(results: list[dict]) -> str:
-    """Rows: method x k; columns: epsilon; cells: mean +/- std final accuracy.
+    """Rows: method x k x m; columns: epsilon; cells: mean +/- std final accuracy.
 
-    A cell whose runs record no accuracy, as a regression model's do, shows
-    their final eval loss, marked ``loss``; one of zero-step runs, ``n/a``.
-    Each column is 18 wide, or one more than its widest entry.
+    A row's label names each of k and m that takes two values or more, as
+    ``gep (k=2, m=8)``.  A cell whose runs record no accuracy, as a
+    regression model's do, shows their final eval loss, marked ``loss``;
+    one of zero-step runs, ``n/a``.  Each column is 18 wide, or one more
+    than its widest entry.
     """
-    cells: dict[tuple[str, int], dict[float, list[dict]]] = {}
+    cells: dict[tuple[str, int, int], dict[float, list[dict]]] = {}
     for res in results:
-        cells.setdefault((res["method"], res["k"]), {}).setdefault(res["epsilon"], []).append(res)
+        key = (res["method"], res["k"], res["m"])
+        cells.setdefault(key, {}).setdefault(res["epsilon"], []).append(res)
     epsilons = sorted({res["epsilon"] for res in results})
-    multiple_k = len({k for _, k in cells}) > 1
+    swept = {axis for axis in ("k", "m") if len({res[axis] for res in results}) > 1}
     table = [["method"] + [f"eps={eps:g}" for eps in epsilons]]
-    for method, k in sorted(cells):
-        label = f"{method} (k={k})" if multiple_k else method
-        table.append([label] + [_summary_cell(cells[(method, k)].get(eps)) for eps in epsilons])
+    for method, k, m in sorted(cells):
+        named = ", ".join(f"{axis}={v}" for axis, v in (("k", k), ("m", m)) if axis in swept)
+        label = f"{method} ({named})" if named else method
+        table.append([label] + [_summary_cell(cells[(method, k, m)].get(eps)) for eps in epsilons])
     widths = [max(18, *(len(entry) + 1 for entry in column)) for column in zip(*table)]
     return "\n".join(
         "".join(entry.ljust(width) for entry, width in zip(row, widths)) for row in table
@@ -258,10 +262,13 @@ def train_command(
 ) -> int:
     """Run every sweep point of a configuration and write metrics + summary.
 
-    Every run's task and training config are built before the output
-    directory is made, so a configuration error writes nothing.  The
-    summary covers every metrics file in the output directory, as
-    :func:`report_command`'s does, including runs of earlier commands.
+    One task, whose public pool holds the grid's largest m, serves every
+    run, and ``dp_train`` keeps its first m anchors, so an m sweep's runs
+    share their private and eval sets.  The task and every run's training
+    config are built before the output directory is made, so a
+    configuration error writes nothing.  The summary covers every metrics
+    file in the output directory, as :func:`report_command`'s does,
+    including runs of earlier commands.
     """
     cfg = load_config(config_path)
     overrides: dict[str, object] = {}
@@ -273,21 +280,17 @@ def train_command(
         overrides["method"] = (method,)
     if overrides:
         cfg = cfg.updated(overrides)
-    # the data config is fixed for the whole sweep: one task per aux.m
-    tasks: dict[int, TaskBundle] = {}
-    plans = []
     try:  # a value out of range, for the data or for a run
-        for run in expand_runs(cfg):
-            if run.m not in tasks:
-                tasks[run.m] = build_task(cfg.updated({"aux.m": run.m}), run.m)
-            plans.append((run, tasks[run.m], _train_config(cfg, run, tasks[run.m])))
+        runs = expand_runs(cfg)
+        task = build_task(cfg, max(run.m for run in runs))
+        plans = [(run, _train_config(cfg, run, task)) for run in runs]
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
     out_dir = str(cfg["out"])
     os.makedirs(out_dir, exist_ok=True)
     sigmas: dict[tuple, float] = {}  # one per (epsilon, delta, q, steps)
-    for run, task, train_cfg in plans:
+    for run, train_cfg in plans:
         model, steps = dp_train(_with_sigma(train_cfg, sigmas), task.private, task.eval)
         path = os.path.join(out_dir, f"{run.run_id}.metrics.jsonl")
         write_metrics(path, run, steps)

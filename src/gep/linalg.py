@@ -397,22 +397,21 @@ class AnchorCoefficients:
         return _matmul(g.cross_gram(self.anchors), self.coef.T)
 
 
-def orthonormalize_rows(m: np.ndarray, tol: float = DEFAULT_ORTHO_TOL) -> tuple[np.ndarray, int]:
+def orthonormalize_rows(m: np.ndarray) -> tuple[np.ndarray, int]:
     """Orthonormalize the rows of ``m``, dropping linearly dependent ones.
 
     Classical Gram-Schmidt with a second re-orthogonalization pass (CGS2),
     which keeps pairwise inner products at machine precision.  A row whose
     component orthogonal to the previously accepted rows has norm at most
-    ``tol`` times the row's own norm is dropped.  The test is relative at
-    every scale: a zero row is dropped, and an independent row is kept
-    however small.  Returns the orthonormal matrix and the number of
-    surviving rows.  A row with a non-finite norm raises ValueError.
+    :data:`DEFAULT_ORTHO_TOL` times the row's own norm is dropped.  The
+    test is relative at every scale: a zero row is dropped, and an
+    independent row is kept however small.  Returns the orthonormal matrix
+    and the number of surviving rows.  A row with a non-finite norm raises
+    ValueError.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"m must be 2-dimensional, got shape {m.shape}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     n_rows, n_cols = m.shape
     if n_rows == 0 or n_cols == 0:
         return np.zeros((0, n_cols)), 0
@@ -430,7 +429,7 @@ def orthonormalize_rows(m: np.ndarray, tol: float = DEFAULT_ORTHO_TOL) -> tuple[
                 coeffs = _matmul(q[:count], v)
                 v = v - _matmul(q[:count].T, coeffs)
         norm = _norm(v)
-        if not norm > tol * scale:
+        if not norm > DEFAULT_ORTHO_TOL * scale:
             continue
         _macs(n_cols)
         q[count] = v / norm
@@ -546,8 +545,9 @@ def power_iteration_basis(
     that estimate is not within :data:`GRAM_ORTHO_BOUND`, the rounds rerun
     on the dense basis, with CGS2, from the same ``W_0``.
 
-    ``k`` larger than ``min(m, p)`` is clamped with a warning; an all-zero
-    input yields an empty basis.
+    ``k`` larger than ``min(m, p)`` is clamped with a warning, the one
+    basis-size clamp: :func:`gep.release.build_anchor_basis` warns once
+    per clamped group through it.  An all-zero input yields an empty basis.
     """
     g_a = as_factors(g_a)
     sq = g_a.sq_norms()

@@ -97,9 +97,7 @@ on dense groups.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,9 +243,9 @@ class AnchorBasis:
         return sum(b.shape[0] for b in self.held)
 
 
-def single_group_layout(p: int, k: int, name: str = "all") -> GroupLayout:
-    """Layout treating the whole parameter vector as one group."""
-    return group_layout([(name, p)], k)
+def single_group_layout(p: int, k: int) -> GroupLayout:
+    """Layout treating the whole parameter vector as one group, ``"all"``."""
+    return group_layout([("all", p)], k)
 
 
 def build_anchor_basis(
@@ -266,7 +264,8 @@ def build_anchor_basis(
     shapes pass :func:`gep.linalg.gram_path_pays` is held as coefficients
     over its anchor gradients (the Gram path of the module docstring) and
     keeps a reference to them; other blocks do not need the anchors after
-    this call.
+    this call.  A power quota above ``min(m, length)`` is clamped, with a
+    warning, by :func:`gep.linalg.power_iteration_basis` alone.
     """
     if basis_mode not in BASIS_MODES:
         raise ValueError(f"unknown basis mode {basis_mode!r}")
@@ -275,15 +274,6 @@ def build_anchor_basis(
         raise ValueError(
             f"anchor gradients have shape {anchor_grads.shape}, expected "
             f"(m, {layout.dim})"
-        )
-    m = anchor_grads.n
-    max_quota = max(g.k_alloc for g in layout.groups)
-    if basis_mode == "power" and m < max_quota:
-        warnings.warn(
-            f"only {m} anchor gradients for a basis quota of {max_quota}; "
-            "the estimated subspace will be rank deficient",
-            RuntimeWarning,
-            stacklevel=2,
         )
     blocks = []
     for group in layout.groups:
@@ -295,8 +285,7 @@ def build_anchor_basis(
                 rng,
             )
         else:
-            k_g = min(group.k_alloc, group.length)
-            block, _ = orthonormalize_rows(rng.standard_normal((k_g, group.length)))
+            block, _ = orthonormalize_rows(rng.standard_normal((group.k_alloc, group.length)))
         blocks.append(block)
     return AnchorBasis(layout, blocks)
 
@@ -354,18 +343,19 @@ def _residual_sq_norms(
     w_parts: list[np.ndarray],
     sq: np.ndarray,
     sq_w: np.ndarray,
-    each_chunk: Callable[[np.ndarray, np.ndarray], None] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual squared norms ``||r_i||^2``, and the guarded rows.
+    threshold: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residual squared norms ``||r_i||^2``, the guarded rows, and the sum
+    of the guarded rows' residuals clipped at ``threshold``.
 
     Pythagoras gives every row's norm; rows that keep less than
     ``RESIDUAL_GUARD`` of ``||g_i||^2`` are the guarded rows, whose
     residuals are recomputed explicitly in chunks of bounded size (see the
-    module docstring).  ``each_chunk(r, sq_r)`` sees every chunk of
-    explicit residual rows with their squared norms.
+    module docstring).  With ``threshold`` None the sum stays zero.
     """
     sq_r = np.maximum(sq - sq_w, 0.0)
     explicit = np.flatnonzero(sq_r < RESIDUAL_GUARD * sq)
+    explicit_sum = np.zeros(g.p)
     chunk = max(1, _CHUNK_ELEMENTS // g.p)
     for start in range(0, len(explicit), chunk):
         rows = explicit[start : start + chunk]
@@ -373,9 +363,9 @@ def _residual_sq_norms(
         for (cols, block), w in zip(blocks, w_parts):
             r[:, cols] -= w[rows] @ block
         sq_r[rows] = np.einsum("ij,ij->i", r, r)
-        if each_chunk is not None:
-            each_chunk(r, sq_r[rows])
-    return sq_r, explicit
+        if threshold is not None:
+            explicit_sum += _clip_scales(sq_r[rows], threshold)[0] @ r
+    return sq_r, explicit, explicit_sum
 
 
 def _perturb(
@@ -396,9 +386,11 @@ def _release(
     """The one release mechanism behind gep, bgep and gp.
 
     ``embedding`` and ``residual`` give ``(threshold, noise std)`` for each
-    released part, or None for a part left out.  ``basis=None`` means no
-    basis: every row is all residual and no projection diagnostic is
-    computed.  Noise is drawn from ``rng`` for the embedding, then for the
+    released part, or None for a part left out.  The released parts' clip
+    fractions are recorded in part order, as ``clip_fraction_s1`` and then
+    ``clip_fraction_s2``, and one not released is NaN.  ``basis=None``
+    means no basis: every row is all residual and no projection diagnostic
+    is computed.  Noise is drawn from ``rng`` for the embedding, then for the
     residual; a part with noise std 0 draws none.  See the module docstring
     for the factored identities and the cancellation guard.
     """
@@ -412,29 +404,22 @@ def _release(
     blocks = [] if basis is None else _active_blocks(basis)
     w_parts, sq_w = _embeddings(g, blocks)
 
+    clips: list[float] = []  # each released part's clip fraction, in part order
     w_tilde = None
-    clip1 = math.nan
     if embedding is not None:
         s1, std1 = embedding
         b1, over1 = _clip_scales(sq_w, s1)
         w_sum = np.concatenate([b1 @ w for w in w_parts]) if w_parts else np.zeros(0)
         w_tilde = _perturb(w_sum, std1, rng)
-        clip1 = float(np.mean(over1))
+        clips.append(float(np.mean(over1)))
 
     r_tilde = None
-    clip2 = math.nan
     g_sum = None
     if residual is not None:
         s2, std2 = residual
-        explicit_sum = np.zeros(p)
-
-        def sum_clipped(r: np.ndarray, sq_rows: np.ndarray) -> None:
-            nonlocal explicit_sum
-            explicit_sum += _clip_scales(sq_rows, s2)[0] @ r
-
-        sq_r, explicit = _residual_sq_norms(g, blocks, w_parts, sq, sq_w, sum_clipped)
+        sq_r, explicit, explicit_sum = _residual_sq_norms(g, blocks, w_parts, sq, sq_w, s2)
         b2, over2 = _clip_scales(sq_r, s2)
-        clip2 = float(np.mean(over2))
+        clips.append(float(np.mean(over2)))
         if len(explicit) == 0 and not over2.any():
             # every weight is one: the plain column sum
             g_sum = g.weighted_sum()
@@ -462,13 +447,14 @@ def _release(
         v_tilde += r_tilde
     v_tilde /= n
 
+    clip_s1, clip_s2 = (clips + [math.nan, math.nan])[:2]
     return PrivateRelease(
         v_tilde=v_tilde,
         w_tilde=w_tilde,
         r_tilde=r_tilde,
         k_effective=0 if basis is None else basis.k_effective,
-        clip_fraction_s1=clip1,
-        clip_fraction_s2=clip2,
+        clip_fraction_s1=clip_s1,
+        clip_fraction_s2=clip_s2,
         projection_error_rate=error_rate,
         sums=tuple(part for part in (embedding, residual) if part is not None),
     )
@@ -491,10 +477,11 @@ def release_gradient(
     rows at ``s2`` (the residual is taken against the unclipped
     embedding), and, when there is no basis, whole rows at ``s1``; that
     clip fraction is reported as ``clip_fraction_s1``.  The released sums
-    get the noise stds :func:`gep.accounting.noise_stds` gives.  The estimate
-    is ``v_tilde = (w_tilde B + r_tilde) / n``, with ``w_tilde B`` mapped
-    back group by group; ``bgep`` leaves ``r_tilde`` out, so it converges
-    to the batch gradient minus the mean residual.
+    get the noise stds :func:`gep.accounting.noise_stds` gives, drawn from
+    ``rng``, which may be None only when ``sigma`` is 0.  The estimate is
+    ``v_tilde = (w_tilde B + r_tilde) / n``, with ``w_tilde B`` mapped back
+    group by group; ``bgep`` leaves ``r_tilde`` out, so it converges to the
+    batch gradient minus the mean residual.
     """
     spec = METHODS[method]
     if (basis is None) != (spec.basis is None):
@@ -504,14 +491,13 @@ def release_gradient(
         raise ValueError("clipping thresholds must be positive")
     if not sigma >= 0:
         raise ValueError("sigma must be calibrated to a value >= 0")
+    if sigma > 0 and rng is None:
+        raise ValueError("a release with noise (sigma > 0) needs a generator")
     thresholds = (s1, s2) if spec.basis and spec.residual else (s1,)
     sums = list(zip(thresholds, noise_stds(sigma, thresholds)))
     g = as_factors(g)
     if basis is None:
-        rel = _release(g, None, None, sums[0], rng)
-        return replace(
-            rel, clip_fraction_s1=rel.clip_fraction_s2, clip_fraction_s2=math.nan
-        )
+        return _release(g, None, None, sums[0], rng)
     return _release(g, basis, sums[0], sums[1] if spec.residual else None, rng)
 
 
@@ -535,7 +521,6 @@ def projection_error_rate(
 def stable_rank(
     g: np.ndarray | FactoredGradients,
     basis: AnchorBasis | None = None,
-    rtol: float = SPECTRAL_TOL,
 ) -> float:
     """Stable rank ``||M||_F^2 / ||M||_2^2`` of the per-sample gradients
     ``G`` (n x p, factored or dense), or with a basis of their residuals
@@ -546,8 +531,9 @@ def stable_rank(
     (Pythagoras, guarded rows explicit).  ``||M||_2^2`` is the top
     eigenvalue of ``R R^T = G P G^T``, by power iteration on n-vectors
     ``u -> G P (G^T u)``, with ``G^T u`` one weighted sum and ``G v`` one
-    embedding, converged to relative tolerance ``rtol``.  The result is
-    clamped to its mathematical range ``[1, min(n, p)]``.
+    embedding, converged to relative tolerance
+    :data:`gep.linalg.SPECTRAL_TOL`.  The result is clamped to its
+    mathematical range ``[1, min(n, p)]``.
     """
     g = as_factors(g)
     n, p = g.shape
@@ -556,7 +542,7 @@ def stable_rank(
     sq = g.sq_norms()
     blocks = [] if basis is None else _active_blocks(basis)
     w_parts, sq_w = _embeddings(g, blocks)
-    sq_r, _ = _residual_sq_norms(g, blocks, w_parts, sq, sq_w)
+    sq_r, _, _ = _residual_sq_norms(g, blocks, w_parts, sq, sq_w, None)
     fro2 = float(sq_r.sum())
     if fro2 == 0.0:
         raise ValueError("stable rank is undefined for a zero matrix")
@@ -564,7 +550,7 @@ def stable_rank(
     def gram(u: np.ndarray) -> np.ndarray:
         return g.embed(_project_out(blocks, g.weighted_sum(u))[None, :])[:, 0]
 
-    top = _top_eigenvalue(gram, n, rtol)
+    top = _top_eigenvalue(gram, n, SPECTRAL_TOL)
     if top <= 0.0:
         raise ValueError("spectral norm estimate collapsed to zero")
     return float(min(max(fro2 / top, 1.0), min(n, p)))

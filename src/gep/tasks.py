@@ -68,6 +68,7 @@ def build_task(cfg: RunConfig, m_aux: int) -> TaskBundle:
     ``per-feature-standardize`` takes its statistics from the pool alone,
     so it needs one.  A classification model has ``data.classes``
     outputs, and a label outside ``[0, data.classes)`` is a ConfigError.
+    Only an ``mlp`` reads ``model.hidden_dim``; other models have none.
     """
     stream = RandomStream(int(cfg["data.seed"]))
     n = int(cfg["data.n"])
@@ -114,7 +115,7 @@ def build_task(cfg: RunConfig, m_aux: int) -> TaskBundle:
         kind,
         private.d,
         output_dim,
-        int(cfg["model.hidden_dim"]),
+        int(cfg["model.hidden_dim"]) if kind == "mlp" else 0,
         rng=stream.generator(_INIT),
         scale=float(cfg["model.init_scale"]),
     )
@@ -128,7 +129,7 @@ def _preset_task(seed: int, n: int, m_aux: int, n_eval: int, model: str, **data)
         raise ValueError(f"a task needs n >= 1 private rows, got {n}")
     cfg = RunConfig({
         "data.seed": seed, "data.n": n, "data.eval_fraction": n_eval / n, "aux.m": m_aux,
-        "model.kind": model, "model.hidden_dim": 0,
+        "model.kind": model,
         **{f"data.{key}": value for key, value in data.items()},
     })
     return build_task(cfg, m_aux)

@@ -379,7 +379,7 @@ def test_heldout_correct_aux_trains_on_its_own_labels(tmp_path, monkeypatch):
     assert [(run.method, len(rows)) for run, rows in runs] == [("bgep", 3), ("gep", 3)]
 
 
-def test_train_command_builds_one_task_per_anchor_count(tmp_path, monkeypatch):
+def test_train_command_builds_one_task_per_command(tmp_path, monkeypatch):
     import gep.harness
 
     calls = []
@@ -396,7 +396,14 @@ def test_train_command_builds_one_task_per_anchor_count(tmp_path, monkeypatch):
     )
     cfg_path = write_config(tmp_path, text + "sweep.m = 8, 10\n" + f"out = {out}\n")
     assert main(["train", "--config", cfg_path]) == 0
-    assert sorted(calls) == [8, 10]
+    assert calls == [10]  # the pool holds the grid's largest m
+    # gp reads no anchors: across m it trains on the same private set
+    for seed in (0, 1):
+        steps = [
+            (out / f"gp-eps8-k2-m{m}-seed{seed}.metrics.jsonl").read_text().splitlines()[1:]
+            for m in (8, 10)
+        ]
+        assert steps[0] == steps[1]
     # a run on a shared task writes the same bytes as the run on its own
     alone = tmp_path / "alone"
     assert main(["train", "--config", cfg_path, "--seed", "1", "--out", str(alone)]) == 0
@@ -681,10 +688,32 @@ def test_summary_table_ignores_run_order():
     # four means land on a rounding tie in one of the two orders
     accs = [0.87, 0.635, 0.82, 0.585]
     results = [
-        {"method": "gep", "k": 2, "epsilon": 8.0, "final_accuracy": acc} for acc in accs
+        {"method": "gep", "k": 2, "m": 10, "epsilon": 8.0, "final_accuracy": acc}
+        for acc in accs
     ]
     assert _summary_table(results) == _summary_table(results[::-1])
     assert _summary_table(results).endswith("0.728 +/- 0.120   ")
+
+
+@pytest.mark.parametrize(
+    "ks, labels",
+    [
+        ((2,), ["gep (m=8)", "gep (m=10)"]),
+        ((2, 3), ["gep (k=2, m=8)", "gep (k=2, m=10)", "gep (k=3, m=8)", "gep (k=3, m=10)"]),
+    ],
+    ids=["m", "k-and-m"],
+)
+def test_an_anchor_count_sweep_has_one_summary_row_per_m(ks, labels):
+    results = [
+        {"method": "gep", "k": k, "m": m, "epsilon": 8.0, "final_accuracy": m / 10}
+        for k in ks
+        for m in (10, 8)
+    ]
+    rows = [line.rstrip() for line in _summary_table(results).splitlines()[1:]]
+    # each m keeps its own mean: 0.8 at m = 8, 1.0 at m = 10
+    assert rows == [
+        f"{label:<18}{0.8 if 'm=8' in label else 1.0:.3f} +/- 0.000" for label in labels
+    ]
 
 
 def test_report_reads_exponent_epsilons(tmp_path, capsys):

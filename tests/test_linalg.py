@@ -54,8 +54,6 @@ def test_orthonormalize_full_rank_random():
 def test_orthonormalize_rejects_bad_input():
     with pytest.raises(ValueError):
         orthonormalize_rows(np.array([[np.nan, 1.0]]))
-    with pytest.raises(ValueError):
-        orthonormalize_rows(np.eye(2), tol=0.0)
 
 
 def reference_cgs2(m, tol=1e-10):

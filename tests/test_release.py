@@ -116,6 +116,21 @@ def test_build_anchor_basis_warns_on_few_anchors():
         )
 
 
+@pytest.mark.parametrize("model, clamped", [("single-group", 1), ("mlp", 2)])
+def test_build_anchor_basis_warns_once_per_clamped_group(model, clamped):
+    # m = 10 anchors for k = 40: one group of 40, or MLP layers of 22 and 18
+    if model == "mlp":
+        task = mlp_cluster_task(0, n=40, input_dim=6, hidden_dim=8, m_aux=10)
+        anchor = per_sample_factors(task.model, task.aux)
+        layout = make_group_layout(task.model, 40)
+    else:
+        anchor = np.random.default_rng(0).standard_normal((10, 60))
+        layout = single_group_layout(60, 40)
+    with pytest.warns(RuntimeWarning) as record:
+        build_anchor_basis(anchor, layout, make_cfg(k=40, m=10), np.random.default_rng(1))
+    assert len(record) == clamped
+
+
 def test_gep_release_noiseless_identity():
     rng = np.random.default_rng(8)
     g, anchor = exact_rank_gradients(rng, 30, 16, 80, 6)
@@ -459,6 +474,15 @@ def test_method_table():
         release_gradient("gep", g, None, 1.0, 1.0, 0.0, None)
     with pytest.raises(ValueError, match="expects no basis"):
         release_gradient("gp", g, basis, 1.0, 1.0, 0.0, None)
+
+
+def test_a_noisy_release_needs_a_generator():
+    g = np.ones((3, 10))
+    with pytest.raises(ValueError, match="generator"):
+        release_gradient("gp", g, None, 1.0, 1.0, 0.5, None)
+    # a noiseless release, as gd_train makes, draws nothing
+    rel = release_gradient("gp", g, None, 1.0, 1.0, 0.0, None)
+    np.testing.assert_allclose(rel.v_tilde, 1.0 / math.sqrt(10), rtol=1e-15)
 
 
 def oracle_release(g, basis, cfg, sigma, rng, with_residual):

@@ -223,6 +223,12 @@ def test_the_eval_set_is_its_fraction_of_n_to_the_nearest_row(n, n_eval):
     assert (task.eval.n, task.private.n, task.aux.n) == (n_eval, n, 5)
 
 
+@pytest.mark.parametrize("kind, hidden_dim", [("logistic", 0), ("linear", 0), ("mlp", 32)])
+def test_only_an_mlp_reads_model_hidden_dim(kind, hidden_dim):
+    cfg = RunConfig({"data.n": 50, "aux.m": 10, "model.kind": kind})
+    assert build_task(cfg, 10).model.hidden_dim == hidden_dim
+
+
 def test_toy_aux_labels_are_not_a_relabeling_draw():
     # the aux labels have a one-label substream of their own: drawn at
     # (1, 1), they were step 1's anchor relabeling in a run of the same seed

@@ -10,7 +10,7 @@ import gep.models
 import gep.release
 import gep.training
 from gep.accounting import DpBudget, calibrate_sigma_search, epsilon_for_sigma
-from gep.linalg import gaussian_noise, orthonormalize_rows
+from gep.linalg import gaussian_noise
 from gep.models import evaluate, per_sample_gradients
 from gep.release import METHODS, GepConfig, release_gradient
 from gep.tasks import logistic_mixture_task, toy_regression_task
@@ -438,7 +438,7 @@ def test_noiseless_unclipped_run_draws_no_noise():
 @pytest.mark.parametrize(
     "field",
     ["epsilon", "s1", "s2", "lr", "weight_decay", "sigma_override", "release_s1",
-     "release_s2", "release_sigma", "noise_sigma", "ortho_tol"],
+     "release_s2", "release_sigma", "noise_sigma"],
 )
 def test_nan_is_rejected_at_the_api_boundary(field):
     task = toy_regression_task(6)
@@ -455,7 +455,6 @@ def test_nan_is_rejected_at_the_api_boundary(field):
         "release_s2": lambda: release_gradient("gp", rows, None, 1.0, nan, 0.0, None),
         "release_sigma": lambda: release_gradient("gp", rows, None, 1.0, 1.0, nan, None),
         "noise_sigma": lambda: gaussian_noise(3, nan, np.random.default_rng(0)),
-        "ortho_tol": lambda: orthonormalize_rows(rows, tol=nan),
     }[field]
     with pytest.raises(ValueError):
         build()
