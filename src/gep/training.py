@@ -5,15 +5,14 @@ random by default), rebuilds the per-group anchor basis, releases a
 private batch-gradient estimate, and feeds it to SGD with momentum.
 Everything downstream of the release is post-processing, so the final
 model inherits the release's privacy guarantee under composition.  The
-non-private reference, ``gd_train``, runs the same step loop on the
-unclipped, noiseless full-batch gradient.
+non-private reference, ``gd_train``, is ``dp_train``'s unclipped,
+noiseless full-batch ``gp`` run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .accounting import DpBudget, calibrate_sigma_search, epsilon_for_sigma, ste
 from .data import Dataset
 from .linalg import RandomStream
 from .models import (
-    Forward,
     ModelSpec,
     evaluate,
     forward,
@@ -106,6 +104,7 @@ class TrainConfig:
                 f"auxiliary dataset has {self.aux_data.n} rows, config asks for "
                 f"m={self.gep.m} anchor gradients"
             )
+        make_group_layout(self.model, self.gep.k)  # raises if the model's groups refuse k
 
     @property
     def sampling_rate(self) -> float:
@@ -199,25 +198,40 @@ def _lr_at(cfg: TrainConfig, step: int) -> float:
     return cfg.lr
 
 
-_StepGradient = Callable[[int, ModelSpec, Forward | None], tuple[np.ndarray | None, dict]]
-
-
-def _train(
-    cfg: TrainConfig, private: Dataset, eval_data: Dataset, step_gradient: _StepGradient
+def dp_train(
+    cfg: TrainConfig, private: Dataset, eval_data: Dataset
 ) -> tuple[ModelSpec, list[StepMetrics]]:
-    """The step loop that ``dp_train`` and ``gd_train`` share.
+    """Train a model on private data under the configured budget.
 
-    ``step_gradient(t, model, fwd)`` returns step ``t``'s update, or None
-    to leave the parameters as they are, plus the step's diagnostic
-    :class:`StepMetrics` fields.  ``fwd`` is the forward pass of ``model``
-    on the whole private set once the loop has one: the post-step forward
-    that gives a step's train loss feeds the next step's backward pass.
-    The loop owns the optimizer state, the evaluations after each step
-    and the averaged iterate (returned with ``cfg.iterate_averaging``;
-    the metrics always describe the actual iterates).
+    Unless ``cfg.sigma_override`` is set, the noise multiplier is
+    calibrated so the full run fits the budget (the per-step epsilons in
+    the metrics are recomputed through the accountant, not assumed); a
+    zero-step run calibrates nothing.  Each step draws the batch, builds
+    the anchor basis the method names and makes one
+    :func:`gep.release.release_gradient` call, whose sums must compose to
+    that multiplier (:func:`gep.accounting.step_multiplier`), then takes
+    one :func:`optimizer_step`; an empty Poisson batch leaves the
+    parameters as they are.  The post-step forward that gives a step's
+    train loss feeds the next full-batch step's backward pass.  With
+    ``cfg.iterate_averaging`` the returned model carries the average of
+    the per-step iterates instead of the final one; the metrics always
+    describe the actual iterates.
     """
     if private.d != cfg.model.input_dim:
         raise ValueError("private data does not match the model's input size")
+    stream = RandomStream(cfg.seed)
+    if cfg.sigma_override is not None:
+        sigma = cfg.sigma_override
+    else:  # a zero-step run releases nothing, so calibrates nothing
+        sigma = calibrate_noise_multiplier(cfg) if cfg.steps else 0.0
+    method = METHODS[cfg.method]
+    layout = make_group_layout(cfg.model, cfg.gep.k)
+    eps_schedule = epsilon_for_sigma(  # the budget spent after each step
+        sigma, cfg.budget, cfg.sampling_rate, np.arange(1, cfg.steps + 1)
+    )[0].tolist()
+    aux = cfg.aux_data
+    anchors = aux.subset(np.arange(cfg.gep.m)) if aux.n > cfg.gep.m else aux
+
     theta = cfg.model.theta.copy()
     velocity = np.zeros_like(theta)
     theta_sum = np.zeros_like(theta)
@@ -225,10 +239,41 @@ def _train(
     model_t = cfg.model.with_theta(theta)
     private_fwd = None  # forward(model_t, private), once evaluated
     for t in range(cfg.steps):
-        update, diagnostics = step_gradient(t, model_t, private_fwd)
-        if update is not None:
+        diagnostics: dict = {"epsilon_spent": eps_schedule[t]}
+        if cfg.batch == "poisson":
+            mask = stream.generator(t, PURPOSE_BATCH).random(private.n) < cfg.q
+            batch, batch_fwd = private.subset(np.flatnonzero(mask)), None
+        else:
+            batch, batch_fwd = private, private_fwd
+        if batch.n:
+            grads = per_sample_factors(model_t, batch, batch_fwd)
+            basis = None
+            if method.basis is not None:
+                anchor = _anchor_batch(cfg, anchors, stream, t)
+                basis = build_anchor_basis(
+                    per_sample_factors(model_t, anchor),
+                    layout,
+                    cfg.gep,
+                    stream.generator(t, PURPOSE_BASIS),
+                    basis_mode=method.basis,
+                )
+            noise = stream.generator(t, PURPOSE_NOISE)
+            rel = release_gradient(cfg.method, grads, basis, cfg.gep.s1, cfg.gep.s2, sigma, noise)
+            held = (grads, basis, rel)  # freed now, glibc trims heap the next step refaults
+            if (realized := step_multiplier(rel.sums)) < sigma * (1 - 1e-12):
+                raise RuntimeError(f"step {t} released at multiplier {realized!r}, not {sigma!r}")
+            diagnostics.update(
+                projection_error_rate=rel.projection_error_rate,
+                k_effective=rel.k_effective,
+                clip_fraction_s1=rel.clip_fraction_s1,
+                clip_fraction_s2=rel.clip_fraction_s2,
+            )
+            if cfg.track_spectra:
+                diagnostics["stable_rank_g"] = stable_rank(grads)
+                if basis is not None:
+                    diagnostics["stable_rank_r"] = stable_rank(grads, basis)
             theta, velocity = optimizer_step(
-                theta, velocity, update, _lr_at(cfg, t), cfg.momentum, cfg.weight_decay
+                theta, velocity, rel.v_tilde, _lr_at(cfg, t), cfg.momentum, cfg.weight_decay
             )
             model_t = cfg.model.with_theta(theta)
         theta_sum += theta
@@ -240,107 +285,22 @@ def _train(
     return cfg.model.with_theta(final_theta), metrics
 
 
-def dp_train(
-    cfg: TrainConfig, private: Dataset, eval_data: Dataset
-) -> tuple[ModelSpec, list[StepMetrics]]:
-    """Train a model on private data under the configured budget.
-
-    Unless ``cfg.sigma_override`` is set, the noise multiplier is
-    calibrated so the full run fits the budget (the per-step epsilons in
-    the metrics are recomputed through the accountant, not assumed).
-    Each step draws the batch, builds the anchor basis the method names and
-    makes one :func:`gep.release.release_gradient` call, whose sums must
-    compose to that multiplier (:func:`gep.accounting.step_multiplier`); an
-    empty Poisson batch leaves the parameters as they are.  The step loop is
-    the one :func:`gd_train` runs.  With ``cfg.iterate_averaging`` the
-    returned model carries the average of the per-step iterates instead of
-    the final one; the metrics always describe the actual iterates.
-    """
-    if cfg.steps == 0:  # nothing to calibrate or release
-        return gd_train(cfg, private, eval_data)
-
-    stream = RandomStream(cfg.seed)
-    sigma = (
-        cfg.sigma_override
-        if cfg.sigma_override is not None
-        else calibrate_noise_multiplier(cfg)
-    )
-    method = METHODS[cfg.method]
-    layout = make_group_layout(cfg.model, cfg.gep.k)
-    eps_schedule = epsilon_for_sigma(  # the budget spent after each step
-        sigma, cfg.budget, cfg.sampling_rate, np.arange(1, cfg.steps + 1)
-    )[0].tolist()
-
-    aux = cfg.aux_data
-    anchors = aux.subset(np.arange(cfg.gep.m)) if aux.n > cfg.gep.m else aux
-    working: list = []  # the last step's gradients, basis and release
-
-    def step_gradient(
-        t: int, model_t: ModelSpec, private_fwd: Forward | None
-    ) -> tuple[np.ndarray | None, dict]:
-        if cfg.batch == "poisson":
-            mask = stream.generator(t, PURPOSE_BATCH).random(private.n) < cfg.q
-            batch = private.subset(np.flatnonzero(mask))
-            private_fwd = None
-        else:
-            batch = private
-        if batch.n == 0:
-            return None, {"epsilon_spent": eps_schedule[t]}
-
-        grads = per_sample_factors(model_t, batch, private_fwd)
-        basis = None
-        if method.basis is not None:
-            anchor = _anchor_batch(cfg, anchors, stream, t)
-            basis = build_anchor_basis(
-                per_sample_factors(model_t, anchor),
-                layout,
-                cfg.gep,
-                stream.generator(t, PURPOSE_BASIS),
-                basis_mode=method.basis,
-            )
-        noise = stream.generator(t, PURPOSE_NOISE)
-        rel = release_gradient(cfg.method, grads, basis, cfg.gep.s1, cfg.gep.s2, sigma, noise)
-        if (realized := step_multiplier(rel.sums)) < sigma * (1 - 1e-12):
-            raise RuntimeError(f"step {t} released at multiplier {realized!r}, not {sigma!r}")
-        diagnostics = {
-            "projection_error_rate": rel.projection_error_rate,
-            "k_effective": rel.k_effective,
-            "clip_fraction_s1": rel.clip_fraction_s1,
-            "clip_fraction_s2": rel.clip_fraction_s2,
-            "epsilon_spent": eps_schedule[t],
-        }
-        if cfg.track_spectra:
-            diagnostics["stable_rank_g"] = stable_rank(grads)
-            if basis is not None:
-                diagnostics["stable_rank_r"] = stable_rank(grads, basis)
-        # Held through the loop's post-step forward and evaluations, until
-        # the next step replaces them.  Freed before those, they leave the
-        # top of glibc's heap free to be trimmed, and the next step faults
-        # it back in (on mlp-wide, one step per call in the order gep, bgep,
-        # gp: 186 minor faults and +0.3 ms per gp step without the hold, 0
-        # with it; gep takes 1380 faults without it and 1550 with it).
-        working[:] = (grads, basis, rel)
-        return rel.v_tilde, diagnostics
-
-    return _train(cfg, private, eval_data, step_gradient)
-
-
 def gd_train(
     cfg: TrainConfig, private: Dataset, eval_data: Dataset
 ) -> tuple[ModelSpec, list[StepMetrics]]:
     """Non-private full-batch gradient descent with the same optimizer.
 
-    It runs :func:`dp_train`'s step loop on the full batch.  The batch
-    gradient is the mean of the per-sample rows, computed by the ``gp``
-    release at an infinite threshold and σ = 0, so it is exactly what the
-    noiseless private path reduces to; the release diagnostics read NaN.
+    It is :func:`dp_train`'s ``gp`` run on the full batch at an infinite
+    threshold and σ = 0, whatever ``cfg`` names for the method, the
+    thresholds, the batch rule, the noise and the spectra: the update is
+    the unclipped, noiseless mean of the per-sample gradients.  Its
+    metrics keep the losses and accuracy; the release diagnostics and
+    ``epsilon_spent`` read NaN.
     """
-
-    def step_gradient(
-        t: int, model_t: ModelSpec, private_fwd: Forward | None
-    ) -> tuple[np.ndarray, dict]:
-        grads = per_sample_factors(model_t, private, private_fwd)
-        rel = release_gradient("gp", grads, None, math.inf, math.inf, 0.0, None)
-        return rel.v_tilde, {}
-
-    return _train(cfg, private, eval_data, step_gradient)
+    plain = replace(
+        cfg, method="gp", batch="full", sigma_override=0.0, track_spectra=False,
+        gep=replace(cfg.gep, s1=math.inf, s2=math.inf),
+    )
+    model, metrics = dp_train(plain, private, eval_data)
+    return model, [StepMetrics(m.step, m.train_loss, m.eval_loss, m.eval_accuracy)
+                   for m in metrics]

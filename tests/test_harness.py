@@ -769,15 +769,18 @@ def test_bad_synthetic_data_parameters_are_config_errors(tmp_path, capsys, lines
      (("method =",), "'method' is empty"),
      (("seeds =",), "'seeds' is empty")]
     + [((f"data.eval_fraction = {f}",), "'data.eval_fraction'")
-       for f in ("inf", "nan", "0", "-0.5", "1e308")],
+       for f in ("inf", "nan", "0", "-0.5", "1e308")]
+    + [(("sweep.k = 2, 1000",), "exceeds the total parameter count"),
+       (("model.kind = mlp", "gep.k = 1"), "below the number of groups")],
     ids=["split-signal-without-subspace", "standardize-without-pool", "later-run",
          "no-method", "no-seed", "eval-inf", "eval-nan", "eval-0", "eval-negative",
-         "eval-overflow"],
+         "eval-overflow", "k-over-parameter-count", "mlp-k-below-groups"],
 )
 def test_a_config_error_writes_no_output_directory(tmp_path, capsys, lines, word):
     # build_task alone sees the first two and the eval fractions (not
     # positive, or times data.n not finite); the third is the grid's second
-    # run, and the next two make a grid of no runs
+    # run, and the next two make a grid of no runs.  The last two are basis
+    # sizes the model's groups refuse, which each run's TrainConfig checks
     text = BASE_CONFIG
     for line in lines:
         key = line.split("=")[0].strip()

@@ -85,11 +85,22 @@ def test_optimizer_divergence_error():
         )
 
 
-def test_dp_train_zero_steps():
+def _refuse_calibration(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("calibrated a noise multiplier")
+
+    monkeypatch.setattr(gep.training, "calibrate_sigma_search", refused)
+
+
+def test_dp_train_zero_steps(monkeypatch):
+    # a zero-step run releases nothing, so it calibrates nothing either
+    _refuse_calibration(monkeypatch)
     task = toy_regression_task(0)
-    model, metrics = dp_train(toy_cfg(task, steps=0), task.private, task.eval)
-    assert metrics == []
-    np.testing.assert_array_equal(model.theta, task.model.theta)
+    for sigma_override in (0.0, None):
+        cfg = toy_cfg(task, steps=0, sigma_override=sigma_override)
+        model, metrics = dp_train(cfg, task.private, task.eval)
+        assert metrics == []
+        np.testing.assert_array_equal(model.theta, task.model.theta)
 
 
 def test_dp_train_deterministic_given_seed():
@@ -131,6 +142,37 @@ def test_noiseless_gp_training_is_bitwise_gd():
     losses = [m.train_loss for m in plain_metrics]
     assert losses[-1] < 1e-2 * losses[0]
     assert all(b <= a for a, b in zip(losses, losses[1:]))
+
+
+def test_gd_train_ignores_the_release_settings(monkeypatch):
+    # the method, the thresholds, the noise, the batch rule and the spectra
+    # are the private run's; plain descent reads none of them and calibrates
+    # nothing, and its metrics carry no release diagnostics
+    _refuse_calibration(monkeypatch)
+    task = toy_regression_task(4)
+    plain_model, plain_metrics = gd_train(toy_cfg(task, steps=8), task.private, task.eval)
+    cfg = toy_cfg(
+        task,
+        steps=8,
+        method="gep",
+        gep=GepConfig(k=2, m=4, s1=0.01, s2=0.01),
+        batch="poisson",
+        q=0.3,
+        track_spectra=True,
+        sigma_override=None,
+    )
+    model, metrics = gd_train(cfg, task.private, task.eval)
+    np.testing.assert_array_equal(model.theta, plain_model.theta)
+    for field in ("train_loss", "eval_loss", "eval_accuracy"):
+        np.testing.assert_array_equal(
+            np.array([getattr(m, field) for m in metrics]),
+            np.array([getattr(m, field) for m in plain_metrics]),
+        )
+    for m in metrics:
+        assert m.k_effective == 0
+        for field in ("projection_error_rate", "stable_rank_g", "stable_rank_r",
+                      "clip_fraction_s1", "clip_fraction_s2", "epsilon_spent"):
+            assert math.isnan(getattr(m, field)), field
 
 
 def test_noiseless_gep_training_matches_gd_closely():
