@@ -8,7 +8,7 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,64 +37,55 @@ class Dataset:
 
     Labels are int64 for classification and float64 for regression; the row
     order is part of the dataset identity (ingestion preserves file order).
-    The constructor copies both arrays and keeps them read-only, so a
-    caller that keeps the arrays it passed in cannot edit the features past
-    the finite check or under the cached :attr:`design`.  The cheap
-    derivations, :meth:`subset` and :meth:`with_labels`, do not copy the
-    features again; the latter copies only the labels it is given.
+    The one feature array a dataset owns is the bias-augmented
+    :attr:`design` ``[features, 1]``; :attr:`features` is its read-only
+    view without the last column.  The constructor copies the features
+    into the design once, and the labels, and keeps both read-only, so a
+    caller that keeps the arrays it passed in cannot edit them past the
+    finite check.  :meth:`subset` by a slice gives views of the design,
+    its row norms and the labels; by an index array or a mask it gathers
+    copies.  :meth:`with_labels` shares them all and copies only the
+    labels it is given.
     """
 
     features: np.ndarray
     labels: np.ndarray
     name: str = ""
+    design: np.ndarray = field(init=False, repr=False)
+    design_sq_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        features = np.array(self.features, dtype=np.float64)
-        if features.ndim != 2:
+        given = np.asarray(self.features)
+        if given.ndim != 2:
             raise ValueError("features must be a 2-d array")
-        if not np.all(np.isfinite(features)):
+        design = np.empty((given.shape[0], given.shape[1] + 1))
+        design[:, :-1] = given
+        design[:, -1] = 1.0
+        if not np.all(np.isfinite(design)):
             raise ValueError("features contain non-finite entries")
-        object.__setattr__(self, "features", _read_only(features))
-        labels = _label_vector(np.array(self.labels), features.shape[0])
+        labels = _label_vector(np.array(self.labels), design.shape[0])
         object.__setattr__(self, "labels", labels)
-        # arrays computed from the features alone; relabeled copies share it
-        object.__setattr__(self, "_derived", {})
+        self._set_design(design, np.einsum("ij,ij->i", design, design))
+
+    def _set_design(self, design: np.ndarray, sq_norms: np.ndarray) -> None:
+        design = _read_only(design)
+        object.__setattr__(self, "design", design)
+        object.__setattr__(self, "design_sq_norms", _read_only(sq_norms))
+        object.__setattr__(self, "features", design[:, :-1])
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.design.shape[0]
 
     @property
     def d(self) -> int:
-        return self.features.shape[1]
+        return self.design.shape[1] - 1
 
-    @property
-    def design(self) -> np.ndarray:
-        """The bias-augmented design ``[features, 1]``, built on first use."""
-        if "design" not in self._derived:
-            design = np.hstack([self.features, np.ones((self.n, 1))])
-            # its row norms are built with it, so a subset slices both
-            sq = np.einsum("ij,ij->i", design, design)
-            self._derived["design_sq_norms"] = _read_only(sq)
-            self._derived["design"] = _read_only(design)
-        return self._derived["design"]
-
-    @property
-    def design_sq_norms(self) -> np.ndarray:
-        """Each row's squared norm in :attr:`design`, built with it."""
-        if "design_sq_norms" not in self._derived:
-            self.design
-        return self._derived["design_sq_norms"]
-
-    def subset(self, idx: np.ndarray) -> "Dataset":
-        """The rows ``idx``; a cached design and its norms are sliced, not
-        rebuilt."""
+    def subset(self, idx: np.ndarray | slice) -> "Dataset":
+        """The rows ``idx``: views for a slice, gathered copies otherwise."""
         part = copy.copy(self)
-        object.__setattr__(part, "features", _read_only(self.features[idx]))
         object.__setattr__(part, "labels", _read_only(self.labels[idx]))
-        object.__setattr__(part, "_derived", {
-            key: _read_only(value[idx]) for key, value in self._derived.items()
-        })
+        part._set_design(self.design[idx], self.design_sq_norms[idx])
         return part
 
     def with_labels(self, labels: np.ndarray) -> "Dataset":
@@ -195,7 +186,10 @@ def ingest_csv(path: str, label_column: str) -> Dataset:
             raise CsvParseError(f"{path}: row {row}: byte {byte:#04x} is not UTF-8") from None
 
     label_idx = header.index(label_column)
-    features, labels = np.delete(table, label_idx, axis=1), table[:, label_idx]
+    labels = table[:, label_idx].copy()
+    # the parsed table goes before the dataset copies the features
+    features = np.delete(table, label_idx, axis=1)
+    del table
     # exact integrality: a tolerance would round large regression labels
     if np.all(np.isfinite(labels)) and np.all(labels == np.rint(labels)):
         labels = labels.astype(np.int64)
@@ -295,7 +289,7 @@ def _lowrank_gradient_task(p: SynthParams, rng: np.random.Generator) -> Dataset:
     latent = rng.standard_normal((n, rank - 1))
     features = latent @ directions
     if tail > 0:
-        features = features + tail * rng.standard_normal((n, d))
+        features += tail * rng.standard_normal((n, d))
     # labels carry a linear signal, so the mean gradient at the zero model
     # is systematic rather than an average of random signs
     weights = rng.standard_normal(rank - 1)
@@ -315,7 +309,9 @@ def _gaussian_mixture(p: SynthParams, rng: np.random.Generator) -> Dataset:
     else:
         centers = rng.standard_normal((classes, d)) * sep
     labels = rng.integers(0, classes, size=n)
-    features = centers[labels] + p.noise * rng.standard_normal((n, d))
+    features = rng.standard_normal((n, d))
+    features *= p.noise
+    features += centers[labels]
     return Dataset(features, labels.astype(np.int64), name="gaussian-mixture")
 
 
@@ -327,7 +323,8 @@ def _split_signal(p: SynthParams, rng: np.random.Generator) -> Dataset:
         raise ValueError("feature_scale must be positive")
     axes, _ = orthonormalize_rows(rng.standard_normal((subdim, d)))
     latent = rng.standard_normal((n, subdim))
-    features = p.sep * latent @ axes + rng.standard_normal((n, d))
+    features = p.sep * latent @ axes
+    features += rng.standard_normal((n, d))
     # label signal: one direction in the spiked subspace, one dense
     w_sub = rng.standard_normal(subdim)
     w_sub /= np.linalg.norm(w_sub)
@@ -338,7 +335,8 @@ def _split_signal(p: SynthParams, rng: np.random.Generator) -> Dataset:
     # scaling after label assignment leaves the classification problem
     # unchanged while setting the gradient magnitude against fixed
     # clipping thresholds
-    return Dataset(p.feature_scale * features, labels, name="split-signal")
+    features *= p.feature_scale
+    return Dataset(features, labels, name="split-signal")
 
 
 def _separable(p: SynthParams, rng: np.random.Generator) -> Dataset:
@@ -383,7 +381,8 @@ def split_pool(
     """The public pool, eval and private splits of ``full``, in row order.
 
     Rows ``[0, n_pool)`` are the pool, the next ``n_eval`` the eval set and
-    the rest, which may not be empty, the private set.
+    the rest, which may not be empty, the private set.  The splits are
+    row-range views of ``full``'s one table.
     """
     if min(n_pool, n_eval) < 0 or full.n <= n_pool + n_eval:
         raise ValueError(
@@ -391,7 +390,7 @@ def split_pool(
             f"{n_eval} eval and at least one private row"
         )
     return (
-        full.subset(np.arange(n_pool)),
-        full.subset(np.arange(n_pool, n_pool + n_eval)),
-        full.subset(np.arange(n_pool + n_eval, full.n)),
+        full.subset(slice(0, n_pool)),
+        full.subset(slice(n_pool, n_pool + n_eval)),
+        full.subset(slice(n_pool + n_eval, full.n)),
     )

@@ -472,7 +472,7 @@ def project_error_command(
     print("m        error")
     for m_frac in (0.5, 1.0, 2.0):
         m_used = min(relabeled_pool.n, max(k_mid, int(round(m_aux * m_frac))))
-        aux_m = relabeled_pool.subset(np.arange(m_used))
+        aux_m = relabeled_pool.subset(slice(0, m_used))
         anchor_grads = per_sample_factors(model, aux_m)
         basis = build_anchor_basis(
             anchor_grads, layout, replace(cfg, m=m_used), stream.generator(15, m_used)

@@ -85,7 +85,7 @@ def build_task(cfg: RunConfig, m_aux: int) -> TaskBundle:
             "(aux.source = heldout-*) to take its statistics from"
         )
 
-    # the splits alone keep the rows, so the whole table is freed here
+    # the three splits are row-range views of one table
     pool, eval_set, private = split_pool(
         _task_rows(cfg, stream, n_pool + n_eval), n_pool, n_eval
     )

@@ -229,8 +229,7 @@ def dp_train(
     eps_schedule = epsilon_for_sigma(  # the budget spent after each step
         sigma, cfg.budget, cfg.sampling_rate, np.arange(1, cfg.steps + 1)
     )[0].tolist()
-    aux = cfg.aux_data
-    anchors = aux.subset(np.arange(cfg.gep.m)) if aux.n > cfg.gep.m else aux
+    anchors = cfg.aux_data.subset(slice(0, cfg.gep.m))
 
     theta = cfg.model.theta.copy()
     velocity = np.zeros_like(theta)

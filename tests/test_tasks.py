@@ -14,6 +14,7 @@ survives its text form, so a run that records it rebuilds the task.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,21 @@ def test_a_train_config_builds_the_criterion_6_task():
     assert _same_rows(built.aux, preset.aux)
     assert (built.model.kind, built.model.output_dim) == ("logistic", 2)
     assert built.model.theta.tobytes() == preset.model.theta.tobytes()
+
+
+def test_building_a_task_holds_its_rows_about_twice():
+    # the generator's features and the design they are copied into; the
+    # splits are views of that design, not copies of it
+    # a small build first, so one-time allocations stay out of the peak
+    split_signal_task(0, n=20, input_dim=5, m_aux=4, n_eval=4, subspace_dim=2)
+    tracemalloc.start()
+    try:
+        task = split_signal_task(0, **CRITERION_6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    design_bytes = sum(part.design.nbytes for part in (task.aux, task.eval, task.private))
+    assert peak <= 2.5 * design_bytes, peak / design_bytes
 
 
 @pytest.mark.parametrize(
