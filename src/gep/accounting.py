@@ -5,6 +5,9 @@ L2 sensitivity ``s`` perturbed by ``N(0, (sigma * s)^2 I)`` has multiplier
 ``sigma``, and its order-``lam`` Renyi cost is ``lam / (2 sigma^2)``
 regardless of ``s``.  :func:`noise_stds` maps a training step's ``sigma``
 to the noise of each sum it perturbs, and :func:`step_multiplier` back.
+Costs are evaluated for a whole order grid at once; there is no per-order
+cost function and no composition of different curves (the per-order
+references live in ``tests/oracle.py``).
 
 The subsampled bound is a log-sum-exp over binomial terms, evaluated with
 numpy and ``math`` alone:
@@ -206,7 +209,9 @@ def subsampled_gaussian_curve(
     evaluated in log space, at every order at once: one masked order x
     ``j`` table of log terms and one log-sum-exp per row.  ``q`` is the
     probability that any given sample joins the batch; the base mechanism
-    has unit sensitivity and multiplier ``sigma``.
+    has unit sensitivity and multiplier ``sigma``.  The sum is at least 1
+    in exact arithmetic, so a cost that rounds below 0 (at ``q`` near
+    1e-8 and a large ``sigma``) is set to 0.
     """
     if q == 1.0:
         return gaussian_curve(orders, 1.0, sigma)
@@ -224,7 +229,8 @@ def subsampled_gaussian_curve(
     sampling = _log_sampling_terms(tuple(int(a) for a in grid), q)
     j = np.arange(sampling.shape[1], dtype=np.float64)
     log_terms = sampling + j * (j - 1) / (2.0 * sigma * sigma)
-    return RdpCurve(grid, _logsumexp(log_terms) / (grid - 1))
+    costs = _logsumexp(log_terms) / (grid - 1)
+    return RdpCurve(grid, np.where(costs < 0, 0.0, costs))
 
 
 def rdp_to_dp(
@@ -232,7 +238,8 @@ def rdp_to_dp(
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Compose ``times`` identical releases, then convert to (epsilon, delta)-DP.
 
-    The composed cost is ``times * cost(lam)``; the conversion evaluates
+    The one composition in the library.  The composed cost is
+    ``times * cost(lam)``; the conversion evaluates
     ``times * cost(lam) + log(1/delta) / (lam - 1)`` on the grid and
     returns the minimum with the minimizing order.  ``times`` is an int,
     or a 1-d array of release counts with one (epsilon, order) per entry.
@@ -295,7 +302,9 @@ def epsilon_for_sigma(
     ``default_orders(budget, q)``, the one calibration searches on.
     ``steps`` is an int or a 1-d array of step counts, as in
     :func:`rdp_to_dp`.  A zero multiplier provides no protection and
-    reports infinite epsilon.
+    reports infinite epsilon.  Calibration, the per-step epsilon column of
+    ``dp_train`` and both ``gep accountant`` verifications compute epsilon
+    through it.
     """
     if sigma == 0:
         if np.ndim(steps) == 0:

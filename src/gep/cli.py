@@ -9,11 +9,13 @@ Subcommands:
 * ``report``        -- summarize previously written metrics files
 
 Each subcommand calls one function of :mod:`gep.harness` with the options
-given; an option left out takes that function's default.  Exit codes: 0
-success, 1 runtime failure, 2 configuration error.  The commands raise on
-errors, and :func:`main` alone maps each exception to its message and
-code; a command's own return value is its code otherwise (``bench``
-returns 1 for a ratio outside its band).
+given; an option left out takes that function's default, and the
+harness's choice lists (``ACCOUNTANT_MODES``, ``PROJECT_ERROR_TASKS``) are
+the options' choices.  Exit codes: 0 success, 1 runtime failure, 2
+configuration error.  The commands raise on errors, and :func:`main`
+alone maps each exception to its message and code; a command's own
+return value is its code otherwise (``bench`` returns 1 for a ratio
+outside its band).
 """
 
 from __future__ import annotations

@@ -4,7 +4,13 @@ The format is one ``key = value`` assignment per line, with dotted section
 prefixes (``train.lr = 0.05``), ``#`` comments, and comma-separated lists.
 Every key is declared in :data:`SCHEMA`; unknown keys are rejected so
 typos fail loudly.  ``emit_config(parse_config(text))`` is the canonical
-form of ``text`` and parsing is idempotent across the round trip.
+form of ``text`` and parsing is idempotent across the round trip.  A
+:class:`RunConfig` refuses any string the text cannot carry (a ``#``, a
+line break, surrounding whitespace, or a comma in a list item), so
+``parse_config(emit_config(cfg)) == cfg`` for every config that
+constructs.  ``_VALID_CHOICES`` and :data:`gep.release.METHODS` list the
+values a choice key takes; ``README.md``'s config table has one row per
+:data:`SCHEMA` key, and ``tests/test_readme.py`` holds it to this module.
 """
 
 from __future__ import annotations
@@ -108,7 +114,7 @@ def _format_scalar(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr names its type
     return str(value)
 
 
@@ -122,12 +128,15 @@ _SCALAR_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
 
 
 def _has_kind(value: object, kind: str) -> bool:
-    """A bool is no int, an int is a float, a list is a tuple of its item kind."""
+    """A bool is no int, an int that a float holds exactly is a float, a list
+    is a tuple of its item kind."""
     if kind.endswith("_list"):
         item_kind = kind[: -len("_list")]
         return isinstance(value, tuple) and all(_has_kind(v, item_kind) for v in value)
     if isinstance(value, bool):
         return kind == "bool"
+    if kind == "float" and isinstance(value, int):
+        return abs(value) <= 2**53
     return isinstance(value, _SCALAR_TYPES[kind])
 
 
@@ -138,7 +147,12 @@ _SECTIONS = {  # each section's keys by their short names, in schema order
 
 
 class RunConfig:
-    """A validated mapping of configuration keys to typed values."""
+    """A validated mapping of configuration keys to typed values.
+
+    A value of another kind than its key's (a string for ``train.lr``, a
+    bool for an int key, a list for a list key, which takes a tuple) is a
+    ConfigError that names the key.
+    """
 
     def __init__(self, overrides: Mapping[str, object] | None = None):
         self._values = {key: spec.default for key, spec in SCHEMA.items()}
@@ -147,6 +161,7 @@ class RunConfig:
                 raise ConfigError(f"unknown configuration key {key!r}")
             if not _has_kind(value, SCHEMA[key].kind):
                 raise ConfigError(f"key {key!r}: {value!r} is not a {SCHEMA[key].kind}")
+            _check_text(key, value)
             self._values[key] = value
         _check_choices(self._values)
 
@@ -175,6 +190,20 @@ class RunConfig:
     def section(self, section: str) -> dict[str, object]:
         """Every ``section.*`` key by its short name."""
         return {name: self._values[key] for name, key in _SECTIONS.get(section, {}).items()}
+
+
+def _check_text(key: str, value: object) -> None:
+    """Refuse a string the text format cannot carry back: a ``#`` starts a
+    comment, a line break ends the line, the parser strips surrounding
+    whitespace, and a comma splits a list item."""
+    for item in value if isinstance(value, tuple) else (value,):
+        if isinstance(item, str) and (
+            "#" in item
+            or "".join(item.splitlines()) != item
+            or item != item.strip()
+            or ("," in item and isinstance(value, tuple))
+        ):
+            raise ConfigError(f"key {key!r}: {item!r} cannot be written to a config file")
 
 
 def _check_choices(values: Mapping[str, object]) -> None:

@@ -1,4 +1,13 @@
-"""Dataset container, CSV ingestion, and synthetic task generators."""
+"""Dataset container, CSV ingestion, and synthetic task generators.
+
+A :class:`Dataset` owns one feature array, its read-only design
+``[x, 1]``, which every model kind reads.  :func:`synth_dataset` maps each
+synthetic kind to its generator through one table, and every generator
+reads a :class:`SynthParams`.  :func:`split_pool` is the one split of a
+task's rows into public pool, eval and private sets.  Nothing here
+normalizes: :func:`gep.tasks.build_task` standardizes with statistics of
+the public pool.
+"""
 
 from __future__ import annotations
 
@@ -42,7 +51,8 @@ class Dataset:
     view without the last column.  The constructor copies the features
     into the design once, and the labels, and keeps both read-only, so a
     caller that keeps the arrays it passed in cannot edit them past the
-    finite check.  :meth:`subset` by a slice gives views of the design,
+    finite check: non-finite features and non-finite labels are refused
+    alike.  :meth:`subset` by a slice gives views of the design,
     its row norms and the labels; by an index array or a mask it gathers
     copies.  :meth:`with_labels` shares them all and copies only the
     labels it is given.
@@ -82,7 +92,10 @@ class Dataset:
         return self.design.shape[1] - 1
 
     def subset(self, idx: np.ndarray | slice) -> "Dataset":
-        """The rows ``idx``: views for a slice, gathered copies otherwise."""
+        """The rows ``idx``: views for a slice, gathered copies otherwise.
+
+        The design's row norms are taken with the rows, so a Poisson batch
+        computes none."""
         part = copy.copy(self)
         object.__setattr__(part, "labels", _read_only(self.labels[idx]))
         part._set_design(self.design[idx], self.design_sq_norms[idx])
@@ -145,7 +158,9 @@ def ingest_csv(path: str, label_column: str) -> Dataset:
     blank cell, a whitespace-only line, ``1_000``, or a cell count other
     than the header's is a :class:`CsvParseError` that names the file row
     and the header column, and so is a byte that is not UTF-8 (a leading
-    byte order mark is skipped), by row.
+    byte order mark is skipped), by row.  Only a refused file is read a
+    second time, to find that row.  The label column is copied out and the
+    parsed table dropped before the dataset copies the features.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:

@@ -5,7 +5,9 @@ schema, its version and the run (``asdict(RunSpec)``), then one record per
 training step with the :class:`StepMetrics` fields in declaration order,
 so identical runs emit byte-identical files.  ``train`` and ``report``
 build the summary with the same function, from every metrics file in the
-directory.
+directory: ``summary.txt`` holds the mean +/- std final accuracy per
+method, k and m (:func:`_summary_table`), and ``summary.json`` each run's
+entry as strict JSON, where a value a run did not record is null.
 
 Each configuration's task comes from :func:`gep.tasks.build_task`.  The
 commands raise on bad input and failed runs; ``gep.cli.main`` turns each
@@ -266,9 +268,13 @@ def train_command(
     run, and ``dp_train`` keeps its first m anchors, so an m sweep's runs
     share their private and eval sets.  The task and every run's training
     config are built before the output directory is made, so a
-    configuration error writes nothing.  The summary covers every metrics
-    file in the output directory, as :func:`report_command`'s does,
-    including runs of earlier commands.
+    configuration error writes nothing; an output path that cannot be a
+    directory (an existing file, or a path under one) is a configuration
+    error too.  The summary covers every metrics file in the output
+    directory, as :func:`report_command`'s does, including runs of earlier
+    commands.  A run that diverges ends the command with
+    :class:`gep.training.DivergenceError`; the metrics files of the runs
+    before it are kept, and no summary is written.
     """
     cfg = load_config(config_path)
     overrides: dict[str, object] = {}
@@ -288,7 +294,10 @@ def train_command(
         raise ConfigError(str(err)) from None
 
     out_dir = str(cfg["out"])
-    os.makedirs(out_dir, exist_ok=True)
+    try:  # a file, or a path under one
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot make output directory {out_dir!r}: {err.strerror}") from None
     sigmas: dict[tuple, float] = {}  # one per (epsilon, delta, q, steps)
     for run, train_cfg in plans:
         model, steps = dp_train(_with_sigma(train_cfg, sigmas), task.private, task.eval)
@@ -318,7 +327,16 @@ def train_command(
 def accountant_command(
     eps: float, delta: float, steps: int, q: float = 1.0, mode: str = "closed"
 ) -> int:
-    """Print a calibrated noise multiplier and its certificate."""
+    """Print a calibrated noise multiplier and its certificate.
+
+    ``closed`` prints the per-release multiplier for two releases per step
+    (embedding and residual), which is sqrt(2) times the step's; its
+    verification composes ``steps`` steps, each at the multiplier
+    :func:`gep.accounting.step_multiplier` gives for two unit-threshold
+    releases at that sigma, and counts them as ``2 * steps`` releases.
+    ``search`` prints the per-step multiplier ``dp_train`` calibrates.
+    Both recompute epsilon on the grid that calibrated sigma.
+    """
     if mode not in ACCOUNTANT_MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     try:  # the budget, then the calibration's own range checks

@@ -543,7 +543,10 @@ def power_iteration_basis(
     :class:`AnchorCoefficients`.  Rounding makes its rows orthonormal to
     about ``u ||K||_F ||C||_2^2``; when a Cholesky factorization fails or
     that estimate is not within :data:`GRAM_ORTHO_BOUND`, the rounds rerun
-    on the dense basis, with CGS2, from the same ``W_0``.
+    on the dense basis, with CGS2, from the same ``W_0``.  A Gram round is
+    six products whatever ``k``, where CGS2 makes about four GEMVs per row.
+    A fixed seed gives another basis on the Gram path than the dense
+    rounds would, from a start of the same law up to the jitter.
 
     ``k`` larger than ``min(m, p)`` is clamped with a warning, the one
     basis-size clamp: :func:`gep.release.build_anchor_basis` warns once
@@ -578,8 +581,9 @@ def power_iteration_basis(
 def _top_eigenvalue(
     matvec: Callable[[np.ndarray], np.ndarray], dim: int, rtol: float, max_iter: int = 20000
 ) -> float:
-    # Power iteration on a PSD operator with a fixed-seed start vector, so
-    # the result is a deterministic function of the input alone.
+    """Top eigenvalue of a PSD operator by power iteration from a fixed-seed
+    start vector, so the result is a deterministic function of the input
+    alone (:func:`gep.release.stable_rank` runs it on ``u -> G P G^T u``)."""
     rng = np.random.default_rng(0x5EEDED)
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)

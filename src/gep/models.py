@@ -18,7 +18,20 @@ and the layer's bias-augmented input, so the backward pass returns the
 factors (:func:`per_sample_factors`) and the n x p matrix is only formed
 on request (:func:`per_sample_gradients`).  Both the backward
 pass and :func:`evaluate` start from one :func:`forward` result, so a
-caller holding it runs no second forward pass.
+caller holding it runs no second forward pass; a forward of another model
+or dataset is refused.
+
+Three layout rules keep softmax regression on numpy's and OpenBLAS's fast
+paths:
+
+1. the logistic forward multiplies the design by a contiguous copy of
+   ``W^T``: OpenBLAS multiplies a tall matrix by a transposed view with
+   ``c`` columns about 3x more slowly once it has more than about 600 rows;
+2. ``_softmax`` and ``_log_softmax`` reduce the class axis of a
+   class-major (``c x n``) copy of the logits, since numpy reduces a short
+   contiguous axis one row at a time;
+3. the act-side product of ``gep.linalg._embed_piece`` takes a contiguous
+   right operand too.
 """
 
 from __future__ import annotations
@@ -243,7 +256,8 @@ def per_sample_factors(
       ``delta1 = (delta2 W2) * (1 - hidden^2)``.
 
     Each piece is one group of :func:`make_group_layout`; ``[x, 1]`` is the
-    batch's cached design.  ``fwd`` is ``forward(model, batch)`` when the
+    batch's cached design, and its row norms travel on the piece as
+    ``act_sq``.  ``fwd`` is ``forward(model, batch)`` when the
     caller already has it.
     """
     fwd = _forward_of(model, batch, fwd)
@@ -379,6 +393,8 @@ def allocate_basis_counts(lengths: list[int], k: int) -> list[int]:
 def group_layout(blocks: list[tuple[str, int]], k: int) -> GroupLayout:
     """Consecutive groups of the given ``(name, length)``, in order.
 
+    Every layout is built here: a model's layers (:func:`make_group_layout`),
+    :func:`gep.release.single_group_layout` and ``gep bench``'s even split.
     The quota ``k`` is split across them by :func:`allocate_basis_counts`.
     """
     counts = allocate_basis_counts([length for _, length in blocks], k)

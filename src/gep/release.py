@@ -18,7 +18,9 @@ release of an empty basis.  :data:`METHODS` says, for every training
 method, which basis it builds and which sums it releases.
 :func:`release_gradient` is the one entry point: it validates the
 thresholds and the multiplier, reads the method's entry, and runs the
-one kernel, ``_release``.
+one kernel, ``_release``.  The dense split and clip (``project_split``,
+``clip_rows``, ``split``) live in ``tests/oracle.py``, the independent
+reference the kernel is tested against.
 
 Noise convention: ``sigma`` is the unit-sensitivity multiplier of one
 step, the one the accountant composes; :func:`gep.accounting.noise_stds`
@@ -60,7 +62,10 @@ Gram path: every power-iteration row lies in the span of the group's
 ``B = C G_a`` with ``C`` of size ``k x m``
 (:class:`gep.linalg.AnchorCoefficients`).  A ``"power"`` group takes this
 path when its pieces satisfy ``m (sum(c + a) + k) < k sum(c a)``
-(:func:`gep.linalg.gram_path_pays`), a rule on shapes alone.  Its basis
+(:func:`gep.linalg.gram_path_pays`), a rule on shapes alone.  Of the
+benchmark's workloads only ``mlp-wide``'s first layer (k = 29 over 8320
+columns) takes it; logistic blocks, ``mlp-wide``'s second layer, dense
+anchors and random bases stay dense.  Its basis
 starts from the anchor Gram ``K = sum over pieces (D_a D_a^T) o (A_a A_a^T)``:
 the first product ``W_0 = G_a B_0^T`` of the dense rounds has i.i.d.
 ``N(0, K)`` columns, so it is drawn as ``W_0 = L Z`` with ``L`` the
@@ -195,7 +200,10 @@ class PrivateRelease:
 
     ``projection_error_rate`` and the clip fractions are computed from the
     raw gradients before noise; they are experiment diagnostics and are
-    NOT covered by the privacy guarantee of ``v_tilde``.
+    NOT covered by the privacy guarantee of ``v_tilde``.  ``sums`` records
+    the ``(threshold, noise std)`` of each sum perturbed, which
+    :func:`gep.accounting.step_multiplier` composes back into the step's
+    multiplier.
     """
 
     v_tilde: np.ndarray

@@ -65,6 +65,9 @@ def build_task(cfg: RunConfig, m_aux: int) -> TaskBundle:
     of public pool (none with ``aux.source = synthetic``), then the eval
     set, ``data.eval_fraction`` (positive, finite) of ``data.n`` to the
     nearest row, then the private set, with the substreams of this module.
+    A CSV's rows are shuffled with the ``data.seed`` stream, and every row
+    after the pool and the eval set is private, so ``data.n`` sets only
+    the eval set's size.
     ``per-feature-standardize`` takes its statistics from the pool alone,
     so it needs one.  A classification model has ``data.classes``
     outputs, and a label outside ``[0, data.classes)`` is a ConfigError.
@@ -124,7 +127,9 @@ def build_task(cfg: RunConfig, m_aux: int) -> TaskBundle:
 
 def _preset_task(seed: int, n: int, m_aux: int, n_eval: int, model: str, **data) -> TaskBundle:
     """The task of a zero-initialized ``model`` on ``n`` private, ``m_aux``
-    pool and ``n_eval`` eval rows; each keyword is the ``data.*`` key of its name."""
+    pool and ``n_eval`` eval rows; each keyword is the ``data.*`` key of its
+    name, and ``n_eval`` becomes ``data.eval_fraction = n_eval / n``, so a
+    run can record the preset as a config."""
     if n < 1:  # the eval fraction n_eval / n needs a private row
         raise ValueError(f"a task needs n >= 1 private rows, got {n}")
     cfg = RunConfig({

@@ -6,7 +6,8 @@ private batch-gradient estimate, and feeds it to SGD with momentum.
 Everything downstream of the release is post-processing, so the final
 model inherits the release's privacy guarantee under composition.  The
 non-private reference, ``gd_train``, is ``dp_train``'s unclipped,
-noiseless full-batch ``gp`` run.
+noiseless full-batch ``gp`` run.  Criterion 6's convex utility experiment
+and its L-BFGS optimum live in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -177,6 +178,8 @@ def random_labels(model: ModelSpec, n: int, rng: np.random.Generator) -> np.ndar
     """``n`` labels that carry no signal, for relabeling anchor data.
 
     Standard-normal targets for a linear model, uniform classes otherwise.
+    The one relabeling rule: ``dp_train``, ``gep project-error`` and demo 01
+    all call it.
     """
     if model.kind == "linear":
         return rng.standard_normal(n)
@@ -211,8 +214,10 @@ def dp_train(
     :func:`gep.release.release_gradient` call, whose sums must compose to
     that multiplier (:func:`gep.accounting.step_multiplier`), then takes
     one :func:`optimizer_step`; an empty Poisson batch leaves the
-    parameters as they are.  The post-step forward that gives a step's
-    train loss feeds the next full-batch step's backward pass.  With
+    parameters as they are.  The first ``m`` anchor rows are taken once, as
+    a view of the pool, and only relabeled per step.  The post-step forward
+    that gives a step's train loss feeds the next full-batch step's
+    backward pass, so ``T`` steps run ``T + 1`` private forwards.  With
     ``cfg.iterate_averaging`` the returned model carries the average of
     the per-step iterates instead of the final one; the metrics always
     describe the actual iterates.

@@ -234,6 +234,18 @@ def test_search_hits_bracket_edges():
         calibrate_sigma_search(DpBudget(1e-8, 1e-12), 1.0, 10**6)
 
 
+@pytest.mark.parametrize("q", [1e-8, 1e-10, 1e-12])
+def test_search_calibrates_at_tiny_sampling_rates(q):
+    # at sigma = 1e4 the costs round below 0; the sum they are the log of
+    # is at least 1, so they are clamped to 0
+    budget = DpBudget(8.0, 1e-5)
+    sigma = calibrate_sigma_search(budget, q, 1000)
+    spent, _ = epsilon_for_sigma(sigma, budget, q, 1000)
+    assert spent <= budget.epsilon
+    curve = subsampled_gaussian_curve(default_orders(budget, q), q, SIGMA_BRACKET[1])
+    assert np.all(curve.costs >= 0)
+
+
 def test_mechanism_and_budget_validation():
     with pytest.raises(ValueError):
         DpBudget(0.0, 1e-5)

@@ -3,9 +3,13 @@
 import re
 from dataclasses import MISSING, fields
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gep.config import (
+    _VALID_CHOICES,
     SCHEMA,
     ConfigError,
     RunConfig,
@@ -14,7 +18,7 @@ from gep.config import (
     parse_config,
 )
 from gep.data import SynthParams
-from gep.release import GepConfig
+from gep.release import METHODS, GepConfig
 from gep.training import TrainConfig
 
 
@@ -161,3 +165,52 @@ def test_a_value_of_another_kind_is_refused_where_it_enters(key, value):
 def test_an_int_is_a_float_value():
     cfg = RunConfig({"train.lr": 1, "sweep.epsilon": (2, 8.0)})
     assert cfg.section("train")["lr"] == 1
+
+
+_SCALARS = {
+    "str": st.text(),
+    "int": st.integers(),
+    # NaN is never equal to itself, so no config holding it equals its round trip
+    "float": st.floats(allow_nan=False) | st.integers(),
+    "bool": st.booleans(),
+}
+
+
+def _values(key: str, kind: str):
+    if key == "method":
+        return st.lists(st.sampled_from(tuple(METHODS)) | st.text()).map(tuple)
+    if key in _VALID_CHOICES:
+        return st.sampled_from(_VALID_CHOICES[key]) | st.text()
+    if kind.endswith("_list"):
+        return st.lists(_SCALARS[kind[: -len("_list")]]).map(tuple)
+    return _SCALARS[kind]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fixed_dictionaries(
+    {}, optional={key: _values(key, spec.kind) for key, spec in SCHEMA.items()}
+))
+@example({"data.path": "/d/run#1.csv"})
+@example({"out": " runs"})
+@example({"data.label_column": "a\nb"})
+@example({"train.lr": 2**53 + 1})
+@example({"train.lr": np.float64(0.5)})
+def test_every_config_that_constructs_round_trips(overrides):
+    try:
+        cfg = RunConfig(overrides)
+    except ConfigError:
+        return
+    assert parse_config(emit_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key, value", [
+    ("data.path", "/d/run#1.csv"),
+    ("data.path", " /d/run.csv"),
+    ("out", "runs\t"),
+    ("data.label_column", "a\nb"),
+    ("data.label_column", "a\u2028b"),
+    ("method", ("gep,gp",)),
+])
+def test_a_string_the_text_cannot_carry_is_refused(key, value):
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        RunConfig({key: value})

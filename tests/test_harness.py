@@ -771,26 +771,32 @@ def test_bad_synthetic_data_parameters_are_config_errors(tmp_path, capsys, lines
     + [((f"data.eval_fraction = {f}",), "'data.eval_fraction'")
        for f in ("inf", "nan", "0", "-0.5", "1e308")]
     + [(("sweep.k = 2, 1000",), "exceeds the total parameter count"),
-       (("model.kind = mlp", "gep.k = 1"), "below the number of groups")],
+       (("model.kind = mlp", "gep.k = 1"), "below the number of groups"),
+       (("out = {tmp}/afile",), "cannot make output directory"),
+       (("out = {tmp}/afile/sub",), "cannot make output directory")],
     ids=["split-signal-without-subspace", "standardize-without-pool", "later-run",
          "no-method", "no-seed", "eval-inf", "eval-nan", "eval-0", "eval-negative",
-         "eval-overflow", "k-over-parameter-count", "mlp-k-below-groups"],
+         "eval-overflow", "k-over-parameter-count", "mlp-k-below-groups",
+         "out-is-a-file", "out-under-a-file"],
 )
 def test_a_config_error_writes_no_output_directory(tmp_path, capsys, lines, word):
     # build_task alone sees the first two and the eval fractions (not
     # positive, or times data.n not finite); the third is the grid's second
-    # run, and the next two make a grid of no runs.  The last two are basis
-    # sizes the model's groups refuse, which each run's TrainConfig checks
-    text = BASE_CONFIG
+    # run, and the next two make a grid of no runs.  The next two are basis
+    # sizes the model's groups refuse, which each run's TrainConfig checks,
+    # and the last two are output paths that a file blocks
+    (tmp_path / "afile").write_text("kept\n")
+    text = BASE_CONFIG + f"out = {tmp_path / 'runs'}\n"
     for line in lines:
         key = line.split("=")[0].strip()
+        line = line.format(tmp=tmp_path)
         text = re.sub(rf"(?m)^{re.escape(key)} = .*$\n?", "", text) + line + "\n"
-    out = tmp_path / "runs"
-    assert main(["train", "--config", write_config(tmp_path, text + f"out = {out}\n")]) == 2
+    assert main(["train", "--config", write_config(tmp_path, text)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:") and word in captured.err
-    assert captured.out == ""
-    assert not out.exists()
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "run.cfg"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 def test_a_diverging_run_exits_1_and_keeps_earlier_runs(tmp_path, capsys):
